@@ -6,7 +6,9 @@ boundary map at the operator level, and its pairing along the interface must
 reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
 (class, dimension) combinations and certifies their equality, optionally
 sweeping symmetric disorder seeds and truncation radii to exercise the
-stability of both snapped values.
+stability of both snapped values.  `ROUTES` is the one table of supported
+(class, dimension) pairs: each entry names its working system, its symmetry
+spec, its bulk and edge pairings and its snap.
 
 Desk-scale caveat handled throughout: a windowed sample has an outer boundary
 besides the cut.  All interface traces are restricted to the interface strip,
@@ -15,15 +17,14 @@ and gap checks exclude states pinned to the sample boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .geometry import Partition
-from . import indices as _indices
-from .indices import (IndexReport, chern_odd, edge_conductance, edge_fredholm,
-                      edge_trace, kane_mele, occupied_projection, snap_integer,
-                      snap_z2, spin_sectors)
+from .indices import (IndexReport, _report, chern_even, chern_odd, edge_conductance,
+                      edge_fredholm, edge_trace, occupied_projection, spin_up_sector)
 from .operators import (ControlledOperator, GapCertificate, SiteModule,
                         certify_gap, compress, derivation_along, flatten, truncate)
 from .models import disorder_blocks
@@ -32,9 +33,6 @@ from .symmetry import SymmetrySpec, classify, kgroup_point, verify_symmetry
 
 class BulkEdgeError(ValueError):
     """Raised when a system fails the bulk or edge admissibility checks."""
-
-
-SUPPORTED = {("A", 2), ("AIII", 1), ("D", 1), ("AII", 2)}
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,9 @@ def make_edge(bulk: BulkSystem, part: Partition, locality_fraction: float = 0.7,
         proj = ps.coords @ part.normal - part.offset
         if strip_width is None:
             strip_width = 0.5 * proj.max()
-        d_bnd = np.minimum((ps.coords - ps.window[:, 0]).min(axis=1),
-                           (ps.window[:, 1] - ps.coords).min(axis=1))
         extent = float((ps.window[:, 1] - ps.window[:, 0]).min())
         margin = max(2 * bulk.H.declared_propagation, 0.1 * extent)
-        near_edgeish = (proj < strip_width) | (d_bnd < margin)
+        near_edgeish = (proj < strip_width) | (ps.boundary_distance() < margin)
         weight = (np.abs(v[np.repeat(near_edgeish, H_hat.m)][:, sel]) ** 2).sum(axis=0)
         if weight.min() < locality_fraction:
             raise BulkEdgeError(
@@ -141,9 +137,7 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None,
     dev_blocks = np.abs(U.matrix - np.eye(U.module.dim)).reshape(
         ps.n, U.m, ps.n, U.m).max(axis=(1, 3))
     site_dev = dev_blocks.max(axis=1)
-    d_bnd = np.minimum((ps.coords - ps.window[:, 0]).min(axis=1),
-                       (ps.window[:, 1] - ps.coords).min(axis=1))
-    far = (proj > 0.5 * proj.max()) & (d_bnd > 0.2 * proj.max())
+    far = (proj > 0.5 * proj.max()) & (ps.boundary_distance() > 0.2 * proj.max())
     off_dev = float(site_dev[far].max()) if far.any() else 0.0
     # exponential-decay fit of the deviation profile against interface distance
     xi = np.inf
@@ -162,14 +156,8 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None,
         A = U.matrix.conj().T @ DU
         traces = np.diag(A).reshape(-1, U.m).sum(axis=1)
         vals = edge_trace(U, part, traces, edge_windows, strip_width)
-        scaled = tuple(1j * v for v in vals)
-        raw = float(scaled[-1].real)
-        err = abs(scaled[-1] - scaled[-2]) if len(scaled) > 1 else np.inf
-        snapped, warns = snap_integer(raw, 0.1)
-        winding = IndexReport(raw=raw, snapped=snapped, group=kgroup_point("A", 2),
-                              error=float(err), formula="mv_boundary_winding",
-                              windows=tuple(float(n) for n in edge_windows),
-                              values=tuple(s_.real for s_ in scaled), warnings=warns)
+        winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
+                          kgroup_point("A", 2), 0.1, windows=edge_windows)
     return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
                        off_interface_deviation=off_dev, decay_xi=xi)
 
@@ -204,7 +192,7 @@ class BECReport:
     dim: int
     bulk: IndexReport
     edge: IndexReport
-    passed: bool
+    passed: bool                         # the match, the plateau and every sweep entry
     plateau_deviation: float | None = None
     sweeps: tuple = ()
 
@@ -222,17 +210,17 @@ def _default_windows(ps, margin: float):
     return tuple(np.round(half * f, 2) for f in (0.6, 0.8, 1.0))
 
 
-def _aux_chiral_spec(bulk: BulkSystem) -> SymmetrySpec:
+def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec:
     """Chiral refinement of a class-D system whose C acts unitarily too.
 
     Real Bogoliubov-de Gennes Hamiltonians anticommute with the unitary part
     of C; that makes the mod-2 index computable as a winding reduced mod 2.
     """
-    C = bulk.spec.C_unitary
-    if C is None:
-        raise BulkEdgeError("class D route needs the C unitary block")
-    aux = SymmetrySpec(has_P=True, P_unitary=C)
-    rep = verify_symmetry(bulk.H, aux, tol=1e-8)
+    if spec.C_unitary is None:
+        raise BulkEdgeError("no chiral operator: the class-D refinement needs "
+                            "the C unitary block")
+    aux = SymmetrySpec(has_P=True, P_unitary=spec.C_unitary)
+    rep = verify_symmetry(H, aux, tol=1e-8)
     if rep.violations.get("P", 1.0) > 1e-8:
         raise BulkEdgeError(
             "class D sample does not anticommute with the C unitary (complex "
@@ -240,106 +228,116 @@ def _aux_chiral_spec(bulk: BulkSystem) -> SymmetrySpec:
     return aux
 
 
-def _spin_up_system(bulk: BulkSystem, ctx: dict) -> BulkSystem:
-    if "spin_up" not in ctx:
-        H_up, _, mixing = spin_sectors(bulk.H)
-        if mixing > 1e-10:
-            raise BulkEdgeError("spin-z mixing: the spin-resolved route needs "
-                                "spin conservation")
-        cert = certify_gap(H_up, fermi=bulk.gap.fermi)
-        if not cert.gapped:
-            raise BulkEdgeError("spin sector is not gapped at the Fermi level")
-        ctx["spin_up"] = BulkSystem(H_up.module, H_up, SymmetrySpec(), cert)
-    return ctx["spin_up"]
+# ---------------------------------------------------------------------------
+# the (class, d) route table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Route:
+    """How one supported (class, d) pair is certified.
+
+    `system(bulk)` and `spec(bulk)` resolve, once per point, the working
+    system and the symmetry spec both pairings run on.  `bulk(work, spec,
+    windows)` and `edge(work, spec, part, cfg)` run the two pairings; the edge
+    also returns its plateau deviation (None without one).  Both reports are
+    snapped once more, mod 2 when `z2` and else to an integer, under the
+    names in `formulas`, so each carries only that snap's warning.  The step
+    functions look pairings up by name when called.
+    """
+
+    system: Callable
+    spec: Callable
+    bulk: Callable
+    edge: Callable
+    z2: bool
+    formulas: tuple
 
 
-def _bulk_index(bulk: BulkSystem, label: str, d: int, cfg: BECConfig,
-                ctx: dict) -> IndexReport:
+def _spin_up(bulk: BulkSystem) -> BulkSystem:
+    """Spin-up sector with its own certified gap, shared by both sides."""
+    H_up, cert = spin_up_sector(bulk.H, bulk.spec, fermi=bulk.gap.fermi)
+    return BulkSystem(H_up.module, H_up, SymmetrySpec(), cert)
+
+
+def _chern(work: BulkSystem, spec, windows) -> IndexReport:
+    return chern_even(occupied_projection(work.H, work.gap), windows, snap_tol=np.inf)
+
+
+def _winding(work: BulkSystem, spec, windows) -> IndexReport:
+    return chern_odd(flatten(work.H, work.gap), spec, windows, snap_tol=np.inf)
+
+
+def _conductance(work: BulkSystem, spec, part, cfg):
+    """Edge conductance at both interval widths: (first report, their spread)."""
+    edge = make_edge(work, part)
+    windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
+    fermi, eps = work.gap.fermi, work.gap.epsilon
+    first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
+                                      windows, bulk_gap=work.gap,
+                                      strip_width=cfg.strip_width, snap_tol=np.inf)
+                     for f in (cfg.delta_fraction, cfg.plateau_fraction))
+    return first, float(abs(first.raw - second.raw))
+
+
+def _kernel_count(work: BulkSystem, spec, part, cfg):
+    return edge_fredholm(make_edge(work, part).H_hat, spec, part=part), None
+
+
+def _itself(bulk: BulkSystem):
+    return bulk
+
+
+def _declared(bulk: BulkSystem) -> SymmetrySpec:
+    return bulk.spec
+
+
+ROUTES = {
+    ("A", 2): Route(_itself, _declared, _chern, _conductance, False,
+                    ("chern_even", "edge_conductance")),
+    ("AIII", 1): Route(_itself, _declared, _winding, _kernel_count, False,
+                       ("chern_odd_d1", "edge_fredholm")),
+    ("D", 1): Route(_itself, lambda bulk: chiral_refinement(bulk.H, bulk.spec),
+                    _winding, _kernel_count, True,
+                    ("winding_mod2", "majorana_count_mod2")),
+    ("AII", 2): Route(_spin_up, _declared, _chern, _conductance, True,
+                      ("kane_mele_spin_chern", "spin_edge_conductance_mod2")),
+}
+
+
+def _certify(bulk: BulkSystem, part: Partition, label: str, d: int, cfg: BECConfig):
+    """Both sides of one point on its route: (bulk report, edge report, plateau)."""
+    route = ROUTES[label, d]
+    work, spec = route.system(bulk), route.spec(bulk)
     windows = cfg.windows or _default_windows(bulk.module.pointset, 2.0)
-    if (label, d) == ("A", 2):
-        P = occupied_projection(bulk.H, bulk.gap)
-        return _indices.chern_even(P, windows, snap_tol=cfg.snap_tol)
-    if (label, d) == ("AIII", 1):
-        s = flatten(bulk.H, bulk.gap)
-        return chern_odd(s, bulk.spec, windows, snap_tol=cfg.snap_tol)
-    if (label, d) == ("D", 1):
-        aux = _aux_chiral_spec(bulk)
-        s = flatten(bulk.H, bulk.gap)
-        rep = chern_odd(s, aux, windows, snap_tol=cfg.snap_tol)
-        cls, warns = snap_z2(rep.raw, 0.25)
-        return IndexReport(raw=rep.raw, snapped=cls, group=kgroup_point("D", 1),
-                           error=rep.error, formula="winding_mod2", windows=rep.windows,
-                           z2=True, values=rep.values, warnings=rep.warnings + warns)
-    if (label, d) == ("AII", 2):
-        if bulk.spec.T_unitary is not None:
-            rep = verify_symmetry(bulk.H, bulk.spec, tol=1e-8)
-            if rep.violations.get("T", 0.0) > 1e-8:
-                raise BulkEdgeError("sample is not time-reversal invariant")
-        up = _spin_up_system(bulk, ctx)
-        P = occupied_projection(up.H, up.gap)
-        even = _indices.chern_even(P, windows, snap_tol=np.inf)
-        cls, warns = snap_z2(even.raw, 0.25)
-        return IndexReport(raw=even.raw, snapped=cls, group=kgroup_point("AII", 2),
-                           error=even.error, formula="kane_mele_spin_chern",
-                           windows=even.windows, z2=True, values=even.values,
-                           warnings=even.warnings + warns)
-    raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
-                        f"supported: {sorted(SUPPORTED)}")
+    b = route.bulk(work, spec, windows)
+    e, plateau = route.edge(work, spec, part, cfg)
+    group = kgroup_point(label, d)
+    tol = 0.25 if route.z2 else cfg.snap_tol
+    # a windowless pairing (the kernel count) reports no per-window values
+    b, e = (_report(r.values or (r.raw,), formula, group, tol, z2=route.z2,
+                    windows=r.windows, error=r.error)
+            for r, formula in zip((b, e), route.formulas))
+    return b, e, plateau
 
 
-def _edge_index(bulk: BulkSystem, part: Partition, label: str, d: int,
-                cfg: BECConfig, ctx: dict) -> tuple[IndexReport, float | None]:
-    """Edge pairing; returns (report, plateau deviation or None)."""
-    eps, fermi = bulk.gap.epsilon, bulk.gap.fermi
-    if (label, d) == ("A", 2):
-        edge = make_edge(bulk, part)
-        windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
-        rep = None
-        vals = {}
-        for frac in (cfg.delta_fraction, cfg.plateau_fraction):
-            delta = (fermi - frac * eps, fermi + frac * eps)
-            r = edge_conductance(edge.H_hat, part, delta, windows,
-                                 bulk_gap=bulk.gap, strip_width=cfg.strip_width,
-                                 snap_tol=cfg.snap_tol)
-            vals[frac] = r
-            if frac == cfg.delta_fraction:
-                rep = r
-        plateau = abs(vals[cfg.delta_fraction].raw - vals[cfg.plateau_fraction].raw)
-        return rep, float(plateau)
-    if (label, d) == ("AIII", 1):
-        edge = make_edge(bulk, part)
-        return edge_fredholm(edge.H_hat, bulk.spec, part=part), None
-    if (label, d) == ("D", 1):
-        aux = _aux_chiral_spec(bulk)
-        edge = make_edge(bulk, part)
-        rep = edge_fredholm(edge.H_hat, aux, part=part)
-        cls, warns = snap_z2(rep.raw, 0.25)
-        return IndexReport(raw=rep.raw, snapped=cls, group=kgroup_point("D", 1),
-                           error=rep.error, formula="majorana_count_mod2",
-                           windows=rep.windows, z2=True,
-                           warnings=rep.warnings + warns), None
-    if (label, d) == ("AII", 2):
-        up_bulk = _spin_up_system(bulk, ctx)
-        cert = up_bulk.gap
-        edge = make_edge(up_bulk, part)
-        windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
-        plateau_vals = {}
-        for frac in (cfg.delta_fraction, cfg.plateau_fraction):
-            delta = (fermi - frac * cert.epsilon, fermi + frac * cert.epsilon)
-            plateau_vals[frac] = edge_conductance(
-                edge.H_hat, part, delta, windows, bulk_gap=cert,
-                strip_width=cfg.strip_width, snap_tol=np.inf)
-        r = plateau_vals[cfg.delta_fraction]
-        cls, warns = snap_z2(r.raw, 0.25)
-        rep = IndexReport(raw=r.raw, snapped=cls, group=kgroup_point("AII", 2),
-                          error=r.error, formula="spin_edge_conductance_mod2",
-                          windows=r.windows, z2=True, values=r.values,
-                          warnings=r.warnings + warns)
-        plateau = abs(plateau_vals[cfg.delta_fraction].raw
-                      - plateau_vals[cfg.plateau_fraction].raw)
-        return rep, float(plateau)
-    raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
-                        f"supported: {sorted(SUPPORTED)}")
+def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
+    """Sweep points: (entry keys, perturbed Hamiltonian) per disorder seed,
+    then per truncation radius."""
+    conserve = ()
+    if label == "AII" and "spin_z" in bulk.module.labels:
+        conserve = (bulk.module.labels["spin_z"],)   # spin-resolved route needs it
+    m = bulk.H.m
+    for seed in cfg.disorder_seeds:
+        blocks = disorder_blocks(bulk.spec, m, bulk.module.n_sites,
+                                 cfg.disorder_strength, seed, conserve=conserve)
+        M = bulk.H.matrix.copy()
+        for x, B in enumerate(blocks):
+            M[x * m:(x + 1) * m, x * m:(x + 1) * m] += B
+        yield ({"kind": "disorder", "seed": int(seed), "strength": cfg.disorder_strength},
+               ControlledOperator(bulk.module, M, bulk.H.declared_propagation,
+                                  hermitian=True))
+    for R in cfg.truncation_radii:
+        yield {"kind": "truncation", "radius": float(R)}, truncate(bulk.H, float(R))
 
 
 def _match(bulk_rep: IndexReport, edge_rep: IndexReport) -> bool:
@@ -352,55 +350,30 @@ def verify_bec(bulk: BulkSystem, part: Partition,
                config: BECConfig | dict | None = None) -> BECReport:
     """Run the matching bulk and edge pairings and certify their equality.
 
-    Supported combinations: plane Chern class (A, d=2), chiral chain
-    (AIII, d=1), real pairing chain mod 2 (D, d=1) and spin-conserving
-    time-reversal plane systems mod 2 (AII, d=2).  Optional sweeps re-run the
-    pipeline over symmetric disorder seeds and truncation radii; a sweep
-    entry records the snapped values so stability is auditable.
+    Supported combinations are the keys of `ROUTES`: plane Chern class
+    (A, d=2), chiral chain (AIII, d=1), real pairing chain mod 2 (D, d=1) and
+    spin-conserving time-reversal plane systems mod 2 (AII, d=2).  Optional
+    sweeps re-run the pipeline over symmetric disorder seeds and truncation
+    radii; a sweep entry records the snapped values so stability is
+    auditable.  The report passes only when the clean point matches, its
+    plateau holds and every sweep entry passes.
     """
     cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
     label = classify(bulk.spec)
     d = bulk.module.pointset.dim
-    if (label, d) not in SUPPORTED:
+    if (label, d) not in ROUTES:
         raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
-                            f"supported: {sorted(SUPPORTED)}")
-    ctx: dict = {}
-    bulk_rep = _bulk_index(bulk, label, d, cfg, ctx)
-    edge_rep, plateau = _edge_index(bulk, part, label, d, cfg, ctx)
-    passed = _match(bulk_rep, edge_rep)
-    if plateau is not None and plateau > cfg.plateau_tol:
-        passed = False
+                            f"supported: {sorted(ROUTES)}")
+    bulk_rep, edge_rep, plateau = _certify(bulk, part, label, d, cfg)
     sweeps = []
-    conserve = ()
-    if label == "AII" and "spin_z" in bulk.module.labels:
-        conserve = (bulk.module.labels["spin_z"],)   # spin-resolved route needs it
-    for seed in cfg.disorder_seeds:
-        blocks = disorder_blocks(bulk.spec, bulk.H.m, bulk.module.n_sites,
-                                 cfg.disorder_strength, seed, conserve=conserve)
-        M = bulk.H.matrix.copy()
-        m = bulk.H.m
-        for x, B in enumerate(blocks):
-            M[x * m:(x + 1) * m, x * m:(x + 1) * m] += B
-        H_dis = ControlledOperator(bulk.module, M, bulk.H.declared_propagation,
-                                   hermitian=True)
-        dis_bulk = make_bulk(bulk.module, H_dis, bulk.spec, fermi=bulk.gap.fermi)
-        dctx: dict = {}
-        b = _bulk_index(dis_bulk, label, d, cfg, dctx)
-        e, _ = _edge_index(dis_bulk, part, label, d, cfg, dctx)
-        sweeps.append({"kind": "disorder", "seed": int(seed),
-                       "strength": cfg.disorder_strength,
-                       "bulk_raw": b.raw, "edge_raw": e.raw,
+    for keys, H in _perturbations(bulk, label, cfg):
+        point = make_bulk(bulk.module, H, bulk.spec, fermi=bulk.gap.fermi)
+        b, e, _ = _certify(point, part, label, d, cfg)
+        sweeps.append({**keys, "bulk_raw": b.raw, "edge_raw": e.raw,
                        "bulk_snapped": b.snapped, "edge_snapped": e.snapped,
                        "pass": _match(b, e)})
-    for R in cfg.truncation_radii:
-        H_R = truncate(bulk.H, float(R))
-        tr_bulk = make_bulk(bulk.module, H_R, bulk.spec, fermi=bulk.gap.fermi)
-        tctx: dict = {}
-        b = _bulk_index(tr_bulk, label, d, cfg, tctx)
-        e, _ = _edge_index(tr_bulk, part, label, d, cfg, tctx)
-        sweeps.append({"kind": "truncation", "radius": float(R),
-                       "bulk_raw": b.raw, "edge_raw": e.raw,
-                       "bulk_snapped": b.snapped, "edge_snapped": e.snapped,
-                       "pass": _match(b, e)})
+    passed = (_match(bulk_rep, edge_rep)
+              and (plateau is None or plateau <= cfg.plateau_tol)
+              and all(s["pass"] for s in sweeps))
     return BECReport(label=label, dim=d, bulk=bulk_rep, edge=edge_rep,
                      passed=passed, plateau_deviation=plateau, sweeps=tuple(sweeps))

@@ -20,7 +20,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bulkedge import BECConfig, BulkEdgeError, make_bulk, verify_bec
+from .bulkedge import (BECConfig, BulkEdgeError, chiral_refinement, make_bulk,
+                       verify_bec)
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
 from .indices import (PairingError, chern_even, chern_odd, edge_conductance,
                       edge_fredholm, kane_mele, occupied_projection,
@@ -172,13 +173,7 @@ def cmd_edge_index(args, extra) -> int:
         raise OperatorError("bulk sample has no certified gap; edge pairing invalid")
     H_hat = compress(H, part)
     if ps.dim == 1:
-        use = spec
-        if not spec.has_P:
-            if spec.has_C and spec.C_unitary is not None:
-                # real-pairing refinement: C's unitary part as the chiral operator
-                use = SymmetrySpec(has_P=True, P_unitary=spec.C_unitary)
-            else:
-                raise PairingError("1d edge index needs a chiral operator in the spec")
+        use = spec if spec.has_P else chiral_refinement(H, spec)
         rep = edge_fredholm(H_hat, use, part=part)
     else:
         frac = args.delta_fraction
@@ -208,10 +203,9 @@ def cmd_verify_bec(args, extra) -> int:
     doc = rep.to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
-    ok = rep.passed and all(s.get("pass", False) for s in rep.sweeps)
     print(f"bulk {rep.bulk.snapped} vs edge {rep.edge.snapped}: "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f"{'PASS' if rep.passed else 'FAIL'}")
+    return 0 if rep.passed else 1
 
 
 def _sweep_point(cfg: dict, seed, value):

@@ -77,6 +77,12 @@ class PointSet:
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
 
+    def boundary_distance(self, points=None) -> np.ndarray:
+        """Distance of each point (default: the sample's own) to the window boundary."""
+        x = self.coords if points is None else points
+        return np.minimum((x - self.window[:, 0]).min(axis=1),
+                          (self.window[:, 1] - x).min(axis=1))
+
     def restrict(self, ids) -> "PointSet":
         """Sub-sample keeping the listed ids (reindexed densely, coords kept)."""
         ids = np.asarray(ids, dtype=int)
@@ -356,9 +362,7 @@ def certify_delone(ps: PointSet, grid_pitch: float | None = None) -> DeloneCerti
     axes = [np.arange(lo, hi, pitch) for lo, hi in ps.window]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     d_site, _ = ps.tree().query(grid)
-    d_bnd = np.minimum((grid - ps.window[:, 0]).min(axis=1),
-                       (ps.window[:, 1] - grid).min(axis=1))
-    interior = d_bnd >= d_site
+    interior = ps.boundary_distance(grid) >= d_site
     R = float(d_site[interior].max()) if interior.any() else None
     return DeloneCertificate(r=float(r), R=R, valid=True)
 

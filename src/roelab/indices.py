@@ -96,6 +96,29 @@ def snap_z2(raw: float, tol: float = 0.25):
                   f"{{0, 1}} (snap tolerance {tol})",)
 
 
+def _report(values, formula: str, group: KGroupDescriptor, snap_tol: float,
+            z2: bool = False, windows=(), error: float | None = None,
+            imag_tol: float = np.inf) -> IndexReport:
+    """Report of a pairing from its per-window values (largest window last).
+
+    The raw value is the real part of the last value, whose imaginary part
+    must stay within `imag_tol`; the error defaults to the two-window
+    deviation.  It snaps to Z, or to Z2 when `z2`.  A windowless pairing
+    passes its single value and an explicit error, and reports no values.
+    """
+    last = values[-1]
+    if abs(np.imag(last)) > imag_tol:
+        raise PairingError(f"pairing has imaginary part {np.imag(last):.2e} > {imag_tol}")
+    raw = float(np.real(last))
+    if error is None:
+        error = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
+    snapped, warns = (snap_z2 if z2 else snap_integer)(raw, snap_tol)
+    return IndexReport(raw=raw, snapped=snapped, group=group, error=float(error),
+                       formula=formula, windows=tuple(float(n) for n in windows),
+                       z2=z2, values=tuple(float(np.real(v)) for v in values)
+                       if windows else (), warnings=warns)
+
+
 # ---------------------------------------------------------------------------
 # windowed traces
 # ---------------------------------------------------------------------------
@@ -104,6 +127,18 @@ def window_mask(ps, radius: float, center=None) -> np.ndarray:
     """Half-open box [center - r, center + r) per axis."""
     c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
     return ((ps.coords >= c - radius) & (ps.coords < c + radius)).all(axis=1)
+
+
+def _window_values(traces: np.ndarray, ps, windows, center=None) -> list:
+    """Per-site values inside each nested box; every box must hold a site."""
+    c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
+    out = []
+    for n in windows:
+        mask = window_mask(ps, n, c)
+        if not mask.any():
+            raise PairingError(f"window radius {n} contains no sites")
+        out.append(traces[mask])
+    return out
 
 
 def trace_per_unit_volume(A: ControlledOperator, windows, center=None,
@@ -122,13 +157,7 @@ def trace_per_unit_volume(A: ControlledOperator, windows, center=None,
     for n in windows:
         if ((c - n - margin < ps.window[:, 0]) | (c + n + margin > ps.window[:, 1])).any():
             raise PairingError(f"window radius {n} plus margin {margin} exceeds the sample")
-    traces = A.site_traces()
-    vals = []
-    for n in windows:
-        mask = window_mask(ps, n, c)
-        if not mask.any():
-            raise PairingError(f"window radius {n} contains no sites")
-        vals.append(complex(traces[mask].mean()))
+    vals = [complex(t.mean()) for t in _window_values(A.site_traces(), ps, windows, c)]
     err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
     return TraceEstimate(windows=windows, values=tuple(vals),
                          extrapolated=vals[-1], error=float(err))
@@ -141,17 +170,10 @@ def _volume_trace(traces: np.ndarray, ps, windows, center=None) -> tuple:
     fluctuates by a boundary term on non-unit lattices), else the empirical
     count over the box volume.
     """
-    c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
-    vals = []
-    for n in windows:
-        mask = window_mask(ps, n, c)
-        if not mask.any():
-            raise PairingError(f"window radius {n} contains no sites")
-        if ps.density is not None:
-            vals.append(complex(traces[mask].mean()) * ps.density)
-        else:
-            vals.append(complex(traces[mask].sum()) / (2.0 * n) ** ps.dim)
-    return tuple(vals)
+    inside = _window_values(traces, ps, windows, center)
+    if ps.density is not None:
+        return tuple(complex(t.mean()) * ps.density for t in inside)
+    return tuple(complex(t.sum()) / (2.0 * n) ** ps.dim for t, n in zip(inside, windows))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +201,8 @@ def chern_even(P: ControlledOperator, windows, center=None, snap_tol: float = 0.
     traces = np.diag(A).reshape(-1, P.m).sum(axis=1)
     windows = tuple(sorted(float(n) for n in windows))
     vals = tuple(2j * np.pi * v for v in _volume_trace(traces, ps, windows, center))
-    raw_c = vals[-1]
-    if abs(raw_c.imag) > imag_tol:
-        raise PairingError(f"pairing has imaginary part {raw_c.imag:.2e} > {imag_tol}")
-    raw = float(raw_c.real)
-    err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
-    snapped, warns = snap_integer(raw, snap_tol)
-    return IndexReport(raw=raw, snapped=snapped,
-                       group=group or kgroup_point("A", 2), error=float(err),
-                       formula="chern_even", windows=windows,
-                       values=tuple(v.real for v in vals), warnings=warns)
+    return _report(vals, "chern_even", group or kgroup_point("A", 2), snap_tol,
+                   windows=windows, imag_tol=imag_tol)
 
 
 def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
@@ -233,9 +247,7 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
     Pfull = np.kron(np.eye(ps.n), spec.P_unitary)
     defect = 0.5 * np.abs(M + Pfull @ M @ Pfull.conj().T)
     margin = boundary_fraction * float((ps.window[:, 1] - ps.window[:, 0]).min())
-    d_bnd = np.minimum((ps.coords - ps.window[:, 0]).min(axis=1),
-                       (ps.window[:, 1] - ps.coords).min(axis=1))
-    interior = np.repeat(d_bnd > margin, s.m)
+    interior = np.repeat(ps.boundary_distance() > margin, s.m)
     viol = float(defect[np.ix_(interior, interior)].max()) if interior.any() else \
         float(defect.max())
     if viol > sym_tol:
@@ -280,16 +292,8 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
     traces = np.diag(A).reshape(n, half).sum(axis=1)
     windows = tuple(sorted(float(w) for w in windows))
     vals = tuple(const * v for v in _volume_trace(traces, ps, windows, center))
-    raw_c = vals[-1]
-    if abs(raw_c.imag) > imag_tol:
-        raise PairingError(f"pairing has imaginary part {raw_c.imag:.2e} > {imag_tol}")
-    raw = float(raw_c.real)
-    err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
-    snapped, warns = snap_integer(raw, snap_tol)
-    return IndexReport(raw=raw, snapped=snapped,
-                       group=group or kgroup_point("AIII", d), error=float(err),
-                       formula=f"chern_odd_d{d}", windows=windows,
-                       values=tuple(v.real for v in vals), warnings=warns)
+    return _report(vals, f"chern_odd_d{d}", group or kgroup_point("AIII", d), snap_tol,
+                   windows=windows, imag_tol=imag_tol)
 
 
 def spin_sectors(H: ControlledOperator, tol: float = 1e-10):
@@ -306,6 +310,31 @@ def spin_sectors(H: ControlledOperator, tol: float = 1e-10):
     return restrict_orbitals(H, up), restrict_orbitals(H, dn), mixing
 
 
+def spin_up_sector(H: ControlledOperator, spec: SymmetrySpec, fermi: float = 0.0,
+                   mixing_tol: float = 1e-10):
+    """Gapped spin-up sector of a spin-conserving, T-invariant system: (H_up, gap).
+
+    Checks exact spin-z conservation, the declared T (when its unitary is
+    given) on the full system, and certifies the sector's own gap.
+    """
+    # the full-size T check runs before the sectors exist, which keeps them
+    # out of its peak memory; spin mixing is still the first error reported
+    t_viol = 0.0
+    if spec.T_unitary is not None:
+        t_viol = verify_symmetry(H, spec, tol=1e-8).violations.get("T", 0.0)
+    H_up, _, mixing = spin_sectors(H)
+    if mixing > mixing_tol:
+        raise PairingError(
+            f"spin-z mixing {mixing:.2e} exceeds {mixing_tol}: the spin-resolved "
+            "route needs spin conservation, and no spin-mixing formula is provided")
+    if t_viol > 1e-8:
+        raise PairingError(f"T violation {t_viol:.2e}: not T-invariant")
+    cert = certify_gap(H_up, fermi=fermi)
+    if not cert.gapped:
+        raise PairingError("spin-up sector is not gapped at the Fermi level")
+    return H_up, cert
+
+
 def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows, center=None,
               snap_tol: float = 0.25, mixing_tol: float = 1e-10,
               fermi: float = 0.0) -> IndexReport:
@@ -317,61 +346,57 @@ def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows, center=None,
     """
     if not (spec.has_T and spec.T_sq == -1):
         raise PairingError("mod-2 invariant requires T with T^2 = -1")
-    H_up, _, mixing = spin_sectors(H)
-    if mixing > mixing_tol:
-        raise PairingError(
-            f"spin-z mixing {mixing:.2e} exceeds {mixing_tol}: the spin-resolved "
-            "route needs spin conservation, and no spin-mixing formula is provided")
-    if spec.T_unitary is not None:
-        rep = verify_symmetry(H, spec, tol=1e-8)
-        if rep.violations.get("T", 0.0) > 1e-8:
-            raise PairingError(f"T violation {rep.violations['T']:.2e}: not T-invariant")
-    cert = certify_gap(H_up, fermi=fermi)
-    if not cert.gapped:
-        raise PairingError("spin-up sector is not gapped at the Fermi level")
-    P = occupied_projection(H_up, cert)
-    up = chern_even(P, windows, center=center, snap_tol=np.inf)
-    cls, warns = snap_z2(up.raw, snap_tol)
-    return IndexReport(raw=up.raw, snapped=cls, group=kgroup_point("AII", 2),
-                       error=up.error, formula="kane_mele_spin_chern",
-                       windows=up.windows, z2=True, values=up.values,
-                       warnings=up.warnings + warns)
+    H_up, cert = spin_up_sector(H, spec, fermi, mixing_tol)
+    up = chern_even(occupied_projection(H_up, cert), windows, center=center,
+                    snap_tol=np.inf)
+    return _report(up.values, "kane_mele_spin_chern", kgroup_point("AII", 2), snap_tol,
+                   z2=True, windows=up.windows, error=up.error)
 
 
 # ---------------------------------------------------------------------------
 # edge pairings
 # ---------------------------------------------------------------------------
 
-def _interface_frame(H_hat: ControlledOperator, part: Partition):
-    """Strip coordinates of a compressed operator: (normal dist, edge coord)."""
+def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction=None):
+    """Strip coordinates of a compressed operator: (normal dist, edge coord, edge dir).
+
+    The edge direction is the cut's own unless one is held fixed explicitly.
+    """
     ps = H_hat.module.pointset
     if ps.source_ids is None:
         raise PairingError("edge pairings expect a compressed (half-space) operator")
     proj = ps.coords @ part.normal - part.offset
-    e = part.edge_direction()
+    if edge_direction is None:
+        e = part.edge_direction()
+    else:
+        e = np.asarray(edge_direction, dtype=float)
+        e = e / np.linalg.norm(e)
     return proj, ps.coords @ e, e
 
 
 def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
                edge_windows, strip_width: float | None = None,
-               center: float | None = None) -> tuple:
+               edge_direction=None) -> tuple:
     """Per-unit-edge-length windowed sums over the interface strip.
 
     The strip keeps sites with normal distance in [0, strip_width) - wide
     enough to hold the interface-bound states, narrow enough to exclude the
-    sample's outer boundary; windows are half-open intervals along the edge.
+    sample's outer boundary; windows are half-open intervals along the edge,
+    centred on the interface, in the cut's edge direction unless
+    `edge_direction` holds another fixed.  `traces` holds one row per site;
+    each window sums its rows.
     """
-    proj, ecoord, _ = _interface_frame(H_hat, part)
+    proj, ecoord, _ = _interface_frame(H_hat, part, edge_direction)
     if strip_width is None:
         strip_width = 0.5 * proj.max()
     iface = np.isin(H_hat.module.pointset.source_ids, part.interface_ids)
-    c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max()) if center is None else center
+    c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max())
     vals = []
     for n in edge_windows:
         mask = (proj < strip_width) & (ecoord >= c0 - n) & (ecoord < c0 + n)
         if not mask.any():
             raise PairingError(f"edge window {n} contains no strip sites")
-        vals.append(complex(traces[mask].sum()) / (2.0 * n))
+        vals.append(traces[mask].sum(axis=0) / (2.0 * n))
     return tuple(vals)
 
 
@@ -403,43 +428,25 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
     w, v = H_hat.eigh()
-    proj, ecoord, e = _interface_frame(H_hat, part)
-    if edge_direction is not None:
-        # explicit orientation override: measure along a held-fixed direction
-        # instead of the one the cut normal induces
-        e = np.asarray(edge_direction, dtype=float)
-        e = e / np.linalg.norm(e)
-        ecoord = H_hat.module.pointset.coords @ e
-    ps = H_hat.module.pointset
-    if strip_width is None:
-        strip_width = 0.5 * proj.max()
-    iface = np.isin(ps.source_ids, part.interface_ids)
-    c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max())
+    # edge_direction overrides the orientation: measure along a held-fixed
+    # direction instead of the one the cut normal induces
+    _, _, e = _interface_frame(H_hat, part, edge_direction)
     # per-state current within the strip, resolved per site then per window
     DHv = derivation_along(H_hat, e).matrix @ v
-    site_state = (v.conj() * DHv).reshape(ps.n, H_hat.m, -1).sum(axis=1)
+    site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     halves = np.linspace(0.7 * half, half, max(width_family, 1))
     windows = tuple(float(n) for n in edge_windows)
     per_window = []
-    for n in windows:
-        mask = (proj < strip_width) & (ecoord >= c0 - n) & (ecoord < c0 + n)
-        if not mask.any():
-            raise PairingError(f"edge window {n} contains no strip sites")
-        state_vals = site_state[mask].sum(axis=0) / (2.0 * n)
+    for state_vals in edge_trace(H_hat, part, site_state, windows, strip_width,
+                                 edge_direction=edge_direction):
         ests = []
         for h in halves:
             sel = (w > centre - h) & (w < centre + h)
             ests.append(-2 * np.pi * complex(state_vals[sel].sum()) / (2 * h))
         per_window.append(np.mean(ests))
-    raw = float(np.real(per_window[-1]))
-    err = abs(per_window[-1] - per_window[-2]) if len(per_window) > 1 else np.inf
-    snapped, warns = snap_integer(raw, snap_tol)
-    return IndexReport(raw=raw, snapped=snapped,
-                       group=group or kgroup_point("A", 2), error=float(err),
-                       formula="edge_conductance", windows=windows,
-                       values=tuple(float(np.real(s)) for s in per_window),
-                       warnings=warns)
+    return _report(per_window, "edge_conductance", group or kgroup_point("A", 2),
+                   snap_tol, windows=windows)
 
 
 def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
@@ -481,8 +488,5 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
     Pfull = np.kron(np.eye(ps.n), spec.P_unitary)
     # chi is constant on each site's orbital block, so P chi is Hermitian
     val = complex(np.trace(Q.conj().T @ (Pfull * chi[None, :]) @ Q))
-    raw = float(np.real(val))
-    snapped, warns = snap_integer(raw, 0.1)
-    return IndexReport(raw=raw, snapped=snapped,
-                       group=group or kgroup_point("AIII", 1), error=float(abs(np.imag(val))),
-                       formula="edge_fredholm", windows=(), warnings=warns)
+    return _report((val,), "edge_fredholm", group or kgroup_point("AIII", 1), 0.1,
+                   error=abs(np.imag(val)))

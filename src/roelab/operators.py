@@ -216,7 +216,7 @@ class ControlledOperator:
             hermitian = bool(np.abs(M - M.conj().T).max() <= 1e-12)
         op = cls(module, M, 0.0, hermitian=hermitian)
         if propagation is None:
-            propagation = compute_propagation(op)
+            propagation = globals()["propagation"](op)   # the keyword shadows it
         object.__setattr__(op, "declared_propagation", float(propagation))
         return op
 
@@ -255,7 +255,7 @@ def grading_operator(module: SiteModule) -> ControlledOperator:
 # the controlled-operator toolbox
 # ---------------------------------------------------------------------------
 
-def compute_propagation(A: ControlledOperator, tol: float = ZERO_BLOCK_TOL) -> float:
+def propagation(A: ControlledOperator, tol: float = ZERO_BLOCK_TOL) -> float:
     """Max distance over blocks with any entry above `tol` (0 for the zero op)."""
     norms = A.block_norms()
     mask = norms > tol
@@ -264,10 +264,6 @@ def compute_propagation(A: ControlledOperator, tol: float = ZERO_BLOCK_TOL) -> f
         return 0.0
     dist = site_distances(A.module.pointset)
     return float(dist[mask].max())
-
-
-def propagation(A: ControlledOperator) -> float:
-    return compute_propagation(A)
 
 
 def truncate(H: ControlledOperator, R: float) -> ControlledOperator:
@@ -310,10 +306,7 @@ class GapCertificate:
 
 def _boundary_weights(H: ControlledOperator, margin: float) -> np.ndarray:
     """Per-eigenvector weight within `margin` of the window boundary."""
-    ps = H.module.pointset
-    d_bnd = np.minimum((ps.coords - ps.window[:, 0]).min(axis=1),
-                       (ps.window[:, 1] - ps.coords).min(axis=1))
-    near = np.repeat(d_bnd < margin, H.m)
+    near = np.repeat(H.module.pointset.boundary_distance() < margin, H.m)
     _, v = H.eigh()
     return (np.abs(v[near]) ** 2).sum(axis=0)
 

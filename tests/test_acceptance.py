@@ -126,6 +126,17 @@ def test_criterion_4_bulk_edge_correspondence(square30):
                        for name, r, _ in results)
     assert_report("criterion 4: bulk index = edge index on the library",
                   ok and elapsed < 300, f"{detail}; {elapsed:.0f}s")
+    # each route's report provenance: (bulk formula, edge formula, group, z2)
+    routes = {"qwz A d2": ("chern_even", "edge_conductance", "Z", False),
+              "ssh AIII d1": ("chern_odd_d1", "edge_fredholm", "Z", False),
+              "kitaev D d1": ("winding_mod2", "majorana_count_mod2", "Z2", True),
+              "kane_mele AII d2": ("kane_mele_spin_chern",
+                                   "spin_edge_conductance_mod2", "Z2", True)}
+    for name, r, _ in results:
+        bulk_formula, edge_formula, group, z2 = routes[name]
+        assert (r.bulk.formula, r.edge.formula) == (bulk_formula, edge_formula), name
+        assert str(r.bulk.group) == str(r.edge.group) == group, name
+        assert r.bulk.z2 is r.edge.z2 is z2, name
 
 
 def test_criterion_5_disorder_stability():

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import roelab as rl
+from roelab import bulkedge
 from roelab.bulkedge import BulkEdgeError
+from roelab.indices import snap_integer
 from roelab.operators import SiteModule
 from roelab.symmetry import SymmetrySpec
 
@@ -197,3 +201,27 @@ class TestVerifyBEC:
         assert all(s["pass"] for s in rep.sweeps)
         kinds = [s["kind"] for s in rep.sweeps]
         assert kinds.count("disorder") == 2 and kinds.count("truncation") == 1
+
+    def test_z2_reports_carry_only_their_own_snap_warning(self, chain200, monkeypatch):
+        """Raws 0.15 from an integer snap cleanly mod 2: the integer snap of
+        the underlying pairing leaves no warning in a Z2 report."""
+        def shifted(pairing):
+            def run(*args, **kwargs):
+                rep = pairing(*args, **kwargs)
+                raw = rep.raw + 0.15
+                snapped, warns = snap_integer(raw, kwargs.get("snap_tol", 0.1))
+                values = rep.values[:-1] + (raw,) if rep.values else ()
+                return replace(rep, raw=raw, values=values, snapped=snapped,
+                               warnings=warns)
+            return run
+
+        monkeypatch.setattr(bulkedge, "chern_odd", shifted(bulkedge.chern_odd))
+        monkeypatch.setattr(bulkedge, "edge_fredholm", shifted(bulkedge.edge_fredholm))
+        _, H, spec = rl.build_model("kitaev", {"mu": 1.0}, chain200)
+        part = rl.partition_halfspace(chain200, [1.0], 99.6)
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part,
+                            {"windows": (40, 60, 80)})
+        for side in (rep.bulk, rep.edge):
+            assert abs(side.raw - round(side.raw)) == pytest.approx(0.15, abs=0.02)
+        assert rep.bulk.snapped == rep.edge.snapped == 1 and rep.passed
+        assert rep.bulk.warnings == rep.edge.warnings == ()

@@ -1,9 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import roelab as rl
+from roelab import bulkedge
 from roelab.cli import load_model, main
 
 
@@ -120,6 +123,36 @@ class TestEdgeAndBEC:
         assert code == 0 and "PASS" in out
         doc = json.loads(rep.read_text())
         assert doc["pass"] and doc["bulk"]["snapped"] == doc["edge"]["snapped"] == 1
+
+    def test_failed_sweep_entry_fails_report_and_exit(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """One failing sweep entry fails the library verdict and the CLI exit."""
+        route = bulkedge.ROUTES["AIII", 1]
+        points = []
+
+        def edge(work, spec, part, cfg):
+            rep, plateau = route.edge(work, spec, part, cfg)
+            points.append(rep)
+            # the clean point keeps its edge; every sweep point is off by one
+            return (rep if len(points) == 1 else replace(rep, raw=rep.raw + 1.0)), plateau
+
+        monkeypatch.setitem(bulkedge.ROUTES, ("AIII", 1), replace(route, edge=edge))
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "160",
+             "--out", str(model)], capsys)
+        H, spec, _ = load_model(str(model))
+        part = rl.partition_halfspace(H.module.pointset, [1.0], 79.6)
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part,
+                            {"windows": (30, 45, 60), "truncation_radii": (1.5,)})
+        assert rep.bulk.snapped == rep.edge.snapped == 1
+        assert not rep.sweeps[0]["pass"] and not rep.passed
+        points.clear()
+        out_file = tmp_path / "bec.json"
+        code, out, _ = run(["verify-bec", "--model-file", str(model),
+                            "--normal", "1", "--offset", "79.6", "--windows", "30,45,60",
+                            "--truncation-radii", "1.5", "--out", str(out_file)], capsys)
+        assert code == 1 and "FAIL" in out
+        assert json.loads(out_file.read_text())["pass"] is False
 
 
 class TestSweep:
