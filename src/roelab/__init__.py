@@ -13,7 +13,7 @@ from .geometry import (DeloneCertificate, GroupAction, Partition, PointSet,
 from .operators import (ControlledOperator, GapCertificate, SiteModule,
                         certify_gap, compress, derivation, derivation_along,
                         direct_sum, flatten, grading_operator, identity,
-                        propagation, restrict_orbitals, truncate)
+                        onsite, propagation, restrict_orbitals, truncate)
 from .symmetry import (CARTAN_LABELS, CharacterTable, KGroupDescriptor,
                        SymmetrySpec, classify, frobenius_schur_split,
                        kgroup_finite_group, kgroup_point, kgroup_reflection,
@@ -22,7 +22,7 @@ from .models import AUX_CHIRAL, MODELS, build_model, default_pointset, stencil
 from .indices import (IndexReport, TraceEstimate, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, kane_mele,
                       occupied_projection, trace_per_unit_volume)
-from .bulkedge import (BECConfig, BECReport, BulkSystem, EdgeSystem,
+from .bulkedge import (BECConfig, BECReport, BulkSystem, EdgeSystem, edge_index,
                        make_bulk, make_edge, mv_boundary, verify_bec)
 
 __version__ = "0.1.0"

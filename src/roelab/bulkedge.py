@@ -6,9 +6,10 @@ boundary map at the operator level, and its pairing along the interface must
 reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
 (class, dimension) combinations and certifies their equality, optionally
 sweeping symmetric disorder seeds and truncation radii to exercise the
-stability of both snapped values.  `ROUTES` is the one table of supported
-(class, dimension) pairs: each entry names its working system, its symmetry
-spec, its bulk and edge pairings and its snap.
+stability of both snapped values; `edge_index` runs the edge side alone.
+`ROUTES` is the one table of supported (class, dimension) pairs: each entry
+names its working system, its symmetry spec, its bulk and edge pairings and
+its snap.
 
 Desk-scale caveat handled throughout: a windowed sample has an outer boundary
 besides the cut.  All interface traces are restricted to the interface strip,
@@ -304,20 +305,38 @@ ROUTES = {
 }
 
 
-def _certify(bulk: BulkSystem, part: Partition, label: str, d: int, cfg: BECConfig):
-    """Both sides of one point on its route: (bulk report, edge report, plateau)."""
+def _certify(bulk: BulkSystem, part: Partition, label: str, d: int, cfg: BECConfig,
+             with_bulk: bool = True):
+    """One point on its route: (bulk report, edge report, plateau); the bulk
+    report is None when `with_bulk` is off."""
+    if (label, d) not in ROUTES:
+        raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
+                            f"supported: {sorted(ROUTES)}")
     route = ROUTES[label, d]
     work, spec = route.system(bulk), route.spec(bulk)
-    windows = cfg.windows or _default_windows(bulk.module.pointset, 2.0)
-    b = route.bulk(work, spec, windows)
-    e, plateau = route.edge(work, spec, part, cfg)
     group = kgroup_point(label, d)
     tol = 0.25 if route.z2 else cfg.snap_tol
-    # a windowless pairing (the kernel count) reports no per-window values
-    b, e = (_report(r.values or (r.raw,), formula, group, tol, z2=route.z2,
-                    windows=r.windows, error=r.error)
-            for r, formula in zip((b, e), route.formulas))
-    return b, e, plateau
+
+    def snap(rep, formula):
+        # a windowless pairing (the kernel count) reports no per-window values
+        return _report(rep.values or (rep.raw,), formula, group, tol, z2=route.z2,
+                       windows=rep.windows, error=rep.error)
+
+    b = None
+    if with_bulk:
+        windows = cfg.windows or _default_windows(bulk.module.pointset, 2.0)
+        b = snap(route.bulk(work, spec, windows), route.formulas[0])
+    e, plateau = route.edge(work, spec, part, cfg)
+    return b, snap(e, route.formulas[1]), plateau
+
+
+def edge_index(bulk: BulkSystem, part: Partition,
+               config: BECConfig | dict | None = None) -> IndexReport:
+    """The edge side of `verify_bec` alone: the same working system, spec,
+    edge pairing and snap as the bulk system's route."""
+    cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
+    return _certify(bulk, part, classify(bulk.spec), bulk.module.pointset.dim, cfg,
+                    with_bulk=False)[1]
 
 
 def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
@@ -361,9 +380,6 @@ def verify_bec(bulk: BulkSystem, part: Partition,
     cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
     label = classify(bulk.spec)
     d = bulk.module.pointset.dim
-    if (label, d) not in ROUTES:
-        raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
-                            f"supported: {sorted(ROUTES)}")
     bulk_rep, edge_rep, plateau = _certify(bulk, part, label, d, cfg)
     sweeps = []
     for keys, H in _perturbations(bulk, label, cfg):

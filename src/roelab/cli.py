@@ -20,15 +20,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bulkedge import (BECConfig, BulkEdgeError, chiral_refinement, make_bulk,
-                       verify_bec)
+from .bulkedge import BECConfig, BulkEdgeError, edge_index, make_bulk, verify_bec
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
-from .indices import (PairingError, chern_even, chern_odd, edge_conductance,
-                      edge_fredholm, kane_mele, occupied_projection,
-                      trace_per_unit_volume)
+from .indices import (PairingError, chern_even, chern_odd, kane_mele,
+                      occupied_projection, trace_per_unit_volume)
 from .models import MODELS, ModelError, build_model, default_pointset
-from .operators import (ControlledOperator, OperatorError, certify_gap, compress,
-                        flatten)
+from .operators import ControlledOperator, OperatorError, certify_gap, flatten
 from .symmetry import (CARTAN_LABELS, SymmetryError, SymmetrySpec, classify,
                        kgroup_point, kgroup_reflection, kgroup_rotation,
                        spec_from_label)
@@ -63,12 +60,26 @@ def save_model(path: str, H: ControlledOperator, spec: SymmetrySpec,
 
 
 def load_model(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "roelab-model":
+    """(H, spec, model metadata) of a model file; a file that cannot be read,
+    parsed or decoded raises ModelError, bad operator data OperatorError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "roelab-model":
         raise ModelError(f"{path} is not a roelab model file")
-    H = ControlledOperator.from_json(doc["operator"])
-    spec = SymmetrySpec.from_json(doc["symmetry"])
+    try:
+        H = ControlledOperator.from_json(doc["operator"])
+        spec = SymmetrySpec.from_json(doc["symmetry"])
+    except USER_ERRORS:
+        raise
+    except KeyError as exc:
+        raise ModelError(f"{path} lacks the key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ModelError(f"{path} holds malformed model data: {exc}") from None
     return H, spec, doc.get("model", {})
 
 
@@ -165,22 +176,12 @@ def cmd_index(args, extra) -> int:
 
 def cmd_edge_index(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
-    ps = H.module.pointset
-    part = partition_halfspace(ps, _float_list(args.normal), args.offset,
+    part = partition_halfspace(H.module.pointset, _float_list(args.normal), args.offset,
                                thickness=args.thickness)
-    cert = certify_gap(H, fermi=args.fermi)
-    if not cert.gapped:
-        raise OperatorError("bulk sample has no certified gap; edge pairing invalid")
-    H_hat = compress(H, part)
-    if ps.dim == 1:
-        use = spec if spec.has_P else chiral_refinement(H, spec)
-        rep = edge_fredholm(H_hat, use, part=part)
-    else:
-        frac = args.delta_fraction
-        delta = (cert.fermi - frac * cert.epsilon, cert.fermi + frac * cert.epsilon)
-        rep = edge_conductance(H_hat, part, delta, _float_list(args.windows),
-                               bulk_gap=cert)
-    doc = rep.to_json()
+    bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
+    cfg = BECConfig(edge_windows=tuple(_float_list(args.windows)),
+                    delta_fraction=args.delta_fraction)
+    doc = edge_index(bulk, part, cfg).to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
                         certify_gap, compress, derivation, derivation_along,
-                        flatten, restrict_orbitals)
+                        flatten, onsite, restrict_orbitals)
 from .symmetry import KGroupDescriptor, SymmetrySpec, kgroup_point, verify_symmetry
 
 
@@ -244,8 +244,7 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
     ps = s.module.pointset
     if spec.P_unitary is None:
         raise PairingError("odd pairing requires a chiral operator P")
-    Pfull = np.kron(np.eye(ps.n), spec.P_unitary)
-    defect = 0.5 * np.abs(M + Pfull @ M @ Pfull.conj().T)
+    defect = 0.5 * np.abs(M + onsite(spec.P_unitary, M))
     margin = boundary_fraction * float((ps.window[:, 1] - ps.window[:, 0]).min())
     interior = np.repeat(ps.boundary_distance() > margin, s.m)
     viol = float(defect[np.ix_(interior, interior)].max()) if interior.any() else \
@@ -253,13 +252,12 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
     if viol > sym_tol:
         raise PairingError(f"interior chiral violation {viol:.2e} above {sym_tol}")
     V, plus, minus = _chiral_split(spec, s.m)
-    n = s.module.n_sites
-    W = np.kron(np.eye(n), V)
-    Ms = W.conj().T @ M @ W
-    m = s.m
+    n, m = s.module.n_sites, s.m
+    # the (minus, plus) block of W^* M W with W = 1 (x) V, taken site-wise
+    block = onsite(V[:, minus].conj().T, M, V[:, plus].conj().T)
     ip = (np.arange(n)[:, None] * m + plus[None, :]).ravel()
     im = (np.arange(n)[:, None] * m + minus[None, :]).ravel()
-    return Ms[np.ix_(im, ip)], ip, im
+    return block, ip, im
 
 
 def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
@@ -483,10 +481,11 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
         proj = x - x.min()
     if loc_width is None:
         loc_width = 0.25 * (proj.max() - proj.min())
-    chi = np.repeat(proj <= proj.min() + loc_width, H_hat.m).astype(float)
-    Q = v[:, near]
-    Pfull = np.kron(np.eye(ps.n), spec.P_unitary)
-    # chi is constant on each site's orbital block, so P chi is Hermitian
-    val = complex(np.trace(Q.conj().T @ (Pfull * chi[None, :]) @ Q))
+    chi = (proj <= proj.min() + loc_width).astype(float)
+    # Tr(Q^* P chi Q) site by site: chi is constant on each site's orbital
+    # block, so P chi is Hermitian and acts on the (n, m, k) view of Q
+    Q = v[:, near].reshape(ps.n, H_hat.m, -1)
+    per_site = (Q.conj() * np.matmul(spec.P_unitary, Q)).sum(axis=(1, 2))
+    val = complex(chi @ per_site)
     return _report((val,), "edge_fredholm", group or kgroup_point("AIII", 1), 0.1,
                    error=abs(np.imag(val)))

@@ -4,6 +4,8 @@ Concrete side: a `SymmetrySpec` records which of time-reversal T, particle-hole
 C and chiral P are present, the signs T^2, C^2 and the unitary parts (an
 antiunitary operator is "unitary part followed by complex conjugation"), plus
 optional signs for how a spatial reflection commutes with them.
+`verify_symmetry` applies these on-site unitaries (and a point-group element's
+on-site block) site by site, without forming the n*m x n*m unitary.
 
 Symbolic side: the Cartan label of a spec, and the classifying groups - the
 point-symmetry table over the four physical dimensions, the cyclic-rotation
@@ -21,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .operators import ControlledOperator, onsite
 
 CARTAN_LABELS = ("A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI")
 COMPLEX_LABELS = ("A", "AIII")
@@ -438,46 +442,43 @@ def verify_symmetry(H, spec: SymmetrySpec, tol: float = 1e-10) -> SymmetryReport
     T H-bar T^-1 = H (antiunitary, commuting), C H-bar C^-1 = -H (antiunitary,
     anticommuting), P H P^-1 = -H (unitary, anticommuting), and U_g H U_g^-1 = H
     for any point-group elements.  Each violation is the max absolute entry of
-    the distance from H to its symmetrized part.
+    the distance from H to its symmetrized part.  The unitaries act site-wise
+    (`operators.onsite`), and a group element as its on-site block followed by
+    its site permutation; the n*m x n*m unitary is never formed.
     """
-    from .operators import ControlledOperator  # local import, no cycle at module load
-
-    if isinstance(H, ControlledOperator):
-        mod = H.module
-        M = H.matrix
-        m = mod.orbitals_per_site
-        n_sites = mod.n_sites
-    else:
+    if not isinstance(H, ControlledOperator):
         raise SymmetryError("verify_symmetry expects a ControlledOperator")
     if not H.hermitian:
         raise SymmetryError("verify_symmetry expects a Hermitian operator")
+    M = H.matrix
+    n, m = H.module.n_sites, H.m
 
-    def onsite(U):
+    def conj(U, X):
+        """(1 (x) U) X (1 (x) U)^* for an m x m on-site block U."""
         if U.shape != (m, m):
             raise SymmetryError(f"symmetry block is {U.shape}, orbital space is {m}")
-        return np.kron(np.eye(n_sites), U)
+        return onsite(U, X)
 
     out = {}
     if spec.has_T and spec.T_unitary is not None:
-        T = onsite(spec.T_unitary)
-        out["T"] = 0.5 * np.abs(M - T @ M.conj() @ T.conj().T).max()
+        out["T"] = 0.5 * np.abs(M - conj(spec.T_unitary, M.conj())).max()
     if spec.has_C and spec.C_unitary is not None:
-        C = onsite(spec.C_unitary)
-        out["C"] = 0.5 * np.abs(M + C @ M.conj() @ C.conj().T).max()
+        out["C"] = 0.5 * np.abs(M + conj(spec.C_unitary, M.conj())).max()
     if spec.has_P and spec.P_unitary is not None:
-        P = onsite(spec.P_unitary)
-        out["P"] = 0.5 * np.abs(M + P @ M @ P.conj().T).max()
+        out["P"] = 0.5 * np.abs(M + conj(spec.P_unitary, M)).max()
     if spec.action is not None:
         worst = 0.0
         act = spec.action
+        M4 = M.reshape(n, m, n, m)
         for i in range(act.order):
             perm = act.site_permutation[i]
             if (perm < 0).any():
                 continue  # truncated elements checked only on full matches
             blk = act.onsite_blocks[i] if act.onsite_blocks is not None else np.eye(m)
-            U = np.zeros((n_sites * m, n_sites * m), dtype=complex)
-            for x in range(n_sites):
-                U[perm[x] * m:(perm[x] + 1) * m, x * m:(x + 1) * m] = blk
-            worst = max(worst, 0.5 * np.abs(M - U @ M @ U.conj().T).max())
+            # block (perm x, perm y) of U_g M U_g^* is blk M(x, y) blk^*;
+            # compare it with M(perm x, perm y)
+            moved = M4[perm][:, :, perm]
+            worst = max(worst, 0.5 * np.abs(moved.reshape(n * m, n * m)
+                                            - conj(np.asarray(blk), M)).max())
         out["group"] = worst
     return SymmetryReport(violations=out, tol=tol)

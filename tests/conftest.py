@@ -27,21 +27,26 @@ def qwz20(square20):
 
 
 def random_controlled(module, rng, hop_range=1.5, scale=1.0, hermitian=True):
-    """Random finite-propagation operator for property tests."""
+    """Random finite-propagation operator for property tests.
+
+    One Gaussian m x m block (real part, then imaginary part) per site pair
+    x <= y within `hop_range`, drawn in row-major pair order; a Hermitian
+    operator symmetrizes its diagonal blocks and mirrors the others.
+    """
     from scipy.spatial.distance import cdist
     m = module.orbitals_per_site
     ps = module.pointset
-    dist = cdist(ps.coords, ps.coords)
-    blocks = {}
-    for x in range(ps.n):
-        for y in range(ps.n):
-            if y < x or dist[x, y] > hop_range:
-                continue
-            B = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-            if x == y and hermitian:
-                B = (B + B.conj().T) / 2
-            blocks[(x, y)] = B
-    return rl.ControlledOperator.from_blocks(module, blocks, hermitian=hermitian)
+    xs, ys = np.nonzero(np.triu(cdist(ps.coords, ps.coords) <= hop_range))
+    R = rng.standard_normal((len(xs), 2, m, m))
+    B = scale * (R[:, 0] + 1j * R[:, 1])
+    M = np.zeros((ps.n, m, ps.n, m), dtype=complex)
+    if hermitian:
+        diag = xs == ys
+        B[diag] = (B[diag] + B[diag].conj().transpose(0, 2, 1)) / 2
+        M[ys[~diag], :, xs[~diag], :] += B[~diag].conj().transpose(0, 2, 1)
+    M[xs, :, ys, :] += B
+    return rl.ControlledOperator.from_dense(module, M.reshape(module.dim, module.dim),
+                                            hermitian=hermitian)
 
 
 def assert_report(name, ok, detail=""):

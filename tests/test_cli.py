@@ -154,6 +154,66 @@ class TestEdgeAndBEC:
         assert code == 1 and "FAIL" in out
         assert json.loads(out_file.read_text())["pass"] is False
 
+    def test_edge_index_follows_the_route(self, tmp_path, capsys):
+        """On a class-AII file edge-index reports verify-bec's spin-resolved edge."""
+        model = tmp_path / "km.json"
+        run(["build", "--model", "kane_mele", "--lso", "0.06", "--lv", "0.1",
+             "--size", "10", "--out", str(model)], capsys)
+        cut = ["--normal", "1,0", "--offset", "4.6"]
+        edge, bec = tmp_path / "edge.json", tmp_path / "bec.json"
+        code, _, _ = run(["edge-index", "--model-file", str(model), *cut,
+                          "--windows", "2,3,4", "--out", str(edge)], capsys)
+        assert code == 0
+        run(["verify-bec", "--model-file", str(model), *cut, "--edge-windows", "2,3,4",
+             "--out", str(bec)], capsys)
+        got, want = json.loads(edge.read_text()), json.loads(bec.read_text())["edge"]
+        assert got["group"] == want["group"] == "Z2"
+        assert got["snapped"] == want["snapped"] == "Z2:1"
+        assert got["raw"] == want["raw"]
+        assert got["formula"] == want["formula"] == "spin_edge_conductance_mod2"
+
+
+def _break_model(kind, path):
+    """Damage a model file in one way; returns the path to load."""
+    doc = json.loads(path.read_text())
+    blocks = doc["operator"]["blocks"]
+    if kind == "not_json":
+        path.write_text("{\"format\": \"roelab-model\",")
+        return path
+    if kind == "missing_file":
+        return path.with_name("absent.json")
+    if kind == "no_operator":
+        del doc["operator"]
+    elif kind == "no_module":
+        del doc["operator"]["module"]
+    elif kind == "negative_index":
+        blocks[0][0] = -1
+    elif kind == "index_past_end":
+        blocks[0][1] = len(doc["operator"]["module"]["pointset"]["points"])
+    elif kind == "short_label":
+        doc["operator"]["module"]["labels"] = {"spin_z": [1]}
+    elif kind == "one_by_one_block":
+        blocks[0][2] = [[[1.0, 0.0]]]
+    elif kind == "not_hermitian":
+        next(b for b in blocks if b[0] != b[1])[2][0][0][0] += 1.0
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("kind", ["missing_file", "not_json", "no_operator",
+                                      "no_module", "negative_index", "index_past_end",
+                                      "short_label", "one_by_one_block",
+                                      "not_hermitian"])
+    def test_named_error_not_traceback(self, tmp_path, capsys, kind):
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
+        code, out, err = run(["spectrum", "--model-file", str(_break_model(kind, model))],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_seed_sweep_identical_values(self, tmp_path, capsys):

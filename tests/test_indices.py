@@ -320,6 +320,49 @@ class TestEdgeFredholm:
             rl.edge_fredholm(rl.compress(H, part), spec, part=part, theta=0.2)
 
 
+def _chiral_chain(name, chain):
+    """Topological ssh or kitaev chain with its chiral spec."""
+    if name == "ssh":
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain)
+        return H, spec
+    _, H, _ = rl.build_model("kitaev", {"mu": 1.0}, chain)
+    return H, SymmetrySpec(has_P=True, P_unitary=AUX_CHIRAL["kitaev"])
+
+
+class TestSiteWiseChiralMatchesKron:
+    """chiral_unitary and edge_fredholm equal their n*m x n*m kron forms."""
+
+    @pytest.mark.parametrize("name", ["ssh", "kitaev"])
+    def test_chiral_block(self, chain200, name):
+        from roelab.indices import chiral_unitary
+        H, spec = _chiral_chain(name, chain200)
+        s = rl.flatten(H, rl.certify_gap(H))
+        U, ip, im = chiral_unitary(s, spec)
+        w, V = np.linalg.eigh(spec.P_unitary)
+        n, m = chain200.n, 2
+        W = np.kron(np.eye(n), V)
+        plus, minus = np.where(w > 0)[0], np.where(w < 0)[0]
+        assert np.array_equal(ip, (np.arange(n)[:, None] * m + plus).ravel())
+        assert np.array_equal(im, (np.arange(n)[:, None] * m + minus).ravel())
+        dense = (W.conj().T @ s.matrix @ W)[np.ix_(im, ip)]
+        assert np.abs(U - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["ssh", "kitaev"])
+    def test_fredholm_value(self, chain200, name):
+        H, spec = _chiral_chain(name, chain200)
+        part = rl.partition_halfspace(chain200, [1.0], 99.6)
+        H_hat = rl.compress(H, part)
+        rep = rl.edge_fredholm(H_hat, spec, part=part)
+        w, v = H_hat.eigh()
+        Q = v[:, np.abs(w) < 1e-6]
+        proj = H_hat.module.pointset.coords[:, 0] * part.normal[0] - part.offset
+        chi = np.repeat(proj <= proj.min() + 0.25 * (proj.max() - proj.min()), 2)
+        Pfull = np.kron(np.eye(H_hat.module.n_sites), spec.P_unitary)
+        dense = complex(np.trace(Q.conj().T @ (Pfull * chi[None, :]) @ Q))
+        assert abs(dense) > 0.5
+        assert abs(rep.raw - dense.real) < 1e-12 and abs(rep.error - abs(dense.imag)) < 1e-12
+
+
 class TestStability:
     def test_symmetric_perturbation_below_half_gap(self, qwz20):
         """Relation (2): perturbations under eps/2 never move the snapped index."""

@@ -279,3 +279,127 @@ class TestDirectSum:
         want = np.sort(np.concatenate([np.linalg.eigvalsh(A.matrix),
                                        np.linalg.eigvalsh(B.matrix)]))
         assert np.allclose(got, want)
+
+
+def _random_unitary(rng, m):
+    Z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return np.linalg.qr(Z)[0]
+
+
+class TestOnsite:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_kron(self, m):
+        rng = np.random.default_rng(m)
+        n = 23
+        M = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        U, V = _random_unitary(rng, m), _random_unitary(rng, m)
+        KU, KV = np.kron(np.eye(n), U), np.kron(np.eye(n), V)
+        assert np.abs(rl.onsite(U, M) - KU @ M @ KU.conj().T).max() < 1e-12
+        assert np.abs(rl.onsite(U, M, V) - KU @ M @ KV.conj().T).max() < 1e-12
+
+    def test_rectangular_blocks(self):
+        """(p x m) and (q x m) blocks give the (n p, n q) sub-block directly."""
+        rng = np.random.default_rng(5)
+        n, m = 17, 4
+        M = rng.standard_normal((n * m, n * m)) + 1j * rng.standard_normal((n * m, n * m))
+        W = _random_unitary(rng, m)
+        A, B = W[:, :1].conj().T, W[:, 1:].conj().T            # 1 x 4 and 3 x 4
+        dense = np.kron(np.eye(n), A) @ M @ np.kron(np.eye(n), B).conj().T
+        got = rl.onsite(A, M, B)
+        assert got.shape == (n, 3 * n)
+        assert np.abs(got - dense).max() < 1e-12
+
+    def test_shape_mismatch(self):
+        with pytest.raises(OperatorError):
+            rl.onsite(np.eye(3), np.eye(8))
+        with pytest.raises(OperatorError):
+            rl.onsite(np.eye(2), np.eye(8), np.eye(4))
+
+
+class TestFromBlocks:
+    def test_propagation_unchanged_on_every_model(self):
+        """from_blocks declares the bound the former inline block-max gave."""
+        for name in rl.MODELS:
+            ps = rl.default_pointset(name, 5.0)
+            mod, H, _ = rl.build_model(name, {}, ps)
+            blocks = {(x, y): B for x, y, B in H.nonzero_blocks()}
+            A = rl.ControlledOperator.from_blocks(mod, blocks)
+            m, n = mod.orbitals_per_site, mod.n_sites
+            norms = np.abs(A.matrix).reshape(n, m, n, m).max(axis=(1, 3))
+            mask = norms > 1e-14
+            inline = float(rl.operators.site_distances(ps)[mask].max()) if mask.any() else 0.0
+            assert np.array_equal(A.matrix, H.matrix), name
+            assert A.declared_propagation == inline == H.declared_propagation, name
+
+
+class TestFromJson:
+    @pytest.fixture
+    def doc(self, chain30):
+        _, H, _ = rl.build_model("ssh", {}, chain30)
+        return H.to_json()
+
+    @pytest.mark.parametrize("index", [-1, 30])
+    def test_block_index_out_of_range(self, doc, index):
+        doc["blocks"][0][1] = index
+        with pytest.raises(OperatorError, match="outside"):
+            rl.ControlledOperator.from_json(doc)
+
+    def test_block_shape(self, doc):
+        doc["blocks"][0][2] = [[[1.0, 0.0]]]
+        with pytest.raises(OperatorError, match="shape"):
+            rl.ControlledOperator.from_json(doc)
+
+    def test_hermitian_flag_contradicted(self, doc):
+        x, y, rows = next(b for b in doc["blocks"] if b[0] != b[1])
+        rows[0][0][0] += 1.0
+        with pytest.raises(OperatorError, match="Hermitian"):
+            rl.ControlledOperator.from_json(doc)
+        doc["hermitian"] = False
+        assert not rl.ControlledOperator.from_json(doc).hermitian
+
+
+def _random_controlled_loop(module, rng, hop_range=1.5, scale=1.0, hermitian=True):
+    """The per-pair loop `random_controlled` replaced, kept as its reference."""
+    from scipy.spatial.distance import cdist
+    m = module.orbitals_per_site
+    ps = module.pointset
+    dist = cdist(ps.coords, ps.coords)
+    blocks = {}
+    for x in range(ps.n):
+        for y in range(ps.n):
+            if y < x or dist[x, y] > hop_range:
+                continue
+            B = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            if x == y and hermitian:
+                B = (B + B.conj().T) / 2
+            blocks[(x, y)] = B
+    return rl.ControlledOperator.from_blocks(module, blocks, hermitian=hermitian)
+
+
+class TestRandomControlledHelper:
+    @pytest.mark.parametrize("n, m, hops, scale, hermitian", [
+        (24, 2, (1.0, 1.7, 2.0, 3.0), 1.0, True),       # criterion 8
+        (240, 1, (2.0,), 1.0, True),                    # criterion 8, Folner part
+        (240, 2, (2.0,), 1.0, True),                    # tracial defect
+        (30, 2, (3.2, 2.2, 1.2, 2.0, 1.4, 1.5), 1.0, True),
+        (200, 2, (1.5,), 1.0, True),                    # real-symmetric T check
+        (30, 3, (2.5,), 0.7, False),
+    ])
+    def test_bit_identical_to_loop(self, n, m, hops, scale, hermitian):
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, n]]}), m)
+        new, old = np.random.default_rng(9), np.random.default_rng(9)
+        for hop in hops:
+            A = random_controlled(mod, new, hop_range=hop, scale=scale, hermitian=hermitian)
+            B = _random_controlled_loop(mod, old, hop_range=hop, scale=scale,
+                                        hermitian=hermitian)
+            assert np.array_equal(A.matrix, B.matrix)
+            assert A.declared_propagation == B.declared_propagation
+            assert A.hermitian == B.hermitian
+        assert new.bit_generator.state == old.bit_generator.state
+
+    def test_bit_identical_on_a_plane(self, square16):
+        mod = SiteModule(square16, 2)
+        A = random_controlled(mod, np.random.default_rng(3), hop_range=1.5)
+        B = _random_controlled_loop(mod, np.random.default_rng(3), hop_range=1.5)
+        assert np.array_equal(A.matrix, B.matrix)
+        assert A.declared_propagation == B.declared_propagation

@@ -228,3 +228,52 @@ class TestVerifySymmetry:
         spec = SymmetrySpec(has_P=True, P_unitary=np.eye(4))
         with pytest.raises(SymmetryError):
             rl.verify_symmetry(H, spec)
+
+
+def _unitary(rng, m):
+    Z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return np.linalg.qr(Z)[0]
+
+
+class TestVerifySymmetryMatchesDense:
+    """The site-wise relations equal the kron / dense-unitary formulas."""
+
+    def test_tcp_violations(self, chain200):
+        from conftest import random_controlled
+        rng = np.random.default_rng(12)
+        m, n = 4, chain200.n
+        W = _unitary(rng, m)
+        J = np.kron(1j * SY, np.eye(2))
+        T = W @ J @ W.T                              # T T-bar = -1
+        C = W @ W.T                                  # C C-bar = +1
+        P = _unitary(rng, m)
+        spec = SymmetrySpec(has_T=True, T_sq=-1, T_unitary=T, has_C=True, C_sq=1,
+                            C_unitary=C, P_unitary=P)
+        H = random_controlled(rl.SiteModule(chain200, m), rng, hop_range=2.0)
+        M = H.matrix
+        KT, KC, KP = (np.kron(np.eye(n), U) for U in (T, C, P))
+        dense = {"T": 0.5 * np.abs(M - KT @ M.conj() @ KT.conj().T).max(),
+                 "C": 0.5 * np.abs(M + KC @ M.conj() @ KC.conj().T).max(),
+                 "P": 0.5 * np.abs(M + KP @ M @ KP.conj().T).max()}
+        rep = rl.verify_symmetry(H, spec)
+        assert set(rep.violations) == set(dense)
+        for key, want in dense.items():
+            assert want > 0.1 and abs(rep.violations[key] - want) < 1e-12, key
+
+    def test_group_violation(self, square16):
+        from conftest import random_controlled
+        rng = np.random.default_rng(13)
+        m, n = 2, square16.n
+        blocks = [_unitary(rng, m) for _ in range(4)]
+        act = rl.cyclic_rotation_action(square16, 4, center=square16.coords.mean(axis=0),
+                                        onsite_blocks=blocks)
+        H = random_controlled(rl.SiteModule(square16, m), rng, hop_range=1.5)
+        M = H.matrix
+        worst = 0.0
+        for perm, blk in zip(act.site_permutation, act.onsite_blocks):
+            U = np.zeros((n * m, n * m), dtype=complex)
+            for x in range(n):
+                U[perm[x] * m:(perm[x] + 1) * m, x * m:(x + 1) * m] = blk
+            worst = max(worst, 0.5 * np.abs(M - U @ M @ U.conj().T).max())
+        got = rl.verify_symmetry(H, SymmetrySpec(action=act)).violations["group"]
+        assert worst > 0.1 and abs(got - worst) < 1e-12
