@@ -196,12 +196,14 @@ class BECReport:
     passed: bool                         # the match, the plateau and every sweep entry
     plateau_deviation: float | None = None
     sweeps: tuple = ()
+    reasons: tuple = ()                  # why it failed: empty exactly when passed
 
     def to_json(self) -> dict:
         return {"label": self.label, "dim": self.dim, "bulk": self.bulk.to_json(),
                 "edge": self.edge.to_json(), "pass": bool(self.passed),
                 "plateau_deviation": self.plateau_deviation,
-                "sweeps": [dict(s) for s in self.sweeps]}
+                "sweeps": [dict(s) for s in self.sweeps],
+                "reasons": list(self.reasons)}
 
 
 def _default_windows(ps, margin: float):
@@ -359,10 +361,14 @@ def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
         yield {"kind": "truncation", "radius": float(R)}, truncate(bulk.H, float(R))
 
 
-def _match(bulk_rep: IndexReport, edge_rep: IndexReport) -> bool:
-    if bulk_rep.snapped is None or edge_rep.snapped is None:
-        return False
-    return bulk_rep.snapped == edge_rep.snapped
+def _mismatch(bulk_rep: IndexReport, edge_rep: IndexReport) -> list[str]:
+    """Why the two sides do not match: each side that did not snap, else the
+    two snapped values; empty when they match."""
+    why = [f"{side} did not snap (raw {rep.raw:.6g})"
+           for side, rep in (("bulk", bulk_rep), ("edge", edge_rep)) if rep.snapped is None]
+    if not why and bulk_rep.snapped != edge_rep.snapped:
+        why.append(f"bulk {bulk_rep.snapped} != edge {edge_rep.snapped}")
+    return why
 
 
 def verify_bec(bulk: BulkSystem, part: Partition,
@@ -375,21 +381,28 @@ def verify_bec(bulk: BulkSystem, part: Partition,
     sweeps re-run the pipeline over symmetric disorder seeds and truncation
     radii; a sweep entry records the snapped values so stability is
     auditable.  The report passes only when the clean point matches, its
-    plateau holds and every sweep entry passes.
+    plateau holds and every sweep entry passes; `reasons` names each of
+    these that failed.
     """
     cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
     label = classify(bulk.spec)
     d = bulk.module.pointset.dim
     bulk_rep, edge_rep, plateau = _certify(bulk, part, label, d, cfg)
+    reasons = _mismatch(bulk_rep, edge_rep)
+    if not (plateau is None or plateau <= cfg.plateau_tol):
+        reasons.append(f"plateau deviation {plateau:.4g} above plateau_tol "
+                       f"{cfg.plateau_tol:.4g}")
     sweeps = []
     for keys, H in _perturbations(bulk, label, cfg):
         point = make_bulk(bulk.module, H, bulk.spec, fermi=bulk.gap.fermi)
         b, e, _ = _certify(point, part, label, d, cfg)
+        why = _mismatch(b, e)
         sweeps.append({**keys, "bulk_raw": b.raw, "edge_raw": e.raw,
                        "bulk_snapped": b.snapped, "edge_snapped": e.snapped,
-                       "pass": _match(b, e)})
-    passed = (_match(bulk_rep, edge_rep)
-              and (plateau is None or plateau <= cfg.plateau_tol)
-              and all(s["pass"] for s in sweeps))
+                       "pass": not why})
+        where = (f"seed {keys['seed']}" if keys["kind"] == "disorder"
+                 else f"radius {keys['radius']:g}")
+        reasons.extend(f"{keys['kind']} {where}: {w}" for w in why)
     return BECReport(label=label, dim=d, bulk=bulk_rep, edge=edge_rep,
-                     passed=passed, plateau_deviation=plateau, sweeps=tuple(sweeps))
+                     passed=not reasons, plateau_deviation=plateau,
+                     sweeps=tuple(sweeps), reasons=tuple(reasons))

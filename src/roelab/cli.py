@@ -204,8 +204,8 @@ def cmd_verify_bec(args, extra) -> int:
     doc = rep.to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
-    print(f"bulk {rep.bulk.snapped} vs edge {rep.edge.snapped}: "
-          f"{'PASS' if rep.passed else 'FAIL'}")
+    verdict = "PASS" if rep.passed else f"FAIL ({'; '.join(rep.reasons)})"
+    print(f"bulk {rep.bulk.snapped} vs edge {rep.edge.snapped}: {verdict}")
     return 0 if rep.passed else 1
 
 

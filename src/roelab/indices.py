@@ -252,12 +252,9 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
     if viol > sym_tol:
         raise PairingError(f"interior chiral violation {viol:.2e} above {sym_tol}")
     V, plus, minus = _chiral_split(spec, s.m)
-    n, m = s.module.n_sites, s.m
     # the (minus, plus) block of W^* M W with W = 1 (x) V, taken site-wise
     block = onsite(V[:, minus].conj().T, M, V[:, plus].conj().T)
-    ip = (np.arange(n)[:, None] * m + plus[None, :]).ravel()
-    im = (np.arange(n)[:, None] * m + minus[None, :]).ravel()
-    return block, ip, im
+    return block, s.module.orbital_index(plus), s.module.orbital_index(minus)
 
 
 def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
@@ -301,9 +298,7 @@ def spin_sectors(H: ControlledOperator, tol: float = 1e-10):
         raise PairingError("module carries no spin_z labels")
     up = np.where(np.asarray(labels) == 1)[0]
     dn = np.where(np.asarray(labels) == -1)[0]
-    n, m = H.module.n_sites, H.m
-    iu = (np.arange(n)[:, None] * m + up[None, :]).ravel()
-    idn = (np.arange(n)[:, None] * m + dn[None, :]).ravel()
+    iu, idn = H.module.orbital_index(up), H.module.orbital_index(dn)
     mixing = float(np.abs(H.matrix[np.ix_(iu, idn)]).max()) if len(up) and len(dn) else 0.0
     return restrict_orbitals(H, up), restrict_orbitals(H, dn), mixing
 

@@ -12,6 +12,13 @@ On-site (propagation-0) actions such as symmetry unitaries are applied site
 by site through `onsite`, without forming the n*m x n*m block-diagonal
 unitary.
 
+Every eigendecomposition goes through `ControlledOperator.eigh`, which solves
+in the cheapest arithmetic the matrix allows exactly: one sector at a time
+when a module label (e.g. spin_z) has no matrix entry between its sectors,
+and in real arithmetic when the matrix has no imaginary part.  The results
+equal the dense complex solve to roundoff (eigenvectors up to phases and
+rotations inside degenerate eigenspaces).
+
 Operators are immutable; all operations return new values.
 """
 
@@ -75,6 +82,11 @@ class SiteModule:
     def restrict_sites(self, ids) -> "SiteModule":
         return SiteModule(self.pointset.restrict(ids), self.orbitals_per_site,
                           grading=self.grading, labels=dict(self.labels))
+
+    def orbital_index(self, orbital_idx) -> np.ndarray:
+        """Basis indices of the given orbitals at every site, site-major."""
+        idx = np.asarray(orbital_idx, dtype=int)
+        return (np.arange(self.n_sites)[:, None] * self.orbitals_per_site + idx).ravel()
 
     def restrict_orbitals(self, orbital_idx) -> "SiteModule":
         idx = np.asarray(orbital_idx, dtype=int)
@@ -183,13 +195,29 @@ class ControlledOperator:
         return float(np.linalg.norm(self.matrix, 2))
 
     def eigh(self):
-        """Cached eigendecomposition (safe: operators are immutable)."""
+        """Cached eigendecomposition (w ascending, v orthonormal columns).
+
+        Solved once per operator (safe: operators are immutable) with numpy's
+        LAPACK driver, using exact structure of the matrix: when the
+        off-sector entries of a module label (the first such label, e.g.
+        spin_z on kane_mele) are all exactly zero, each sector is solved on
+        its own and its eigenvectors fill their rows of v; when the matrix
+        has no imaginary part, the solve runs in real arithmetic and v is
+        real.  Either way w, and v up to phases and rotations inside
+        degenerate eigenspaces, equal the dense complex solve to roundoff;
+        `eigh_method` names what ran.
+        """
         if not self.hermitian:
             raise OperatorError("eigh on a non-Hermitian operator")
         if not self._eig_cache:
-            w, v = np.linalg.eigh(self.matrix)
-            self._eig_cache.append((w, v))
-        return self._eig_cache[0]
+            self._eig_cache.append(_spectrum(self.matrix, self.module))
+        w, v, _ = self._eig_cache[0]
+        return w, v
+
+    @property
+    def eigh_method(self) -> str | None:
+        """How the cached eigendecomposition was solved (None before `eigh`)."""
+        return self._eig_cache[0][2] if self._eig_cache else None
 
     # -- construction / serialization ----------------------------------------
 
@@ -262,6 +290,45 @@ def grading_operator(module: SiteModule) -> ControlledOperator:
     return ControlledOperator(module, np.diag(g), 0.0)
 
 
+def _sectors(M: np.ndarray, module: SiteModule):
+    """(label, basis indices per sector) of the first module label with two
+    or more values whose off-sector entries of M are all exactly zero, else
+    None."""
+    for name, lab in module.labels.items():
+        lab = np.asarray(lab)
+        index = [module.orbital_index(np.flatnonzero(lab == v)) for v in np.unique(lab)]
+        if len(index) > 1 and not any(M[np.ix_(a, b)].any()
+                                      for a in index for b in index if a is not b):
+            return name, index
+    return None
+
+
+def _spectrum(M: np.ndarray, module: SiteModule):
+    """(w, v, method) of the Hermitian matrix M; see `ControlledOperator.eigh`."""
+    real = not M.imag.any()
+    A = M.real if real else M
+    method = "full diagonalization, real" if real else "full diagonalization"
+    split = _sectors(A, module)
+    if split is None:
+        w, v = np.linalg.eigh(A)
+        return w, v, method
+    name, index = split
+    # allocated before the sector solves: their temporaries then reuse freed
+    # heap, which keeps the peak resident memory below the dense solve's
+    v = np.zeros(A.shape, dtype=A.dtype)
+    parts = [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in index]
+    w = np.concatenate([p[0] for p in parts])
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    # each sector's eigenvectors go straight to their rows and sorted columns
+    start = 0
+    for idx, (ws, vs) in zip(index, parts):
+        v[np.ix_(idx, column[start:start + len(ws)])] = vs
+        start += len(ws)
+    return w[order], v, f"{method}, {name} sectors {tuple(len(i) for i in index)}"
+
+
 def onsite(A, M: np.ndarray, B=None) -> np.ndarray:
     """(1 (x) A) M (1 (x) B)^* for on-site blocks A (p x m) and B (q x m).
 
@@ -321,7 +388,8 @@ class GapCertificate:
     the Fermi level to zero; bulk eigenvalues are those of states not pinned
     to the open sample boundary (eigenvectors with more than half their weight
     within the boundary margin are excluded, since boundary modes are edge
-    physics, not bulk).
+    physics, not bulk).  method names the solve `ControlledOperator.eigh`
+    ran, e.g. "full diagonalization, spin_z sectors (476, 476)".
     """
 
     epsilon: float
@@ -397,7 +465,7 @@ def certify_gap(H: ControlledOperator, fermi: float = 0.0,
     gapped = eps > max(spacing_factor * spacing, 1e-8)
     return GapCertificate(epsilon=float(eps), lower_spectrum_max=lo,
                           upper_spectrum_min=hi, fermi=fermi, gapped=gapped,
-                          level_spacing=spacing)
+                          method=H.eigh_method, level_spacing=spacing)
 
 
 def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
@@ -480,7 +548,6 @@ def direct_sum(A: ControlledOperator, B: ControlledOperator) -> ControlledOperat
             not np.array_equal(A.module.pointset.coords, B.module.pointset.coords):
         raise OperatorError("direct_sum requires a common point set")
     ma, mb = A.m, B.m
-    n = A.module.n_sites
     m = ma + mb
     gr = None
     if A.module.grading is not None and B.module.grading is not None:
@@ -490,9 +557,8 @@ def direct_sum(A: ControlledOperator, B: ControlledOperator) -> ControlledOperat
         labels[k] = np.concatenate([np.asarray(A.module.labels[k]),
                                     np.asarray(B.module.labels[k])])
     mod = SiteModule(A.module.pointset, m, grading=gr, labels=labels)
-    M = np.zeros((n * m, n * m), dtype=complex)
-    ia = (np.arange(n)[:, None] * m + np.arange(ma)[None, :]).ravel()
-    ib = (np.arange(n)[:, None] * m + ma + np.arange(mb)[None, :]).ravel()
+    M = np.zeros((mod.dim, mod.dim), dtype=complex)
+    ia, ib = mod.orbital_index(np.arange(ma)), mod.orbital_index(ma + np.arange(mb))
     M[np.ix_(ia, ia)] = A.matrix
     M[np.ix_(ib, ib)] = B.matrix
     prop = max(A.declared_propagation, B.declared_propagation)
@@ -501,9 +567,7 @@ def direct_sum(A: ControlledOperator, B: ControlledOperator) -> ControlledOperat
 
 def restrict_orbitals(H: ControlledOperator, orbital_idx) -> ControlledOperator:
     """Keep a subset of orbitals at every site (e.g. one spin sector)."""
-    idx = np.asarray(orbital_idx, dtype=int)
-    mod = H.module.restrict_orbitals(idx)
-    n, m = H.module.n_sites, H.m
-    flat = (np.arange(n)[:, None] * m + idx[None, :]).ravel()
+    mod = H.module.restrict_orbitals(orbital_idx)
+    flat = H.module.orbital_index(orbital_idx)
     return ControlledOperator(mod, H.matrix[np.ix_(flat, flat)],
                               H.declared_propagation, hermitian=H.hermitian)

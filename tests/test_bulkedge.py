@@ -202,6 +202,29 @@ class TestVerifyBEC:
         kinds = [s["kind"] for s in rep.sweeps]
         assert kinds.count("disorder") == 2 and kinds.count("truncation") == 1
 
+    def test_reasons_name_each_failure(self, chain200, monkeypatch):
+        """The clean edge misses its snap and every sweep point mismatches:
+        one reason each, and the verdict is their absence."""
+        route = bulkedge.ROUTES["AIII", 1]
+        shifts = iter([0.5, 1.0, 1.0])
+
+        def edge(work, spec, part, cfg):
+            rep, plateau = route.edge(work, spec, part, cfg)
+            return replace(rep, raw=rep.raw + next(shifts)), plateau
+
+        monkeypatch.setitem(bulkedge.ROUTES, ("AIII", 1), replace(route, edge=edge))
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+        part = rl.partition_halfspace(chain200, [1.0], 99.6)
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part, {
+            "windows": (40, 60, 80), "disorder_strength": 0.2,
+            "disorder_seeds": (7,), "truncation_radii": (1.5,)})
+        assert not rep.passed and rep.edge.snapped is None
+        assert len(rep.reasons) == 3
+        assert rep.reasons[0].startswith("edge did not snap (raw 1.5")
+        assert rep.reasons[1:] == ("disorder seed 7: bulk 1 != edge 2",
+                                   "truncation radius 1.5: bulk 1 != edge 2")
+        assert rep.to_json()["reasons"] == list(rep.reasons)
+
     def test_z2_reports_carry_only_their_own_snap_warning(self, chain200, monkeypatch):
         """Raws 0.15 from an integer snap cleanly mod 2: the integer snap of
         the underlying pairing leaves no warning in a Z2 report."""

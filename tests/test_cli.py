@@ -123,6 +123,7 @@ class TestEdgeAndBEC:
         assert code == 0 and "PASS" in out
         doc = json.loads(rep.read_text())
         assert doc["pass"] and doc["bulk"]["snapped"] == doc["edge"]["snapped"] == 1
+        assert doc["reasons"] == []
 
     def test_failed_sweep_entry_fails_report_and_exit(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -146,12 +147,13 @@ class TestEdgeAndBEC:
                             {"windows": (30, 45, 60), "truncation_radii": (1.5,)})
         assert rep.bulk.snapped == rep.edge.snapped == 1
         assert not rep.sweeps[0]["pass"] and not rep.passed
+        assert rep.reasons == ("truncation radius 1.5: bulk 1 != edge 2",)
         points.clear()
         out_file = tmp_path / "bec.json"
         code, out, _ = run(["verify-bec", "--model-file", str(model),
                             "--normal", "1", "--offset", "79.6", "--windows", "30,45,60",
                             "--truncation-radii", "1.5", "--out", str(out_file)], capsys)
-        assert code == 1 and "FAIL" in out
+        assert code == 1 and "FAIL (truncation radius 1.5: bulk 1 != edge 2)" in out
         assert json.loads(out_file.read_text())["pass"] is False
 
     def test_edge_index_follows_the_route(self, tmp_path, capsys):
@@ -171,6 +173,25 @@ class TestEdgeAndBEC:
         assert got["snapped"] == want["snapped"] == "Z2:1"
         assert got["raw"] == want["raw"]
         assert got["formula"] == want["formula"] == "spin_edge_conductance_mod2"
+
+
+    def test_verify_bec_fail_names_its_reason(self, tmp_path, capsys):
+        """Both sides snap to Z2:1; the plateau is what fails, and it is named."""
+        model = tmp_path / "km.json"
+        run(["build", "--model", "kane_mele", "--lso", "0.06", "--lv", "0.1",
+             "--size", "10", "--out", str(model)], capsys)
+        bec = tmp_path / "bec.json"
+        code, out, _ = run(["verify-bec", "--model-file", str(model), "--normal", "1,0",
+                            "--offset", "4.6", "--edge-windows", "2,3,4",
+                            "--out", str(bec)], capsys)
+        doc = json.loads(bec.read_text())
+        assert code == 1 and doc["pass"] is False
+        assert doc["bulk"]["snapped"] == doc["edge"]["snapped"] == "Z2:1"
+        assert doc["plateau_deviation"] > 0.05
+        reason = (f"plateau deviation {doc['plateau_deviation']:.4g} "
+                  "above plateau_tol 0.05")
+        assert doc["reasons"] == [reason]
+        assert out.strip() == f"bulk 1 vs edge 1: FAIL ({reason})"
 
 
 def _break_model(kind, path):

@@ -403,3 +403,99 @@ class TestRandomControlledHelper:
         B = _random_controlled_loop(mod, np.random.default_rng(3), hop_range=1.5)
         assert np.array_equal(A.matrix, B.matrix)
         assert A.declared_propagation == B.declared_propagation
+
+
+class TestOrbitalIndex:
+    @pytest.mark.parametrize("idx", [[0], [1, 3], [2, 0], [3, 2, 1, 0], []])
+    def test_matches_the_inline_expression(self, idx):
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 7]]}), 4)
+        want = (np.arange(7)[:, None] * 4 + np.asarray(idx, dtype=int)[None, :]).ravel()
+        got = mod.orbital_index(np.asarray(idx, dtype=int))
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+def _small_model(name, disorder):
+    ps = rl.default_pointset(name, 4.0 if name == "layered3d" else 6.0)
+    return rl.build_model(name, {}, ps, disorder=disorder, seed=5)[1]
+
+
+class TestSpectralLayer:
+    """`ControlledOperator.eigh` against the dense complex solve of the same matrix."""
+
+    @pytest.mark.parametrize("disorder", [0.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(rl.MODELS))
+    def test_matches_dense_solve(self, name, disorder):
+        H = _small_model(name, disorder)
+        w, v = H.eigh()
+        w0, v0 = np.linalg.eigh(H.matrix)
+        assert np.abs(w - w0).max() <= 1e-12
+        assert np.abs(H.matrix @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-12
+        # occupied projection at a Fermi level inside the widest spectral gap
+        i = int(np.argmax(np.diff(w0)))
+        fermi = 0.5 * (w0[i] + w0[i + 1])
+        P = v[:, w < fermi] @ v[:, w < fermi].conj().T
+        P0 = v0[:, w0 < fermi] @ v0[:, w0 < fermi].conj().T
+        assert np.abs(P - P0).max() <= 1e-10
+
+    @pytest.mark.parametrize("disorder", [0.0, 0.3])
+    def test_kane_mele_solves_spin_sectors(self, disorder):
+        # the disorder keeps spin_z (the model's conserved label)
+        H = _small_model("kane_mele", disorder)
+        _, v = H.eigh()
+        half = H.module.dim // 2
+        assert H.eigh_method == f"full diagonalization, spin_z sectors ({half}, {half})"
+        assert np.iscomplexobj(v)
+
+    @pytest.mark.parametrize("name, disorder, method", [
+        ("ssh", 0.0, "full diagonalization, real"),
+        ("kitaev", 0.3, "full diagonalization, real"),
+        ("layered3d", 0.3, "full diagonalization"),    # spin_z is mixed
+        ("qwz", 0.0, "full diagonalization"),
+    ])
+    def test_no_sector_split_without_a_conserved_label(self, name, disorder, method):
+        H = _small_model(name, disorder)
+        _, v = H.eigh()
+        assert H.eigh_method == method
+        assert np.isrealobj(v) == method.endswith("real")
+
+    def test_first_conserved_label_of_several_values(self):
+        """Three sectors of the second label; orbitals 1 and 3 share one and
+        carry different values of the first label, which therefore mixes."""
+        kept = np.array([2, 0, 1, 0])
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 20]]}), 4,
+                         labels={"mixed": np.array([1, -1, 1, 1]), "kept": kept})
+        A = random_controlled(mod, np.random.default_rng(11), hop_range=2.5)
+        sector = np.tile(kept, 20)
+        M = np.where(sector[:, None] == sector[None, :], A.matrix, 0.0)
+        H = rl.ControlledOperator(mod, M, A.declared_propagation)
+        w, v = H.eigh()
+        assert H.eigh_method == "full diagonalization, kept sectors (40, 20, 20)"
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() <= 1e-12
+        assert np.abs(M @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-12
+
+    def test_second_call_returns_the_cache(self, monkeypatch):
+        H = _small_model("kane_mele", 0.0)
+        assert H.eigh_method is None
+        solves = []
+        dense = np.linalg.eigh
+
+        def counted(a):
+            solves.append(a.shape)
+            return dense(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        w, v = H.eigh()
+        half = H.module.dim // 2
+        assert solves == [(half, half), (half, half)]
+        w2, v2 = H.eigh()
+        assert w2 is w and v2 is v
+        assert len(solves) == 2 and len(H._eig_cache) == 1
+
+    def test_gap_certificate_names_the_method(self):
+        H = _small_model("kane_mele", 0.0)
+        assert rl.certify_gap(H).method == H.eigh_method
+        chain = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, rl.default_pointset("ssh", 40))[1]
+        assert rl.certify_gap(chain).method == "full diagonalization, real"
