@@ -6,10 +6,10 @@ boundary map at the operator level, and its pairing along the interface must
 reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
 (class, dimension) combinations and certifies their equality, optionally
 sweeping symmetric disorder seeds and truncation radii to exercise the
-stability of both snapped values; `edge_index` runs the edge side alone.
-`ROUTES` is the one table of supported (class, dimension) pairs: each entry
-names its working system, its symmetry spec, its bulk and edge pairings and
-its snap.
+stability of both snapped values; `bulk_index` and `edge_index` run one side
+alone.  `ROUTES` is the one table of supported (class, dimension) pairs: each
+entry names its working system, its symmetry spec, its bulk and edge pairings
+and its snap.
 
 Desk-scale caveat handled throughout: a windowed sample has an outer boundary
 besides the cut.  All interface traces are restricted to the interface strip,
@@ -29,7 +29,13 @@ from .indices import (IndexReport, _report, chern_even, chern_odd, edge_conducta
 from .operators import (ControlledOperator, GapCertificate, SiteModule,
                         certify_gap, compress, derivation_along, flatten, truncate)
 from .models import disorder_blocks
-from .symmetry import SymmetrySpec, classify, kgroup_point, verify_symmetry
+from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
+                       verify_symmetry)
+
+SNAP_TOL = 0.1              # integer snap of both sides (mod-2 routes snap at 0.25)
+DELTA_FRACTION = 1 / 3      # edge interval Delta: this fraction of the bulk gap
+PLATEAU_FRACTION = 1 / 5    # second interval width for the plateau check
+PLATEAU_TOL = 0.05          # largest edge change between the two widths
 
 
 class BulkEdgeError(ValueError):
@@ -47,11 +53,12 @@ class BulkSystem:
 
 
 def make_bulk(module: SiteModule, H: ControlledOperator, spec: SymmetrySpec,
-              fermi: float = 0.0, sym_tol: float = 1e-8) -> BulkSystem:
-    """Certify the gap and the symmetry relations, then package the system."""
-    rep = verify_symmetry(H, spec, tol=sym_tol)
+              fermi: float = 0.0) -> BulkSystem:
+    """Certify the gap and the symmetry relations (to SYM_TOL), then package
+    the system."""
+    rep = verify_symmetry(H, spec, tol=SYM_TOL)
     if not rep.passed:
-        raise BulkEdgeError(f"symmetry violations {rep.violations} exceed {sym_tol}")
+        raise BulkEdgeError(f"symmetry violations {rep.violations} exceed {SYM_TOL}")
     cert = certify_gap(H, fermi=fermi)
     if not cert.gapped:
         raise BulkEdgeError(f"no certified spectral gap at fermi={fermi} "
@@ -70,15 +77,15 @@ class EdgeSystem:
     partition: Partition
 
 
-def make_edge(bulk: BulkSystem, part: Partition, locality_fraction: float = 0.7,
-              strip_width: float | None = None) -> EdgeSystem:
+def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
     """Compress the bulk by the plus half-space and verify the edge condition.
 
     The compressed Hamiltonian may have spectrum inside the parent gap, but
     only from states bound to the interface (or to the sample's outer
     boundary, which stands in for infinity).  Any in-gap state with more
-    than 1 - locality_fraction of its weight in the deep interior signals
-    that the interface collar is too thin or the gap too tight for the sample.
+    than 30% of its weight in the deep interior (beyond the interface strip
+    and the boundary margin) signals that the interface collar is too thin
+    or the gap too tight for the sample.
     """
     H_hat = compress(bulk.H, part)
     w, v = H_hat.eigh()
@@ -87,16 +94,14 @@ def make_edge(bulk: BulkSystem, part: Partition, locality_fraction: float = 0.7,
     if sel.any():
         ps = H_hat.module.pointset
         proj = ps.coords @ part.normal - part.offset
-        if strip_width is None:
-            strip_width = 0.5 * proj.max()
         extent = float((ps.window[:, 1] - ps.window[:, 0]).min())
         margin = max(2 * bulk.H.declared_propagation, 0.1 * extent)
-        near_edgeish = (proj < strip_width) | (ps.boundary_distance() < margin)
+        near_edgeish = (proj < 0.5 * proj.max()) | (ps.boundary_distance() < margin)
         weight = (np.abs(v[np.repeat(near_edgeish, H_hat.m)][:, sel]) ** 2).sum(axis=0)
-        if weight.min() < locality_fraction:
+        if weight.min() < 0.7:
             raise BulkEdgeError(
                 "in-gap edge spectrum is not interface-localized "
-                f"(worst boundary weight {weight.min():.3f} < {locality_fraction}); "
+                f"(worst boundary weight {weight.min():.3f} < 0.7); "
                 "interface thickness too small or bulk gap too tight for this sample")
     return EdgeSystem(module=H_hat.module, H_hat=H_hat, spec=bulk.spec,
                       parent_gap=bulk.gap, partition=part)
@@ -117,17 +122,16 @@ class BoundaryMap:
     decay_xi: float
 
 
-def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None,
-                strip_width: float | None = None, flat_tol: float = 1e-8) -> BoundaryMap:
+def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> BoundaryMap:
     """Operator-level boundary map of a flattened bulk symmetry.
 
     s_hat = chi s chi is the half-space compression; U = -exp(i pi s_hat) is
     unitary, equals the identity away from the interface (s_hat^2 = 1 there),
     and for a plane system its winding per unit interface length is the edge
-    pairing of the boundary class.
+    pairing of the boundary class.  s must be flat (s^2 = 1) to 1e-8.
     """
     M = s.matrix
-    if np.abs(M @ M - np.eye(len(M))).max() > max(flat_tol, 1e-8) or not s.hermitian:
+    if np.abs(M @ M - np.eye(len(M))).max() > 1e-8 or not s.hermitian:
         raise BulkEdgeError("boundary map expects a self-adjoint unitary (flattened) input")
     s_hat = compress(s, part)
     w, v = s_hat.eigh()
@@ -156,7 +160,7 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None,
         DU = derivation_along(U, part.edge_direction()).matrix
         A = U.matrix.conj().T @ DU
         traces = np.diag(A).reshape(-1, U.m).sum(axis=1)
-        vals = edge_trace(U, part, traces, edge_windows, strip_width)
+        vals = edge_trace(U, part, traces, edge_windows)
         winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
                           kgroup_point("A", 2), 0.1, windows=edge_windows)
     return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
@@ -169,15 +173,10 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None,
 
 @dataclass
 class BECConfig:
-    """Knobs for the certification run."""
+    """Windows of both sides (empty: derived from the sample) and the sweeps."""
 
     windows: tuple = ()
     edge_windows: tuple = ()
-    snap_tol: float = 0.1
-    strip_width: float | None = None
-    delta_fraction: float = 1 / 3        # width of Delta relative to the bulk gap
-    plateau_fraction: float = 1 / 5      # second width for the plateau check
-    plateau_tol: float = 0.05
     disorder_strength: float = 0.0
     disorder_seeds: tuple = ()
     truncation_radii: tuple = ()
@@ -185,6 +184,11 @@ class BECConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "BECConfig":
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+    @classmethod
+    def of(cls, config: "BECConfig | dict | None") -> "BECConfig":
+        """A config as given, or read from a dict (None: the defaults)."""
+        return config if isinstance(config, cls) else cls.from_dict(config or {})
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec
         raise BulkEdgeError("no chiral operator: the class-D refinement needs "
                             "the C unitary block")
     aux = SymmetrySpec(has_P=True, P_unitary=spec.C_unitary)
-    rep = verify_symmetry(H, aux, tol=1e-8)
-    if rep.violations.get("P", 1.0) > 1e-8:
+    rep = verify_symmetry(H, aux, tol=SYM_TOL)
+    if rep.violations.get("P", 1.0) > SYM_TOL:
         raise BulkEdgeError(
             "class D sample does not anticommute with the C unitary (complex "
             "pairing disorder?); the desk-scale mod-2 route needs this refinement")
@@ -276,9 +280,8 @@ def _conductance(work: BulkSystem, spec, part, cfg):
     windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
     fermi, eps = work.gap.fermi, work.gap.epsilon
     first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
-                                      windows, bulk_gap=work.gap,
-                                      strip_width=cfg.strip_width, snap_tol=np.inf)
-                     for f in (cfg.delta_fraction, cfg.plateau_fraction))
+                                      windows, bulk_gap=work.gap, snap_tol=np.inf)
+                     for f in (DELTA_FRACTION, PLATEAU_FRACTION))
     return first, float(abs(first.raw - second.raw))
 
 
@@ -307,38 +310,60 @@ ROUTES = {
 }
 
 
-def _certify(bulk: BulkSystem, part: Partition, label: str, d: int, cfg: BECConfig,
-             with_bulk: bool = True):
-    """One point on its route: (bulk report, edge report, plateau); the bulk
-    report is None when `with_bulk` is off."""
+@dataclass(frozen=True)
+class _OnRoute:
+    """A bulk system resolved on its route, once per point: the working
+    system and spec both sides run on, and the group both reports snap in."""
+
+    route: Route
+    work: BulkSystem
+    spec: SymmetrySpec
+    group: KGroupDescriptor
+
+    def _snap(self, rep: IndexReport, formula: str) -> IndexReport:
+        # a windowless pairing (the kernel count) reports no per-window values
+        return _report(rep.values or (rep.raw,), formula, self.group,
+                       0.25 if self.route.z2 else SNAP_TOL, z2=self.route.z2,
+                       windows=rep.windows, error=rep.error)
+
+    def bulk_report(self, cfg: BECConfig) -> IndexReport:
+        windows = cfg.windows or _default_windows(self.work.module.pointset, 2.0)
+        return self._snap(self.route.bulk(self.work, self.spec, windows),
+                          self.route.formulas[0])
+
+    def edge_report(self, part: Partition, cfg: BECConfig):
+        """(edge report, plateau deviation or None)."""
+        rep, plateau = self.route.edge(self.work, self.spec, part, cfg)
+        return self._snap(rep, self.route.formulas[1]), plateau
+
+
+def _on_route(bulk: BulkSystem) -> _OnRoute:
+    label, d = classify(bulk.spec), bulk.module.pointset.dim
     if (label, d) not in ROUTES:
         raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
                             f"supported: {sorted(ROUTES)}")
     route = ROUTES[label, d]
-    work, spec = route.system(bulk), route.spec(bulk)
-    group = kgroup_point(label, d)
-    tol = 0.25 if route.z2 else cfg.snap_tol
+    return _OnRoute(route, route.system(bulk), route.spec(bulk), kgroup_point(label, d))
 
-    def snap(rep, formula):
-        # a windowless pairing (the kernel count) reports no per-window values
-        return _report(rep.values or (rep.raw,), formula, group, tol, z2=route.z2,
-                       windows=rep.windows, error=rep.error)
 
-    b = None
-    if with_bulk:
-        windows = cfg.windows or _default_windows(bulk.module.pointset, 2.0)
-        b = snap(route.bulk(work, spec, windows), route.formulas[0])
-    e, plateau = route.edge(work, spec, part, cfg)
-    return b, snap(e, route.formulas[1]), plateau
+def bulk_index(bulk: BulkSystem, config: BECConfig | dict | None = None) -> IndexReport:
+    """The bulk side of `verify_bec` alone: the same working system, spec,
+    bulk pairing and snap as the bulk system's route."""
+    return _on_route(bulk).bulk_report(BECConfig.of(config))
 
 
 def edge_index(bulk: BulkSystem, part: Partition,
                config: BECConfig | dict | None = None) -> IndexReport:
     """The edge side of `verify_bec` alone: the same working system, spec,
     edge pairing and snap as the bulk system's route."""
-    cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
-    return _certify(bulk, part, classify(bulk.spec), bulk.module.pointset.dim, cfg,
-                    with_bulk=False)[1]
+    return _on_route(bulk).edge_report(part, BECConfig.of(config))[0]
+
+
+def _certify(bulk: BulkSystem, part: Partition, cfg: BECConfig):
+    """One point on its route, resolved once for both sides: (bulk report,
+    edge report, plateau)."""
+    point = _on_route(bulk)
+    return (point.bulk_report(cfg), *point.edge_report(part, cfg))
 
 
 def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
@@ -384,18 +409,17 @@ def verify_bec(bulk: BulkSystem, part: Partition,
     plateau holds and every sweep entry passes; `reasons` names each of
     these that failed.
     """
-    cfg = config if isinstance(config, BECConfig) else BECConfig.from_dict(config or {})
+    cfg = BECConfig.of(config)
     label = classify(bulk.spec)
-    d = bulk.module.pointset.dim
-    bulk_rep, edge_rep, plateau = _certify(bulk, part, label, d, cfg)
+    bulk_rep, edge_rep, plateau = _certify(bulk, part, cfg)
     reasons = _mismatch(bulk_rep, edge_rep)
-    if not (plateau is None or plateau <= cfg.plateau_tol):
+    if not (plateau is None or plateau <= PLATEAU_TOL):
         reasons.append(f"plateau deviation {plateau:.4g} above plateau_tol "
-                       f"{cfg.plateau_tol:.4g}")
+                       f"{PLATEAU_TOL:.4g}")
     sweeps = []
     for keys, H in _perturbations(bulk, label, cfg):
         point = make_bulk(bulk.module, H, bulk.spec, fermi=bulk.gap.fermi)
-        b, e, _ = _certify(point, part, label, d, cfg)
+        b, e, _ = _certify(point, part, cfg)
         why = _mismatch(b, e)
         sweeps.append({**keys, "bulk_raw": b.raw, "edge_raw": e.raw,
                        "bulk_snapped": b.snapped, "edge_snapped": e.snapped,
@@ -403,6 +427,6 @@ def verify_bec(bulk: BulkSystem, part: Partition,
         where = (f"seed {keys['seed']}" if keys["kind"] == "disorder"
                  else f"radius {keys['radius']:g}")
         reasons.extend(f"{keys['kind']} {where}: {w}" for w in why)
-    return BECReport(label=label, dim=d, bulk=bulk_rep, edge=edge_rep,
-                     passed=not reasons, plateau_deviation=plateau,
+    return BECReport(label=label, dim=bulk.module.pointset.dim, bulk=bulk_rep,
+                     edge=edge_rep, passed=not reasons, plateau_deviation=plateau,
                      sweeps=tuple(sweeps), reasons=tuple(reasons))

@@ -1,9 +1,13 @@
 """Batch command-line front end: models in, JSON/CSV out.
 
 Subcommands: build, classify, kgroup, index, edge-index, verify-bec, sweep,
-spectrum.  Structured results are JSON (reproducible bit-for-bit given the
-same flags and seed, modulo the generated_at stamp); sweeps emit CSV with one
-row per (seed, parameter) point.  Exit codes: 0 success / certification pass,
+spectrum.  `index` and `sweep` report the bulk side, `edge-index` the edge
+side and `verify-bec` both sides of the model file's (class, d) route in
+`bulkedge.ROUTES`; `--formula trace` (sweep config: "formula": "trace")
+reports the windowed trace per unit volume of H instead, which is not an
+index.  Structured results are JSON (reproducible bit-for-bit given the same
+flags and seed, modulo the generated_at stamp); sweeps emit CSV with one row
+per (seed, parameter) point.  Exit codes: 0 success / certification pass,
 1 computation failure, 2 usage or config error.  ROELAB_JOBS sets the default
 sweep parallelism.
 """
@@ -20,12 +24,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bulkedge import BECConfig, BulkEdgeError, edge_index, make_bulk, verify_bec
+from .bulkedge import (BECConfig, BulkEdgeError, bulk_index, edge_index, make_bulk,
+                       verify_bec)
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
-from .indices import (PairingError, chern_even, chern_odd, kane_mele,
-                      occupied_projection, trace_per_unit_volume)
+from .indices import PairingError, trace_per_unit_volume
 from .models import MODELS, ModelError, build_model, default_pointset
-from .operators import ControlledOperator, OperatorError, certify_gap, flatten
+from .operators import ControlledOperator, OperatorError
 from .symmetry import (CARTAN_LABELS, SymmetryError, SymmetrySpec, classify,
                        kgroup_point, kgroup_reflection, kgroup_rotation,
                        spec_from_label)
@@ -138,23 +142,16 @@ def cmd_kgroup(args, extra) -> int:
 
 
 def _bulk_report(H, spec, formula, windows, fermi=0.0):
+    """The bulk index of the file's route, or the windowed trace of H for
+    formula "trace"."""
     if formula == "trace":
         est = trace_per_unit_volume(H, windows)
         return {"windows": list(est.windows),
                 "values": [[v.real, v.imag] for v in est.values],
                 "extrapolated": [est.extrapolated.real, est.extrapolated.imag],
                 "error": est.error, "formula": "trace_per_unit_volume"}
-    cert = certify_gap(H, fermi=fermi)
-    if formula == "chern_even":
-        rep = chern_even(occupied_projection(H, cert), windows)
-    elif formula == "chern_odd":
-        rep = chern_odd(flatten(H, cert), spec, windows)
-    elif formula == "kane_mele":
-        rep = kane_mele(H, spec, windows, fermi=fermi)
-    else:
-        raise PairingError(f"unknown formula {formula!r}; choose from "
-                           "trace, chern_even, chern_odd, kane_mele")
-    return rep.to_json()
+    bulk = make_bulk(H.module, H, spec, fermi=fermi)
+    return bulk_index(bulk, BECConfig(windows=tuple(windows))).to_json()
 
 
 def cmd_index(args, extra) -> int:
@@ -179,8 +176,7 @@ def cmd_edge_index(args, extra) -> int:
     part = partition_halfspace(H.module.pointset, _float_list(args.normal), args.offset,
                                thickness=args.thickness)
     bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
-    cfg = BECConfig(edge_windows=tuple(_float_list(args.windows)),
-                    delta_fraction=args.delta_fraction)
+    cfg = BECConfig(edge_windows=tuple(_float_list(args.windows)))
     doc = edge_index(bulk, part, cfg).to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
@@ -222,8 +218,8 @@ def _sweep_point(cfg: dict, seed, value):
     if cfg.get("vary_param"):
         row[cfg["vary_param"]] = value
     fermi = float(cfg.get("fermi", 0.0))
-    doc = _bulk_report(H, spec, cfg.get("formula", "chern_even"),
-                       cfg.get("windows", [6, 8, 10]), fermi=fermi)
+    doc = _bulk_report(H, spec, cfg.get("formula"), cfg.get("windows", [6, 8, 10]),
+                       fermi=fermi)
     row.update({"raw": doc.get("raw"), "snapped": doc.get("snapped"),
                 "error": doc.get("error")})
     return row
@@ -240,7 +236,10 @@ def cmd_sweep(args, extra) -> int:
         values = cfg.get("values", [None])
         if cfg.get("vary_param") and not cfg.get("values"):
             raise KeyError("vary_param given without values")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        if cfg.get("formula", "trace") != "trace":
+            raise ValueError(f"formula {cfg['formula']!r} is not \"trace\"; the index "
+                             "follows the model's (class, d) route")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     jobs = args.jobs or int(os.environ.get("ROELAB_JOBS", "1"))
@@ -325,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("index", allow_abbrev=False, help="bulk index of a model file")
     i.add_argument("--model-file", required=True)
-    i.add_argument("--formula", default="chern_even",
-                   choices=["trace", "chern_even", "chern_odd", "kane_mele"])
+    i.add_argument("--formula", default=None, choices=["trace"],
+                   help="report the windowed trace of H instead of the route's index")
     i.add_argument("--windows", default="6,8,10")
     i.add_argument("--fermi", type=float, default=0.0)
     i.add_argument("--out", default=None)
@@ -340,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--thickness", type=float, default=None)
     e.add_argument("--windows", default="6,8,10")
     e.add_argument("--fermi", type=float, default=0.0)
-    e.add_argument("--delta-fraction", type=float, default=1 / 3)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_edge_index, accepts_params=False)
 

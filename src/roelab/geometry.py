@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 GOLDEN = (1 + np.sqrt(5)) / 2
+MATCH_TOL = 1e-9        # an isometry's image point matches a site this close
 
 # Triangular lattice basis used by the honeycomb-derived generators.  Both
 # sublattices of the honeycomb are carried as orbitals on a single triangular
@@ -342,7 +343,7 @@ def min_spacing(ps: PointSet) -> float:
     return float(d[:, 1].min())
 
 
-def certify_delone(ps: PointSet, grid_pitch: float | None = None) -> DeloneCertificate:
+def certify_delone(ps: PointSet) -> DeloneCertificate:
     """Estimate packing radius r and covering radius R of a windowed sample.
 
     r is half the minimum pairwise distance.  R is estimated on a grid of
@@ -358,8 +359,7 @@ def certify_delone(ps: PointSet, grid_pitch: float | None = None) -> DeloneCerti
     r = 0.5 * min_spacing(ps)
     if r <= 0:
         return DeloneCertificate(r=0.0, R=None, valid=False, notes="coincident points")
-    pitch = grid_pitch if grid_pitch is not None else r / 4
-    axes = [np.arange(lo, hi, pitch) for lo, hi in ps.window]
+    axes = [np.arange(lo, hi, r / 4) for lo, hi in ps.window]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     d_site, _ = ps.tree().query(grid)
     interior = ps.boundary_distance(grid) >= d_site
@@ -410,19 +410,18 @@ def partition_halfspace(ps: PointSet, normal, offset: float,
 # point-group actions
 # ---------------------------------------------------------------------------
 
-def action_from_isometries(ps: PointSet, elements, onsite_blocks=None,
-                           tol: float = 1e-9) -> GroupAction:
+def action_from_isometries(ps: PointSet, elements, onsite_blocks=None) -> GroupAction:
     """Match each isometry x -> Qx + t against the sample.
 
-    Image points are matched by coordinates within `tol`; images leaving the
-    window are recorded as -1 (boundary truncation).
+    Image points are matched by coordinates within MATCH_TOL; images leaving
+    the window are recorded as -1 (boundary truncation).
     """
     tree = ps.tree()
     perms = []
     for Q, t in elements:
         img = ps.coords @ np.asarray(Q, dtype=float).T + np.asarray(t, dtype=float)
         d, idx = tree.query(img)
-        perm = np.where(d <= tol, idx, -1)
+        perm = np.where(d <= MATCH_TOL, idx, -1)
         perms.append(perm)
     blocks = None if onsite_blocks is None else np.asarray(onsite_blocks, dtype=complex)
     return GroupAction(elements=tuple((np.asarray(Q, float), np.asarray(t, float))
@@ -432,7 +431,7 @@ def action_from_isometries(ps: PointSet, elements, onsite_blocks=None,
 
 
 def cyclic_rotation_action(ps: PointSet, k: int, center=None,
-                           onsite_blocks=None, tol: float = 1e-9) -> GroupAction:
+                           onsite_blocks=None) -> GroupAction:
     """C_k rotation action about `center` (window midpoint by default), d = 2."""
     if ps.dim != 2:
         raise GeometryError("rotation actions implemented for d = 2")
@@ -442,4 +441,4 @@ def cyclic_rotation_action(ps: PointSet, k: int, center=None,
         a = 2 * np.pi * j / k
         Q = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
         els.append((Q, c - Q @ c))
-    return action_from_isometries(ps, els, onsite_blocks=onsite_blocks, tol=tol)
+    return action_from_isometries(ps, els, onsite_blocks=onsite_blocks)

@@ -18,7 +18,7 @@ momentum-space references in `roelab.bloch` are oriented to match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
                         certify_gap, compress, derivation, derivation_along,
                         flatten, onsite, restrict_orbitals)
-from .symmetry import KGroupDescriptor, SymmetrySpec, kgroup_point, verify_symmetry
+from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
+                       verify_symmetry)
 
 
 class PairingError(ValueError):
@@ -123,27 +124,27 @@ def _report(values, formula: str, group: KGroupDescriptor, snap_tol: float,
 # windowed traces
 # ---------------------------------------------------------------------------
 
-def window_mask(ps, radius: float, center=None) -> np.ndarray:
-    """Half-open box [center - r, center + r) per axis."""
-    c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
+def window_mask(ps, radius: float) -> np.ndarray:
+    """Half-open box [c - r, c + r) per axis about the window midpoint c."""
+    c = ps.window.mean(axis=1)
     return ((ps.coords >= c - radius) & (ps.coords < c + radius)).all(axis=1)
 
 
-def _window_values(traces: np.ndarray, ps, windows, center=None) -> list:
+def _window_values(traces: np.ndarray, ps, windows) -> list:
     """Per-site values inside each nested box; every box must hold a site."""
-    c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
     out = []
     for n in windows:
-        mask = window_mask(ps, n, c)
+        mask = window_mask(ps, n)
         if not mask.any():
             raise PairingError(f"window radius {n} contains no sites")
         out.append(traces[mask])
     return out
 
 
-def trace_per_unit_volume(A: ControlledOperator, windows, center=None,
+def trace_per_unit_volume(A: ControlledOperator, windows,
                           margin: float | None = None) -> TraceEstimate:
-    """Per-site average of diagonal block traces over nested boxes.
+    """Per-site average of diagonal block traces over nested boxes about
+    the window midpoint.
 
     Windows must fit in the sample with a safety margin (default: the
     operator's propagation), so diagonal blocks inside the window never see
@@ -151,26 +152,26 @@ def trace_per_unit_volume(A: ControlledOperator, windows, center=None,
     """
     ps = A.module.pointset
     windows = tuple(sorted(float(n) for n in windows))
-    c = ps.window.mean(axis=1) if center is None else np.asarray(center, dtype=float)
+    c = ps.window.mean(axis=1)
     if margin is None:
         margin = A.declared_propagation
     for n in windows:
         if ((c - n - margin < ps.window[:, 0]) | (c + n + margin > ps.window[:, 1])).any():
             raise PairingError(f"window radius {n} plus margin {margin} exceeds the sample")
-    vals = [complex(t.mean()) for t in _window_values(A.site_traces(), ps, windows, c)]
+    vals = [complex(t.mean()) for t in _window_values(A.site_traces(), ps, windows)]
     err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
     return TraceEstimate(windows=windows, values=tuple(vals),
                          extrapolated=vals[-1], error=float(err))
 
 
-def _volume_trace(traces: np.ndarray, ps, windows, center=None) -> tuple:
+def _volume_trace(traces: np.ndarray, ps, windows) -> tuple:
     """Per-unit-volume windowed sums of per-site trace values.
 
     Uses the point set's analytic density when available (count / volume
     fluctuates by a boundary term on non-unit lattices), else the empirical
     count over the box volume.
     """
-    inside = _window_values(traces, ps, windows, center)
+    inside = _window_values(traces, ps, windows)
     if ps.density is not None:
         return tuple(complex(t.mean()) * ps.density for t in inside)
     return tuple(complex(t.sum()) / (2.0 * n) ** ps.dim for t, n in zip(inside, windows))
@@ -180,29 +181,27 @@ def _volume_trace(traces: np.ndarray, ps, windows, center=None) -> tuple:
 # bulk pairings
 # ---------------------------------------------------------------------------
 
-def chern_even(P: ControlledOperator, windows, center=None, snap_tol: float = 0.1,
-               imag_tol: float = 1e-8, group: KGroupDescriptor | None = None,
-               proj_tol: float = 1e-8) -> IndexReport:
+def chern_even(P: ControlledOperator, windows, snap_tol: float = 0.1) -> IndexReport:
     """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of a projection.
 
-    The raw value is the real part at the largest window; the imaginary part
-    must vanish to `imag_tol` (diagnostic that P is a genuine projection far
-    from the boundary).
+    P must be a projection to 1e-8.  The raw value is the real part at the
+    largest window; the imaginary part must vanish to 1e-8 (diagnostic that
+    P is a genuine projection far from the boundary).
     """
     ps = P.module.pointset
     if ps.dim != 2:
         raise PairingError("chern_even is the d = 2 pairing")
     M = P.matrix
-    if np.abs(M @ M - M).max() > proj_tol or np.abs(M - M.conj().T).max() > proj_tol:
+    if np.abs(M @ M - M).max() > 1e-8 or np.abs(M - M.conj().T).max() > 1e-8:
         raise PairingError("input is not a projection (P^2 = P = P* fails)")
     D1 = derivation(P, 0).matrix
     D2 = derivation(P, 1).matrix
     A = M @ (D1 @ D2 - D2 @ D1)
     traces = np.diag(A).reshape(-1, P.m).sum(axis=1)
     windows = tuple(sorted(float(n) for n in windows))
-    vals = tuple(2j * np.pi * v for v in _volume_trace(traces, ps, windows, center))
-    return _report(vals, "chern_even", group or kgroup_point("A", 2), snap_tol,
-                   windows=windows, imag_tol=imag_tol)
+    vals = tuple(2j * np.pi * v for v in _volume_trace(traces, ps, windows))
+    return _report(vals, "chern_even", kgroup_point("A", 2), snap_tol,
+                   windows=windows, imag_tol=1e-8)
 
 
 def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
@@ -224,9 +223,7 @@ def _chiral_split(spec: SymmetrySpec, m: int):
     return V, plus, minus
 
 
-def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
-                   flat_tol: float = 1e-6, sym_tol: float = 1e-4,
-                   boundary_fraction: float = 0.15):
+def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
     """Off-diagonal block of a flattened chiral symmetry.
 
     In the eigenbasis of P the flattened Hamiltonian is off-diagonal; the
@@ -234,37 +231,37 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec,
     is the odd pairing.  The chirality check runs on interior blocks only: an
     open sample in a nontrivial phase necessarily concentrates a chiral
     defect of the flattening at its boundary zero modes, which is exactly the
-    index obstruction and not a data error.  The margin and tolerance are set
-    so that samples longer than roughly thirty decay lengths pass cleanly
-    while genuine chirality breaking (orders of magnitude larger) is caught.
+    index obstruction and not a data error.  The margin (15% of the sample
+    extent) and tolerance (1e-4) are set so that samples longer than roughly
+    thirty decay lengths pass cleanly while genuine chirality breaking
+    (orders of magnitude larger) is caught.  s^2 = 1 must hold to 1e-6.
     """
     M = s.matrix
-    if np.abs(M @ M - np.eye(len(M))).max() > max(flat_tol, 1e-6):
+    if np.abs(M @ M - np.eye(len(M))).max() > 1e-6:
         raise PairingError("operator is not flattened (s^2 != 1)")
     ps = s.module.pointset
     if spec.P_unitary is None:
         raise PairingError("odd pairing requires a chiral operator P")
     defect = 0.5 * np.abs(M + onsite(spec.P_unitary, M))
-    margin = boundary_fraction * float((ps.window[:, 1] - ps.window[:, 0]).min())
+    margin = 0.15 * float((ps.window[:, 1] - ps.window[:, 0]).min())
     interior = np.repeat(ps.boundary_distance() > margin, s.m)
     viol = float(defect[np.ix_(interior, interior)].max()) if interior.any() else \
         float(defect.max())
-    if viol > sym_tol:
-        raise PairingError(f"interior chiral violation {viol:.2e} above {sym_tol}")
+    if viol > 1e-4:
+        raise PairingError(f"interior chiral violation {viol:.2e} above 0.0001")
     V, plus, minus = _chiral_split(spec, s.m)
     # the (minus, plus) block of W^* M W with W = 1 (x) V, taken site-wise
     block = onsite(V[:, minus].conj().T, M, V[:, plus].conj().T)
     return block, s.module.orbital_index(plus), s.module.orbital_index(minus)
 
 
-def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
-              snap_tol: float = 0.1, imag_tol: float = 1e-6,
-              group: KGroupDescriptor | None = None) -> IndexReport:
+def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows,
+              snap_tol: float = 0.1) -> IndexReport:
     """Odd-dimensional winding pairing of a flattened chiral Hamiltonian.
 
     d = 1: i T(U* grad_1 U); d = 3: the full six-term alternating sum with
     prefactor i (i pi)^((d-1)/2) / d!!, where U is the chiral off-diagonal
-    block of the flattened operator.
+    block of the flattened operator.  The imaginary part must vanish to 1e-6.
     """
     ps = s.module.pointset
     d = ps.dim
@@ -273,7 +270,7 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
     U, ip, im = chiral_unitary(s, spec)
     n = s.module.n_sites
     half = len(ip) // n
-    xs = [s.module.position(j) for j in range(d)]
+    xs = [s.module.position_along(e) for e in np.eye(d)]
     grads = [1j * (xs[j][im][:, None] - xs[j][ip][None, :]) * U for j in range(d)]
     Uc = U.conj().T
     if d == 1:
@@ -286,13 +283,13 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows, center=None,
         const = 1j * (1j * np.pi) / 3.0      # i (i pi)^1 / 3!!
     traces = np.diag(A).reshape(n, half).sum(axis=1)
     windows = tuple(sorted(float(w) for w in windows))
-    vals = tuple(const * v for v in _volume_trace(traces, ps, windows, center))
-    return _report(vals, f"chern_odd_d{d}", group or kgroup_point("AIII", d), snap_tol,
-                   windows=windows, imag_tol=imag_tol)
+    vals = tuple(const * v for v in _volume_trace(traces, ps, windows))
+    return _report(vals, f"chern_odd_d{d}", kgroup_point("AIII", d), snap_tol,
+                   windows=windows, imag_tol=1e-6)
 
 
-def spin_sectors(H: ControlledOperator, tol: float = 1e-10):
-    """Split a spin-conserving operator into its spin-z eigensectors."""
+def spin_sectors(H: ControlledOperator):
+    """Split an operator into its spin-z sectors: (up, down, max |mixing| entry)."""
     labels = H.module.labels.get("spin_z")
     if labels is None:
         raise PairingError("module carries no spin_z labels")
@@ -303,24 +300,24 @@ def spin_sectors(H: ControlledOperator, tol: float = 1e-10):
     return restrict_orbitals(H, up), restrict_orbitals(H, dn), mixing
 
 
-def spin_up_sector(H: ControlledOperator, spec: SymmetrySpec, fermi: float = 0.0,
-                   mixing_tol: float = 1e-10):
+def spin_up_sector(H: ControlledOperator, spec: SymmetrySpec, fermi: float = 0.0):
     """Gapped spin-up sector of a spin-conserving, T-invariant system: (H_up, gap).
 
-    Checks exact spin-z conservation, the declared T (when its unitary is
-    given) on the full system, and certifies the sector's own gap.
+    Checks spin-z conservation (mixing at most 1e-10), the declared T (when
+    its unitary is given) on the full system to SYM_TOL, and certifies the
+    sector's own gap.
     """
     # the full-size T check runs before the sectors exist, which keeps them
     # out of its peak memory; spin mixing is still the first error reported
     t_viol = 0.0
     if spec.T_unitary is not None:
-        t_viol = verify_symmetry(H, spec, tol=1e-8).violations.get("T", 0.0)
+        t_viol = verify_symmetry(H, spec, tol=SYM_TOL).violations.get("T", 0.0)
     H_up, _, mixing = spin_sectors(H)
-    if mixing > mixing_tol:
+    if mixing > 1e-10:
         raise PairingError(
-            f"spin-z mixing {mixing:.2e} exceeds {mixing_tol}: the spin-resolved "
+            f"spin-z mixing {mixing:.2e} exceeds 1e-10: the spin-resolved "
             "route needs spin conservation, and no spin-mixing formula is provided")
-    if t_viol > 1e-8:
+    if t_viol > SYM_TOL:
         raise PairingError(f"T violation {t_viol:.2e}: not T-invariant")
     cert = certify_gap(H_up, fermi=fermi)
     if not cert.gapped:
@@ -328,8 +325,7 @@ def spin_up_sector(H: ControlledOperator, spec: SymmetrySpec, fermi: float = 0.0
     return H_up, cert
 
 
-def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows, center=None,
-              snap_tol: float = 0.25, mixing_tol: float = 1e-10,
+def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows,
               fermi: float = 0.0) -> IndexReport:
     """Spin-resolved mod-2 invariant of a time-reversal-invariant plane system.
 
@@ -339,10 +335,9 @@ def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows, center=None,
     """
     if not (spec.has_T and spec.T_sq == -1):
         raise PairingError("mod-2 invariant requires T with T^2 = -1")
-    H_up, cert = spin_up_sector(H, spec, fermi, mixing_tol)
-    up = chern_even(occupied_projection(H_up, cert), windows, center=center,
-                    snap_tol=np.inf)
-    return _report(up.values, "kane_mele_spin_chern", kgroup_point("AII", 2), snap_tol,
+    H_up, cert = spin_up_sector(H, spec, fermi)
+    up = chern_even(occupied_projection(H_up, cert), windows, snap_tol=np.inf)
+    return _report(up.values, "kane_mele_spin_chern", kgroup_point("AII", 2), 0.25,
                    z2=True, windows=up.windows, error=up.error)
 
 
@@ -368,25 +363,23 @@ def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction=
 
 
 def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
-               edge_windows, strip_width: float | None = None,
-               edge_direction=None) -> tuple:
+               edge_windows, edge_direction=None) -> tuple:
     """Per-unit-edge-length windowed sums over the interface strip.
 
-    The strip keeps sites with normal distance in [0, strip_width) - wide
-    enough to hold the interface-bound states, narrow enough to exclude the
-    sample's outer boundary; windows are half-open intervals along the edge,
-    centred on the interface, in the cut's edge direction unless
-    `edge_direction` holds another fixed.  `traces` holds one row per site;
-    each window sums its rows.
+    The strip keeps sites with normal distance in [0, w), w half the largest
+    one - wide enough to hold the interface-bound states, narrow enough to
+    exclude the sample's outer boundary; windows are half-open intervals
+    along the edge, centred on the interface, in the cut's edge direction
+    unless `edge_direction` holds another fixed.  `traces` holds one row per
+    site; each window sums its rows.
     """
     proj, ecoord, _ = _interface_frame(H_hat, part, edge_direction)
-    if strip_width is None:
-        strip_width = 0.5 * proj.max()
+    strip = proj < 0.5 * proj.max()
     iface = np.isin(H_hat.module.pointset.source_ids, part.interface_ids)
     c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max())
     vals = []
     for n in edge_windows:
-        mask = (proj < strip_width) & (ecoord >= c0 - n) & (ecoord < c0 + n)
+        mask = strip & (ecoord >= c0 - n) & (ecoord < c0 + n)
         if not mask.any():
             raise PairingError(f"edge window {n} contains no strip sites")
         vals.append(traces[mask].sum(axis=0) / (2.0 * n))
@@ -395,9 +388,8 @@ def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
 
 def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
                      edge_windows, bulk_gap: GapCertificate | None = None,
-                     strip_width: float | None = None, snap_tol: float = 0.1,
-                     width_family: int = 8, edge_direction=None,
-                     group: KGroupDescriptor | None = None) -> IndexReport:
+                     snap_tol: float = 0.1, width_family: int = 8,
+                     edge_direction=None) -> IndexReport:
     """Edge transport pairing -(2 pi / |Delta|) T^(P_Delta grad_edge H^).
 
     P_Delta is the spectral projection of the compressed Hamiltonian onto the
@@ -431,27 +423,25 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     halves = np.linspace(0.7 * half, half, max(width_family, 1))
     windows = tuple(float(n) for n in edge_windows)
     per_window = []
-    for state_vals in edge_trace(H_hat, part, site_state, windows, strip_width,
+    for state_vals in edge_trace(H_hat, part, site_state, windows,
                                  edge_direction=edge_direction):
         ests = []
         for h in halves:
             sel = (w > centre - h) & (w < centre + h)
             ests.append(-2 * np.pi * complex(state_vals[sel].sum()) / (2 * h))
         per_window.append(np.mean(ests))
-    return _report(per_window, "edge_conductance", group or kgroup_point("A", 2),
+    return _report(per_window, "edge_conductance", kgroup_point("A", 2),
                    snap_tol, windows=windows)
 
 
 def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
-                  part: Partition | None = None, theta: float = 1e-6,
-                  separation: float = 10.0, loc_width: float | None = None,
-                  group: KGroupDescriptor | None = None) -> IndexReport:
+                  part: Partition | None = None, theta: float = 1e-6) -> IndexReport:
     """Half-line index: chirality-weighted count of cut-bound zero modes.
 
     Eigenvalues below theta in modulus are the kernel; the next one must
-    clear separation * theta (else the sample is too small to separate the
-    kernel).  The count is Tr(P chi Q) with Q the kernel projection and chi
-    the indicator of the quarter nearest the cut, which isolates the cut end
+    clear 10 theta (else the sample is too small to separate the kernel).
+    The count is Tr(P chi Q) with Q the kernel projection and chi the
+    indicator of the quarter nearest the cut, which isolates the cut end
     from its partner mode at the sample's far end.
     """
     ps = H_hat.module.pointset
@@ -459,28 +449,26 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
         raise PairingError("the Fredholm count is the d = 1 edge pairing")
     if not spec.has_P or spec.P_unitary is None:
         raise PairingError("Fredholm count requires a chiral operator P")
-    rep = verify_symmetry(H_hat, spec, tol=1e-8)
-    if rep.violations.get("P", 0.0) > 1e-8:
-        raise PairingError(f"chiral violation {rep.violations['P']:.2e} above 1e-08")
+    rep = verify_symmetry(H_hat, spec, tol=SYM_TOL)
+    if rep.violations.get("P", 0.0) > SYM_TOL:
+        raise PairingError(f"chiral violation {rep.violations['P']:.2e} above {SYM_TOL}")
     w, v = H_hat.eigh()
     near = np.abs(w) < theta
     rest = np.abs(w[~near])
-    if rest.size and rest.min() <= separation * theta:
+    if rest.size and rest.min() <= 10 * theta:
         raise PairingError(
             f"no clean spectral separation at theta={theta}: next |E| = "
-            f"{rest.min():.2e} <= {separation * theta:.2e}; use a larger sample")
+            f"{rest.min():.2e} <= {10 * theta:.2e}; use a larger sample")
     x = ps.coords[:, 0]
     if part is not None:
         proj = x * part.normal[0] - part.offset
     else:
         proj = x - x.min()
-    if loc_width is None:
-        loc_width = 0.25 * (proj.max() - proj.min())
-    chi = (proj <= proj.min() + loc_width).astype(float)
+    chi = (proj <= proj.min() + 0.25 * (proj.max() - proj.min())).astype(float)
     # Tr(Q^* P chi Q) site by site: chi is constant on each site's orbital
     # block, so P chi is Hermitian and acts on the (n, m, k) view of Q
     Q = v[:, near].reshape(ps.n, H_hat.m, -1)
     per_site = (Q.conj() * np.matmul(spec.P_unitary, Q)).sum(axis=(1, 2))
     val = complex(chi @ per_site)
-    return _report((val,), "edge_fredholm", group or kgroup_point("AIII", 1), 0.1,
+    return _report((val,), "edge_fredholm", kgroup_point("AIII", 1), 0.1,
                    error=abs(np.imag(val)))

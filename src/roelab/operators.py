@@ -71,11 +71,8 @@ class SiteModule:
     def dim(self) -> int:
         return self.n_sites * self.orbitals_per_site
 
-    def position(self, axis: int) -> np.ndarray:
-        """Coordinate of every basis index along `axis` (constant per site)."""
-        return np.repeat(self.pointset.coords[:, axis], self.orbitals_per_site)
-
     def position_along(self, direction) -> np.ndarray:
+        """Coordinate <e, x> of every basis index (constant per site)."""
         e = np.asarray(direction, dtype=float)
         return np.repeat(self.pointset.coords @ e, self.orbitals_per_site)
 
@@ -240,15 +237,14 @@ class ControlledOperator:
         return cls.from_dense(module, M, hermitian=hermitian)
 
     @classmethod
-    def from_dense(cls, module: SiteModule, M, hermitian: bool | None = None,
-                   propagation: float | None = None) -> "ControlledOperator":
+    def from_dense(cls, module: SiteModule, M,
+                   hermitian: bool | None = None) -> "ControlledOperator":
+        """Operator of a dense matrix, its propagation read off the blocks."""
         M = np.asarray(M, dtype=complex)
         if hermitian is None:
             hermitian = bool(np.abs(M - M.conj().T).max() <= 1e-12)
         op = cls(module, M, 0.0, hermitian=hermitian)
-        if propagation is None:
-            propagation = globals()["propagation"](op)   # the keyword shadows it
-        object.__setattr__(op, "declared_propagation", float(propagation))
+        object.__setattr__(op, "declared_propagation", propagation(op))
         return op
 
     def to_json(self) -> dict:
@@ -357,15 +353,17 @@ def onsite(A, M: np.ndarray, B=None) -> np.ndarray:
 # the controlled-operator toolbox
 # ---------------------------------------------------------------------------
 
-def propagation(A: ControlledOperator, tol: float = ZERO_BLOCK_TOL) -> float:
-    """Max distance over blocks with any entry above `tol` (0 for the zero op)."""
-    norms = A.block_norms()
-    mask = norms > tol
+def _hop_distances(A: ControlledOperator) -> np.ndarray:
+    """Distances of the site pairs x != y whose block has an entry above
+    ZERO_BLOCK_TOL, in row-major pair order."""
+    mask = A.block_norms() > ZERO_BLOCK_TOL
     np.fill_diagonal(mask, False)
-    if not mask.any():
-        return 0.0
-    dist = site_distances(A.module.pointset)
-    return float(dist[mask].max())
+    return site_distances(A.module.pointset)[mask]
+
+
+def propagation(A: ControlledOperator) -> float:
+    """Max distance over off-site blocks above ZERO_BLOCK_TOL (0 for the zero op)."""
+    return float(_hop_distances(A).max(initial=0.0))
 
 
 def truncate(H: ControlledOperator, R: float) -> ControlledOperator:
@@ -414,36 +412,26 @@ def _boundary_weights(H: ControlledOperator, margin: float) -> np.ndarray:
     return (np.abs(v[near]) ** 2).sum(axis=0)
 
 
-def certify_gap(H: ControlledOperator, fermi: float = 0.0,
-                boundary_margin: float | None = None,
-                spacing_factor: float = 2.0) -> GapCertificate:
+def certify_gap(H: ControlledOperator, fermi: float = 0.0) -> GapCertificate:
     """Full-diagonalization gap certificate at the Fermi level.
 
     Open-boundary samples host in-gap states pinned to the sample boundary;
     these would falsely close the bulk gap, so eigenvectors with > 50% weight
-    within the boundary margin (default: two hopping ranges) are excluded.
-    The verdict is gapless when the remaining gap does not clear
-    `spacing_factor` times the local level spacing - a windowed sample cannot
-    distinguish a smaller gap from a discretized continuum, whose levels sit
-    about half a spacing from the Fermi level.
+    within the boundary margin (two median hopping ranges, clamped to 5-25%
+    of the sample extent) are excluded.  The verdict is gapless when the
+    remaining gap does not clear twice the local level spacing - a windowed
+    sample cannot distinguish a smaller gap from a discretized continuum,
+    whose levels sit about half a spacing from the Fermi level.
     """
     if not H.hermitian:
         raise OperatorError("certify_gap expects a Hermitian operator")
     w, _ = H.eigh()
-    if boundary_margin is None:
-        norms = H.block_norms()
-        np.fill_diagonal(norms, 0.0)
-        mask = norms > ZERO_BLOCK_TOL
-        if mask.any():
-            dist = site_distances(H.module.pointset)
-            hop = float(np.median(dist[mask]))
-        else:
-            hop = 0.0
-        extent = float((H.module.pointset.window[:, 1]
-                        - H.module.pointset.window[:, 0]).min())
-        # wide enough to catch boundary modes with a several-site tail, but
-        # never eating into the bulk of a small sample
-        boundary_margin = min(max(2 * hop, 0.05 * extent), 0.25 * extent)
+    hops = _hop_distances(H)
+    hop = float(np.median(hops)) if hops.size else 0.0
+    extent = float((H.module.pointset.window[:, 1] - H.module.pointset.window[:, 0]).min())
+    # wide enough to catch boundary modes with a several-site tail, but
+    # never eating into the bulk of a small sample
+    boundary_margin = min(max(2 * hop, 0.05 * extent), 0.25 * extent)
     bulk = np.ones(len(w), dtype=bool)
     if boundary_margin > 0:
         bulk = _boundary_weights(H, boundary_margin) <= 0.5
@@ -462,7 +450,7 @@ def certify_gap(H: ControlledOperator, fermi: float = 0.0,
     diffs = np.diff(near)
     diffs = diffs[diffs > 1e-12]
     spacing = float(np.median(diffs)) if diffs.size else 0.0
-    gapped = eps > max(spacing_factor * spacing, 1e-8)
+    gapped = eps > max(2.0 * spacing, 1e-8)
     return GapCertificate(epsilon=float(eps), lower_spectrum_max=lo,
                           upper_spectrum_min=hi, fermi=fermi, gapped=gapped,
                           method=H.eigh_method, level_spacing=spacing)
@@ -486,20 +474,18 @@ def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     return ControlledOperator(H.module, s, diameter, hermitian=True)
 
 
-def decay_length(A: ControlledOperator, r_max: float | None = None) -> tuple[float, float]:
+def decay_length(A: ControlledOperator) -> tuple[float, float]:
     """Fit |block(x,y)| <= C exp(-d(x,y)/xi); returns (xi, C).
 
-    Block max-norms are binned by distance and the log of the bin maxima is
-    fitted linearly; a diagnostic for how well a flattened operator is
-    approximated by controlled ones.
+    Block max-norms are binned by distance up to half the largest one and
+    the log of the bin maxima is fitted linearly; a diagnostic for how well
+    a flattened operator is approximated by controlled ones.
     """
     dist = site_distances(A.module.pointset)
     norms = A.block_norms()
     mask = ~np.eye(A.module.n_sites, dtype=bool)
     d, n = dist[mask], norms[mask]
-    if r_max is None:
-        r_max = 0.5 * d.max()
-    bins = np.arange(1.0, r_max, 1.0)
+    bins = np.arange(1.0, 0.5 * d.max(), 1.0)
     xs, ys = [], []
     for lo, hi in zip(bins[:-1], bins[1:]):
         sel = (d >= lo) & (d < hi)
@@ -515,12 +501,10 @@ def decay_length(A: ControlledOperator, r_max: float | None = None) -> tuple[flo
 
 def derivation(A: ControlledOperator, axis: int) -> ControlledOperator:
     """Position-commutator derivation i[x_axis, A], exact and entrywise."""
-    if axis >= A.module.pointset.dim:
-        raise OperatorError(f"axis {axis} out of range for d={A.module.pointset.dim}")
-    x = A.module.position(axis)
-    M = 1j * (x[:, None] - x[None, :]) * A.matrix
-    return ControlledOperator(A.module, M, A.declared_propagation,
-                              hermitian=A.hermitian)
+    d = A.module.pointset.dim
+    if axis >= d:
+        raise OperatorError(f"axis {axis} out of range for d={d}")
+    return derivation_along(A, np.eye(d)[axis])
 
 
 def derivation_along(A: ControlledOperator, direction) -> ControlledOperator:

@@ -28,6 +28,8 @@ from .operators import ControlledOperator, onsite
 
 CARTAN_LABELS = ("A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI")
 COMPLEX_LABELS = ("A", "AIII")
+# a sample certified in a symmetry class satisfies its relations to this
+SYM_TOL = 1e-8
 
 # degree j(L): the real (or complex) K-theory degree attached to each label
 LABEL_DEGREE = {

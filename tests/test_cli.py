@@ -70,8 +70,7 @@ class TestBuildIndex:
              "--out", str(model)], capsys)
         rep = tmp_path / "rep.json"
         csvp = tmp_path / "rep.csv"
-        code, _, _ = run(["index", "--model-file", str(model), "--formula",
-                          "chern_odd", "--windows", "30,40,50",
+        code, _, _ = run(["index", "--model-file", str(model), "--windows", "30,40,50",
                           "--out", str(rep), "--csv", str(csvp)], capsys)
         assert code == 0
         doc = json.loads(rep.read_text())
@@ -82,8 +81,8 @@ class TestBuildIndex:
         model = tmp_path / "ssh.json"
         run(["build", "--model", "ssh", "--t1", "1.0", "--t2", "1.0", "--n", "120",
              "--out", str(model)], capsys)
-        code, _, err = run(["index", "--model-file", str(model), "--formula",
-                            "chern_odd", "--windows", "30,40"], capsys)
+        code, _, err = run(["index", "--model-file", str(model), "--windows", "30,40"],
+                           capsys)
         assert code == 1 and "gap" in err
 
     def test_deterministic_modulo_timestamp(self, tmp_path, capsys):
@@ -92,12 +91,44 @@ class TestBuildIndex:
         docs = []
         for name in ("a.json", "b.json"):
             rep = tmp_path / name
-            run(["index", "--model-file", str(model), "--formula", "chern_odd",
-                 "--windows", "10,20", "--out", str(rep)], capsys)
+            run(["index", "--model-file", str(model), "--windows", "10,20",
+                 "--out", str(rep)], capsys)
             doc = json.loads(rep.read_text())
             doc.pop("generated_at")
             docs.append(doc)
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("model, build, cut, windows, formula", [
+        ("kane_mele", ["--lso", "0.06", "--lv", "0.1", "--size", "10"],
+         ["--normal", "1,0", "--offset", "4.6", "--edge-windows", "2,3,4"],
+         "1.8,2.4,3", "kane_mele_spin_chern"),
+        ("kitaev", ["--mu", "1", "--n", "120"], ["--normal", "1", "--offset", "59.6"],
+         "30,40,50", "winding_mod2"),
+    ], ids=["kane_mele", "kitaev"])
+    def test_index_follows_the_route(self, tmp_path, capsys, model, build, cut,
+                                     windows, formula):
+        """index reports verify-bec's bulk side: the class-AII spin-resolved
+        Z2 and the class-D winding mod 2."""
+        path = tmp_path / "m.json"
+        run(["build", "--model", model, *build, "--out", str(path)], capsys)
+        index, bec = tmp_path / "index.json", tmp_path / "bec.json"
+        code, _, _ = run(["index", "--model-file", str(path), "--windows", windows,
+                          "--out", str(index)], capsys)
+        assert code == 0
+        run(["verify-bec", "--model-file", str(path), *cut, "--windows", windows,
+             "--out", str(bec)], capsys)
+        got, want = json.loads(index.read_text()), json.loads(bec.read_text())["bulk"]
+        assert got["raw"] == want["raw"]
+        assert got["snapped"] == want["snapped"] == "Z2:1"
+        assert got["group"] == want["group"] == "Z2"
+        assert got["formula"] == want["formula"] == formula
+
+    def test_index_formula_other_than_trace_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--n", "60", "--out", str(model)], capsys)
+        code, _, _ = run(["index", "--model-file", str(model), "--formula", "chern_odd"],
+                         capsys)
+        assert code == 2
 
 
 class TestEdgeAndBEC:
@@ -241,7 +272,7 @@ class TestSweep:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": "ssh", "params": {"t1": 0.5, "t2": 1.0}, "size": 100,
-            "disorder": 0.2, "formula": "chern_odd", "windows": [25, 35, 45],
+            "disorder": 0.2, "windows": [25, 35, 45],
             "seeds": list(range(5))}))
         out = tmp_path / "sweep.csv"
         code, _, _ = run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
@@ -254,13 +285,21 @@ class TestSweep:
     def test_empty_sweep_header_only(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "ssh", "seeds": [],
-                                   "windows": [10, 20], "formula": "chern_odd",
-                                   "size": 40}))
+                                   "windows": [10, 20], "size": 40}))
         out = tmp_path / "sweep.csv"
         code, _, _ = run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("model,")
+
+    def test_pairing_formula_is_a_config_error(self, tmp_path, capsys):
+        """The route picks the pairing; a sweep config may only ask for the trace."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ssh", "size": 60, "formula": "chern_odd",
+                                   "windows": [15, 25], "seeds": [0]}))
+        code, _, err = run(["sweep", "--config", str(cfg), "--out",
+                            str(tmp_path / "o.csv")], capsys)
+        assert code == 2 and "config error" in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -274,7 +313,7 @@ class TestSweep:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "model": "ssh", "params": {"t1": 0.5, "t2": 1.0}, "size": 60,
-            "formula": "chern_odd", "windows": [15, 25], "seeds": [0, 1]}))
+            "windows": [15, 25], "seeds": [0, 1]}))
         out = tmp_path / "s.csv"
         assert run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
         assert len(out.read_text().strip().splitlines()) == 3

@@ -1,0 +1,49 @@
+"""The traced benchmark still sees every layer it times.
+
+`perfbench/tracer.py` wraps each function in its `LAYER_FUNCTIONS` wherever
+the roelab modules bind it.  A change that renames a layer function, or makes
+the pipeline reach a pairing other than through the module globals the tracer
+patches, would leave that layer untimed; this guard catches it in the tier-1
+suite instead of only in a traced benchmark run.  The tracer file is loaded
+by path and only read.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import roelab as rl
+import roelab.cli  # noqa: F401  the tracer patches loaded modules only, as in the benchmark
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod          # dataclasses resolve their module
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod
+
+
+def test_every_layer_binds_and_the_chain_route_is_traced(chain200):
+    tracer = _load_tracer()
+    _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+    part = rl.partition_halfspace(chain200, [1.0], 99.6)
+    with tracer.Tracer() as tr:
+        for name in tracer.LAYER_FUNCTIONS:
+            mod_name, fn_name = name.split(".")
+            mod = importlib.import_module(f"roelab.{mod_name}")
+            fn = (mod.ControlledOperator.__dict__["eigh"] if name == tracer.EIGH
+                  else getattr(mod, fn_name))
+            assert hasattr(fn, "__wrapped__"), f"{name} is not wrapped"
+        bulk = rl.make_bulk(H.module, H, spec)
+        rep = rl.verify_bec(bulk, part, {"windows": (40, 60, 80)})
+    assert rep.passed
+    names = {sp.name for sp in tr.spans}
+    for name in ("bulkedge.make_bulk", "indices.chern_odd", "indices.edge_fredholm"):
+        assert name in names, f"no span for {name}"
