@@ -26,8 +26,9 @@ import numpy as np
 from .geometry import Partition
 from .indices import (IndexReport, _report, chern_even, chern_odd, edge_conductance,
                       edge_fredholm, edge_trace, occupied_projection, spin_up_sector)
-from .operators import (ControlledOperator, GapCertificate, SiteModule,
-                        certify_gap, compress, derivation_along, flatten, truncate)
+from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
+                        compress, derivation_along, flatten, involution_defect,
+                        spectral_function, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
@@ -130,12 +131,11 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
     and for a plane system its winding per unit interface length is the edge
     pairing of the boundary class.  s must be flat (s^2 = 1) to 1e-8.
     """
-    M = s.matrix
-    if np.abs(M @ M - np.eye(len(M))).max() > 1e-8 or not s.hermitian:
+    if involution_defect(s.matrix) > 1e-8 or not s.hermitian:
         raise BulkEdgeError("boundary map expects a self-adjoint unitary (flattened) input")
     s_hat = compress(s, part)
-    w, v = s_hat.eigh()
-    U = ControlledOperator(s_hat.module, -(v * np.exp(1j * np.pi * w)) @ v.conj().T,
+    U = ControlledOperator(s_hat.module,
+                           spectral_function(s_hat, lambda w: -np.exp(1j * np.pi * w)),
                            s_hat.declared_propagation, hermitian=False)
     ps = s_hat.module.pointset
     proj = ps.coords @ part.normal - part.offset
@@ -158,8 +158,7 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
     winding = None
     if ps.dim == 2 and edge_windows is not None:
         DU = derivation_along(U, part.edge_direction()).matrix
-        A = U.matrix.conj().T @ DU
-        traces = np.diag(A).reshape(-1, U.m).sum(axis=1)
+        traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
         vals = edge_trace(U, part, traces, edge_windows)
         winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
                           kgroup_point("A", 2), 0.1, windows=edge_windows)

@@ -154,6 +154,13 @@ def _bulk_report(H, spec, formula, windows, fermi=0.0):
     return bulk_index(bulk, BECConfig(windows=tuple(windows))).to_json()
 
 
+def _csv_values(doc: dict) -> dict:
+    """raw, snapped and error of a `_bulk_report` for a CSV row.  A windowed
+    trace is not snapped; its raw is the real part of its extrapolated value."""
+    raw = doc["extrapolated"][0] if "extrapolated" in doc else doc["raw"]
+    return {"raw": raw, "snapped": doc.get("snapped"), "error": doc["error"]}
+
+
 def cmd_index(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
     doc = _bulk_report(H, spec, args.formula, _float_list(args.windows),
@@ -166,8 +173,8 @@ def cmd_index(args, extra) -> int:
             w = csv.writer(fh)
             if new:
                 w.writerow(["model", "formula", "raw", "snapped", "error"])
-            w.writerow([meta.get("name", "?"), doc.get("formula"),
-                        doc.get("raw"), doc.get("snapped"), doc.get("error")])
+            w.writerow([meta.get("name", "?"), doc["formula"],
+                        *_csv_values(doc).values()])
     return 0
 
 
@@ -220,8 +227,7 @@ def _sweep_point(cfg: dict, seed, value):
     fermi = float(cfg.get("fermi", 0.0))
     doc = _bulk_report(H, spec, cfg.get("formula"), cfg.get("windows", [6, 8, 10]),
                        fermi=fermi)
-    row.update({"raw": doc.get("raw"), "snapped": doc.get("snapped"),
-                "error": doc.get("error")})
+    row.update(_csv_values(doc))
     return row
 
 

@@ -78,6 +78,11 @@ class PointSet:
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
 
+    @property
+    def diameter(self) -> float:
+        """Length of the window's diagonal, a bound on any distance in the sample."""
+        return float(np.linalg.norm(self.window[:, 1] - self.window[:, 0]))
+
     def boundary_distance(self, points=None) -> np.ndarray:
         """Distance of each point (default: the sample's own) to the window boundary."""
         x = self.coords if points is None else points

@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
                         certify_gap, compress, derivation, derivation_along,
-                        flatten, onsite, restrict_orbitals)
+                        involution_defect, onsite, restrict_orbitals, spectral_function)
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
 
@@ -164,13 +164,21 @@ def trace_per_unit_volume(A: ControlledOperator, windows,
                          extrapolated=vals[-1], error=float(err))
 
 
-def _volume_trace(traces: np.ndarray, ps, windows) -> tuple:
-    """Per-unit-volume windowed sums of per-site trace values.
+def _window_rows(ps, windows, k: int) -> np.ndarray:
+    """The k rows per site of the largest (last) window's sites, site-major."""
+    sites = np.flatnonzero(window_mask(ps, windows[-1]))
+    return (sites[:, None] * k + np.arange(k)).ravel()
+
+
+def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
+    """Per-unit-volume windowed sums of a pairing's diagonal on `_window_rows`.
 
     Uses the point set's analytic density when available (count / volume
     fluctuates by a boundary term on non-unit lattices), else the empirical
     count over the box volume.
     """
+    traces = np.zeros(ps.n, dtype=complex)
+    traces[window_mask(ps, windows[-1])] = diag.reshape(-1, k).sum(axis=1)
     inside = _window_values(traces, ps, windows)
     if ps.density is not None:
         return tuple(complex(t.mean()) * ps.density for t in inside)
@@ -184,31 +192,44 @@ def _volume_trace(traces: np.ndarray, ps, windows) -> tuple:
 def chern_even(P: ControlledOperator, windows, snap_tol: float = 0.1) -> IndexReport:
     """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of a projection.
 
-    P must be a projection to 1e-8.  The raw value is the real part at the
-    largest window; the imaginary part must vanish to 1e-8 (diagnostic that
-    P is a genuine projection far from the boundary).
+    P must be a projection to 1e-8 (P^2 = P = P* on the whole matrix).  Only
+    the diagonal the trace reads is formed: that of P [D_1, D_2], D_j = grad_j
+    P, on the orbitals W of the largest window, from the products P[W] D_1
+    and P[W] D_2.  The raw value is the real part at the largest window; the
+    imaginary part must vanish to 1e-8 (diagnostic that P is a genuine
+    projection far from the boundary).
     """
     ps = P.module.pointset
     if ps.dim != 2:
         raise PairingError("chern_even is the d = 2 pairing")
     M = P.matrix
-    if np.abs(M @ M - M).max() > 1e-8 or np.abs(M - M.conj().T).max() > 1e-8:
+    R = M @ M
+    R -= M                                   # P^2 - P, then P* - P, in one buffer
+    defect = np.abs(R).max()
+    np.conjugate(M.T, out=R)
+    R -= M
+    if max(defect, np.abs(R).max()) > 1e-8:
         raise PairingError("input is not a projection (P^2 = P = P* fails)")
+    del R
     D1 = derivation(P, 0).matrix
     D2 = derivation(P, 1).matrix
-    A = M @ (D1 @ D2 - D2 @ D1)
-    traces = np.diag(A).reshape(-1, P.m).sum(axis=1)
     windows = tuple(sorted(float(n) for n in windows))
-    vals = tuple(2j * np.pi * v for v in _volume_trace(traces, ps, windows))
+    W = _window_rows(ps, windows, P.m)
+    PW = M[W]
+    diag = (np.einsum("ij,ji->i", PW @ D1, D2[:, W])
+            - np.einsum("ij,ji->i", PW @ D2, D1[:, W]))
+    vals = tuple(2j * np.pi * v for v in _volume_trace(diag, ps, windows, P.m))
     return _report(vals, "chern_even", kgroup_point("A", 2), snap_tol,
                    windows=windows, imag_tol=1e-8)
 
 
 def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
-    """Spectral projection below the certified gap: (1 - sgn(H - fermi)) / 2."""
-    s = flatten(H, cert)
-    M = 0.5 * (np.eye(s.module.dim) - s.matrix)
-    return ControlledOperator(s.module, M, s.declared_propagation, hermitian=True)
+    """Spectral projection below the certified gap, (1 - sgn(H - fermi)) / 2,
+    formed as V_occ V_occ^* from the occupied eigenvectors alone."""
+    if not cert.gapped:
+        raise OperatorError("occupied projection requires a certified gap")
+    M = spectral_function(H, lambda w: 0.5 * (1 - np.sign(w - cert.fermi)))
+    return ControlledOperator(H.module, M, H.module.pointset.diameter, hermitian=True)
 
 
 def _chiral_split(spec: SymmetrySpec, m: int):
@@ -237,7 +258,7 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
     (orders of magnitude larger) is caught.  s^2 = 1 must hold to 1e-6.
     """
     M = s.matrix
-    if np.abs(M @ M - np.eye(len(M))).max() > 1e-6:
+    if involution_defect(M) > 1e-6:
         raise PairingError("operator is not flattened (s^2 != 1)")
     ps = s.module.pointset
     if spec.P_unitary is None:
@@ -261,29 +282,32 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows,
 
     d = 1: i T(U* grad_1 U); d = 3: the full six-term alternating sum with
     prefactor i (i pi)^((d-1)/2) / d!!, where U is the chiral off-diagonal
-    block of the flattened operator.  The imaginary part must vanish to 1e-6.
+    block of the flattened operator.  Only the diagonal the trace reads is
+    formed: entrywise for d = 1, and for d = 3 on the rows W of the largest
+    window, from the products F_a[W] F_b of F_j = U* grad_j U.  The imaginary
+    part must vanish to 1e-6.
     """
     ps = s.module.pointset
     d = ps.dim
     if d not in (1, 3):
         raise PairingError("odd pairing implemented for d = 1 and d = 3")
     U, ip, im = chiral_unitary(s, spec)
-    n = s.module.n_sites
-    half = len(ip) // n
+    half = len(ip) // s.module.n_sites
     xs = [s.module.position_along(e) for e in np.eye(d)]
     grads = [1j * (xs[j][im][:, None] - xs[j][ip][None, :]) * U for j in range(d)]
-    Uc = U.conj().T
+    windows = tuple(sorted(float(w) for w in windows))
+    W = _window_rows(ps, windows, half)
     if d == 1:
-        A = Uc @ grads[0]
+        diag = np.einsum("ji,ji->i", U.conj(), grads[0])[W]
         const = 1j
     else:
+        Uc = U.conj().T
         F = [Uc @ g for g in grads]
-        A = (F[0] @ F[1] @ F[2] + F[1] @ F[2] @ F[0] + F[2] @ F[0] @ F[1]
-             - F[0] @ F[2] @ F[1] - F[2] @ F[1] @ F[0] - F[1] @ F[0] @ F[2])
+        diag = sum(sign * np.einsum("ij,ji->i", F[a][W] @ F[b], F[c][:, W])
+                   for a, b, c, sign in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                                         (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)))
         const = 1j * (1j * np.pi) / 3.0      # i (i pi)^1 / 3!!
-    traces = np.diag(A).reshape(n, half).sum(axis=1)
-    windows = tuple(sorted(float(w) for w in windows))
-    vals = tuple(const * v for v in _volume_trace(traces, ps, windows))
+    vals = tuple(const * v for v in _volume_trace(diag, ps, windows, half))
     return _report(vals, f"chern_odd_d{d}", kgroup_point("AIII", d), snap_tol,
                    windows=windows, imag_tol=1e-6)
 
@@ -399,7 +423,8 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     is discrete, so a sharp interval boundary miscounts by up to one level;
     the estimate is therefore averaged over `width_family` sub-intervals
     shrinking from Delta to 0.7 Delta, which cancels the level-quantization
-    sawtooth while staying inside the declared interval.
+    sawtooth while staying inside the declared interval.  Only the states
+    inside Delta, the only ones counted, carry their current.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -413,13 +438,15 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
     w, v = H_hat.eigh()
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    inside = (w > centre - half) & (w < centre + half)
+    w, v = w[inside], v[:, inside]
     # edge_direction overrides the orientation: measure along a held-fixed
     # direction instead of the one the cut normal induces
     _, _, e = _interface_frame(H_hat, part, edge_direction)
     # per-state current within the strip, resolved per site then per window
     DHv = derivation_along(H_hat, e).matrix @ v
     site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
     halves = np.linspace(0.7 * half, half, max(width_family, 1))
     windows = tuple(float(n) for n in edge_windows)
     per_window = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import replace
@@ -300,6 +301,26 @@ class TestSweep:
         code, _, err = run(["sweep", "--config", str(cfg), "--out",
                             str(tmp_path / "o.csv")], capsys)
         assert code == 2 and "config error" in err
+
+    def test_trace_rows_carry_the_windowed_trace(self, tmp_path, capsys):
+        """A "trace" row's raw is `index --formula trace`'s extrapolated real
+        part on the same model; a trace is not snapped."""
+        model = tmp_path / "qwz.json"
+        run(["build", "--model", "qwz", "--size", "8", "--disorder", "0.5",
+             "--out", str(model)], capsys)
+        index = tmp_path / "index.json"
+        assert run(["index", "--model-file", str(model), "--formula", "trace",
+                    "--windows", "1,2", "--out", str(index)], capsys)[0] == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "qwz", "size": 8, "disorder": 0.5,
+                                   "windows": [1, 2], "seeds": [0], "formula": "trace"}))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        want = json.loads(index.read_text())["extrapolated"][0]
+        assert want != 0.0 and float(row["raw"]) == want
+        assert row["snapped"] == ""
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

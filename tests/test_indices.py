@@ -3,8 +3,8 @@ import pytest
 
 import roelab as rl
 from roelab import bloch
-from roelab.indices import (PairingError, edge_trace, snap_integer, snap_z2,
-                            spin_sectors)
+from roelab.indices import (PairingError, chiral_unitary, edge_trace, snap_integer,
+                            snap_z2, spin_sectors, window_mask)
 from roelab.models import AUX_CHIRAL
 from roelab.operators import SiteModule
 from roelab.symmetry import SymmetrySpec
@@ -334,7 +334,6 @@ class TestSiteWiseChiralMatchesKron:
 
     @pytest.mark.parametrize("name", ["ssh", "kitaev"])
     def test_chiral_block(self, chain200, name):
-        from roelab.indices import chiral_unitary
         H, spec = _chiral_chain(name, chain200)
         s = rl.flatten(H, rl.certify_gap(H))
         U, ip, im = chiral_unitary(s, spec)
@@ -401,3 +400,129 @@ class TestStability:
             assert cR.gapped
             got = rl.chern_even(rl.occupied_projection(HR, cR), [4, 5, 6]).snapped
             assert got == base
+
+
+# ---------------------------------------------------------------------------
+# window-diagonal pairings against their literal full-product formulas
+# ---------------------------------------------------------------------------
+
+def _literal_volume_trace(traces, ps, windows):
+    """Per-unit-volume sums of per-site traces over every window."""
+    out = []
+    for r in sorted(windows):
+        inside = traces[window_mask(ps, r)]
+        out.append(inside.mean() * ps.density if ps.density is not None
+                   else inside.sum() / (2.0 * r) ** ps.dim)
+    return out
+
+
+def _chern_even_full(P, windows):
+    """2 pi i T(P [D_1, D_2]) from the three full n x n products."""
+    M = P.matrix
+    D1, D2 = rl.derivation(P, 0).matrix, rl.derivation(P, 1).matrix
+    traces = np.diag(M @ (D1 @ D2 - D2 @ D1)).reshape(-1, P.m).sum(axis=1)
+    return [2j * np.pi * v for v in _literal_volume_trace(traces, P.module.pointset, windows)]
+
+
+def _chern_odd_full(s, spec, windows):
+    """The winding pairing from full products of U* grad_j U (12 for d = 3)."""
+    U, ip, im = chiral_unitary(s, spec)
+    ps = s.module.pointset
+    xs = [s.module.position_along(e) for e in np.eye(ps.dim)]
+    F = [U.conj().T @ (1j * (x[im][:, None] - x[ip][None, :]) * U) for x in xs]
+    if ps.dim == 1:
+        A, const = F[0], 1j
+    else:
+        A = (F[0] @ F[1] @ F[2] + F[1] @ F[2] @ F[0] + F[2] @ F[0] @ F[1]
+             - F[0] @ F[2] @ F[1] - F[2] @ F[1] @ F[0] - F[1] @ F[0] @ F[2])
+        const = 1j * (1j * np.pi) / 3.0
+    traces = np.diag(A).reshape(ps.n, -1).sum(axis=1)
+    return [const * v for v in _literal_volume_trace(traces, ps, windows)]
+
+
+def _edge_conductance_full(H_hat, part, interval, windows, width_family=8):
+    """The edge pairing with the current formed for every eigenstate."""
+    w, v = H_hat.eigh()
+    DHv = rl.derivation_along(H_hat, part.edge_direction()).matrix @ v
+    site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
+    centre, half = 0.5 * (interval[0] + interval[1]), 0.5 * (interval[1] - interval[0])
+    out = []
+    for vals in edge_trace(H_hat, part, site_state, windows):
+        out.append(np.mean([-2 * np.pi * vals[(w > centre - h) & (w < centre + h)].sum()
+                            / (2 * h) for h in np.linspace(0.7 * half, half, width_family)]))
+    return out
+
+
+def _plane_projection(name, params, disorder):
+    ps = rl.default_pointset(name, 12.0, params)
+    _, H, _ = rl.build_model(name, params, ps, disorder=disorder, seed=1)
+    return rl.occupied_projection(H, rl.certify_gap(H))
+
+
+class TestWindowDiagonalMatchesFullProducts:
+    @pytest.mark.parametrize("disorder", [0.0, 0.3], ids=["clean", "disorder"])
+    @pytest.mark.parametrize("name, params", [("qwz", {"m": 1.0}), ("haldane", {}),
+                                              ("harper", {"fermi": -1.5})],
+                             ids=["qwz", "haldane", "harper"])
+    def test_chern_even(self, name, params, disorder):
+        P = _plane_projection(name, params, disorder)
+        rep = rl.chern_even(P, [2, 3, 4])
+        want = _chern_even_full(P, [2, 3, 4])
+        assert abs(round(rep.raw)) == 1
+        assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["ssh", "kitaev"])
+    def test_chern_odd_d1(self, name):
+        chain = rl.generate({"kind": "chain", "window": [[0, 120]]})
+        H, spec = _chiral_chain(name, chain)
+        s = rl.flatten(H, rl.certify_gap(H))
+        rep = rl.chern_odd(s, spec, [20, 30, 40])
+        want = _chern_odd_full(s, spec, [20, 30, 40])
+        assert abs(rep.snapped) == 1
+        assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
+
+    def test_chern_odd_d3(self):
+        ps = rl.generate({"kind": "cubic", "window": [[0, 4], [0, 4], [0, 4]]})
+        _, H, _ = rl.build_model("layered3d", {"m": 2.0}, ps)
+        spec = SymmetrySpec(has_P=True, P_unitary=AUX_CHIRAL["layered3d"])
+        s = rl.flatten(H, rl.certify_gap(H))
+        rep = rl.chern_odd(s, spec, [1.0, 1.5])
+        want = _chern_odd_full(s, spec, [1.0, 1.5])
+        assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
+
+    @pytest.mark.parametrize("fraction", [1 / 3, 1 / 5], ids=["third", "fifth"])
+    def test_edge_conductance(self, fraction):
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
+        bulk = rl.make_bulk(mod, H, spec)
+        part = rl.partition_halfspace(ps, [1.0, 0.0], 5.6)
+        H_hat = rl.make_edge(bulk, part).H_hat
+        interval = (-fraction * bulk.gap.epsilon, fraction * bulk.gap.epsilon)
+        rep = rl.edge_conductance(H_hat, part, interval, (2, 3, 4), bulk_gap=bulk.gap)
+        want = _edge_conductance_full(H_hat, part, interval, (2, 3, 4))
+        assert abs(rep.raw) > 0.5
+        assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
+
+
+class TestProjectionCheck:
+    """chern_even's P^2 = P = P* check keeps rejecting near-projections."""
+
+    @pytest.mark.parametrize("kind", ["half", "hermitian", "non_hermitian", "oblique"])
+    def test_rejected(self, kind):
+        P = _plane_projection("qwz", {"m": 1.0}, 0.0)
+        M, n = P.matrix, P.module.dim
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "half":
+            bad = 0.5 * M
+        elif kind == "hermitian":
+            bad = M + 1e-6 * (A + A.conj().T) / 2
+        elif kind == "non_hermitian":
+            bad = M + 1e-6 * A
+        else:      # idempotent to roundoff, but not self-adjoint
+            S = np.eye(n) + 1e-3 * A
+            bad = S @ M @ np.linalg.inv(S)
+            assert np.abs(bad @ bad - bad).max() < 1e-10
+        op = rl.ControlledOperator(P.module, bad, P.declared_propagation, hermitian=False)
+        with pytest.raises(PairingError, match="not a projection"):
+            rl.chern_even(op, [2, 3, 4])

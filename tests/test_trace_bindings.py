@@ -47,3 +47,17 @@ def test_every_layer_binds_and_the_chain_route_is_traced(chain200):
     names = {sp.name for sp in tr.spans}
     for name in ("bulkedge.make_bulk", "indices.chern_odd", "indices.edge_fredholm"):
         assert name in names, f"no span for {name}"
+
+
+def test_the_plane_route_is_traced():
+    tracer = _load_tracer()
+    ps = rl.generate({"kind": "square", "window": [[0, 10], [0, 10]]})
+    _, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
+    part = rl.partition_halfspace(ps, [1.0, 0.0], 4.6)
+    with tracer.Tracer() as tr:
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part)
+    assert rep.bulk.snapped == rep.edge.snapped == -1
+    names = {sp.name for sp in tr.spans}
+    for name in ("indices.occupied_projection", "indices.chern_even",
+                 "indices.edge_conductance", "bulkedge.make_edge"):
+        assert name in names, f"no span for {name}"
