@@ -20,8 +20,8 @@ from .symmetry import (CARTAN_LABELS, CharacterTable, KGroupDescriptor,
                        kgroup_rotation, verify_symmetry)
 from .models import AUX_CHIRAL, MODELS, build_model, default_pointset, stencil
 from .indices import (IndexReport, TraceEstimate, chern_even, chern_odd,
-                      edge_conductance, edge_fredholm, kane_mele,
-                      occupied_projection, trace_per_unit_volume)
+                      edge_conductance, edge_fredholm, occupied_projection,
+                      trace_per_unit_volume)
 from .bulkedge import (BECConfig, BECReport, BulkSystem, EdgeSystem, bulk_index,
                        edge_index, make_bulk, make_edge, mv_boundary, verify_bec)
 

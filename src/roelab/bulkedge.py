@@ -24,16 +24,16 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition
-from .indices import (IndexReport, _report, chern_even, chern_odd, edge_conductance,
-                      edge_fredholm, edge_trace, occupied_projection, spin_up_sector)
+from .indices import (IndexReport, PairingError, _report, check_windows,
+                      chern_even, chern_odd, edge_conductance, edge_fredholm,
+                      edge_trace, occupied_projection, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        compress, derivation_along, flatten, involution_defect,
-                        spectral_function, truncate)
+                        compress, decay_fit, derivation_along, flatten,
+                        involution_defect, spectral_function, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
 
-SNAP_TOL = 0.1              # integer snap of both sides (mod-2 routes snap at 0.25)
 DELTA_FRACTION = 1 / 3      # edge interval Delta: this fraction of the bulk gap
 PLATEAU_FRACTION = 1 / 5    # second interval width for the plateau check
 PLATEAU_TOL = 0.05          # largest edge change between the two widths
@@ -45,7 +45,8 @@ class BulkEdgeError(ValueError):
 
 @dataclass(frozen=True)
 class BulkSystem:
-    """Gapped, symmetry-verified Hamiltonian on a windowed point set."""
+    """Gapped, symmetry-verified Hamiltonian on a windowed point set;
+    `make_bulk` is the constructor that verifies, and the routes trust it."""
 
     module: SiteModule
     H: ControlledOperator
@@ -94,10 +95,9 @@ def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
     sel = np.abs(w - fermi) < 0.9 * eps
     if sel.any():
         ps = H_hat.module.pointset
-        proj = ps.coords @ part.normal - part.offset
         extent = float((ps.window[:, 1] - ps.window[:, 0]).min())
         margin = max(2 * bulk.H.declared_propagation, 0.1 * extent)
-        near_edgeish = (proj < 0.5 * proj.max()) | (ps.boundary_distance() < margin)
+        near_edgeish = (part.past_strip(ps.coords) < 0) | (ps.boundary_distance() < margin)
         weight = (np.abs(v[np.repeat(near_edgeish, H_hat.m)][:, sel]) ** 2).sum(axis=0)
         if weight.min() < 0.7:
             raise BulkEdgeError(
@@ -138,32 +138,24 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
                            spectral_function(s_hat, lambda w: -np.exp(1j * np.pi * w)),
                            s_hat.declared_propagation, hermitian=False)
     ps = s_hat.module.pointset
-    proj = ps.coords @ part.normal - part.offset
+    proj = part.distance(ps.coords)
     dev_blocks = np.abs(U.matrix - np.eye(U.module.dim)).reshape(
         ps.n, U.m, ps.n, U.m).max(axis=(1, 3))
     site_dev = dev_blocks.max(axis=1)
-    far = (proj > 0.5 * proj.max()) & (ps.boundary_distance() > 0.2 * proj.max())
+    far = (part.past_strip(ps.coords) > 0) & (ps.boundary_distance() > 0.2 * proj.max())
     off_dev = float(site_dev[far].max()) if far.any() else 0.0
     # exponential-decay fit of the deviation profile against interface distance
-    xi = np.inf
-    rs, ys = [], []
-    for lo in np.arange(0.0, proj.max() * 0.7, 1.0):
-        sel = (proj >= lo) & (proj < lo + 1.0)
-        if sel.any() and site_dev[sel].max() > 1e-15:
-            rs.append(lo + 0.5)
-            ys.append(np.log(site_dev[sel].max()))
-    if len(rs) >= 3:
-        slope = np.polyfit(rs, ys, 1)[0]
-        xi = float(-1.0 / slope) if slope < 0 else np.inf
+    fit = decay_fit(proj, site_dev, np.arange(0.0, proj.max() * 0.7, 1.0), 3)
     winding = None
     if ps.dim == 2 and edge_windows is not None:
         DU = derivation_along(U, part.edge_direction()).matrix
         traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
         vals = edge_trace(U, part, traces, edge_windows)
         winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
-                          kgroup_point("A", 2), 0.1, windows=edge_windows)
+                          kgroup_point("A", 2), windows=edge_windows)
     return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
-                       off_interface_deviation=off_dev, decay_xi=xi)
+                       off_interface_deviation=off_dev,
+                       decay_xi=fit[0] if fit else np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +252,25 @@ class Route:
 
 
 def _spin_up(bulk: BulkSystem) -> BulkSystem:
-    """Spin-up sector with its own certified gap, shared by both sides."""
-    H_up, cert = spin_up_sector(bulk.H, bulk.spec, fermi=bulk.gap.fermi)
+    """Spin-up sector with its own certified gap, shared by both sides; T
+    was verified by `make_bulk`, and spin z must be conserved to 1e-10."""
+    H_up, _, mixing = spin_sectors(bulk.H)
+    if mixing > 1e-10:
+        raise PairingError(
+            f"spin-z mixing {mixing:.2e} exceeds 1e-10: the spin-resolved "
+            "route needs spin conservation, and no spin-mixing formula is provided")
+    cert = certify_gap(H_up, fermi=bulk.gap.fermi)
+    if not cert.gapped:
+        raise PairingError("spin-up sector is not gapped at the Fermi level")
     return BulkSystem(H_up.module, H_up, SymmetrySpec(), cert)
 
 
 def _chern(work: BulkSystem, spec, windows) -> IndexReport:
-    return chern_even(occupied_projection(work.H, work.gap), windows, snap_tol=np.inf)
+    return chern_even(occupied_projection(work.H, work.gap), windows)
 
 
 def _winding(work: BulkSystem, spec, windows) -> IndexReport:
-    return chern_odd(flatten(work.H, work.gap), spec, windows, snap_tol=np.inf)
+    return chern_odd(flatten(work.H, work.gap), spec, windows)
 
 
 def _conductance(work: BulkSystem, spec, part, cfg):
@@ -279,7 +279,7 @@ def _conductance(work: BulkSystem, spec, part, cfg):
     windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
     fermi, eps = work.gap.fermi, work.gap.epsilon
     first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
-                                      windows, bulk_gap=work.gap, snap_tol=np.inf)
+                                      windows, bulk_gap=work.gap)
                      for f in (DELTA_FRACTION, PLATEAU_FRACTION))
     return first, float(abs(first.raw - second.raw))
 
@@ -321,12 +321,13 @@ class _OnRoute:
 
     def _snap(self, rep: IndexReport, formula: str) -> IndexReport:
         # a windowless pairing (the kernel count) reports no per-window values
-        return _report(rep.values or (rep.raw,), formula, self.group,
-                       0.25 if self.route.z2 else SNAP_TOL, z2=self.route.z2,
+        return _report(rep.values or (rep.raw,), formula, self.group, z2=self.route.z2,
                        windows=rep.windows, error=rep.error)
 
     def bulk_report(self, cfg: BECConfig) -> IndexReport:
-        windows = cfg.windows or _default_windows(self.work.module.pointset, 2.0)
+        ps = self.work.module.pointset
+        windows = check_windows(ps, cfg.windows or _default_windows(ps, 2.0),
+                                self.work.H.declared_propagation)
         return self._snap(self.route.bulk(self.work, self.spec, windows),
                           self.route.formulas[0])
 

@@ -12,7 +12,7 @@ All generators are deterministic; anything random takes an explicit seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -71,9 +71,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
-
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
 
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
@@ -156,6 +153,16 @@ class Partition:
         n = self.normal / np.linalg.norm(self.normal)
         return np.array([-n[1], n[0]])
 
+    def distance(self, coords) -> np.ndarray:
+        """Signed distance <normal, x> - offset of each point from the cut plane."""
+        return coords @ self.normal - self.offset
+
+    def past_strip(self, coords) -> np.ndarray:
+        """Signed distance of plus points past the interface strip, whose far
+        edge lies at half the largest distance: negative inside the strip."""
+        proj = self.distance(coords)
+        return proj - 0.5 * proj.max()
+
 
 @dataclass(frozen=True)
 class GroupAction:
@@ -205,17 +212,10 @@ def _lattice_points(basis: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 def square_lattice(window, dim=2) -> PointSet:
-    """Unit square (d=2) or cubic (d=3) lattice filling the window."""
+    """Unit chain (d=1), square (d=2) or cubic (d=3) lattice filling the window."""
     w = _window_array(window, dim)
     pts = _lattice_points(np.eye(dim), w)
     return PointSet(dim, pts, w, density=1.0)
-
-
-def chain_lattice(window) -> PointSet:
-    """Unit 1d lattice."""
-    w = _window_array(window, 1)
-    pts = _lattice_points(np.eye(1), w)
-    return PointSet(1, pts, w, density=1.0)
 
 
 def triangular_lattice(window) -> PointSet:
@@ -233,7 +233,7 @@ def perturbed_lattice(window, jitter: float, seed: int, dim=2) -> PointSet:
     """
     if jitter >= 0.5:
         raise GeometryError("jitter >= half the minimum spacing breaks uniform discreteness")
-    base = square_lattice(window, dim=dim) if dim > 1 else chain_lattice(window)
+    base = square_lattice(window, dim=dim)
     rng = np.random.default_rng(seed)
     disp = rng.uniform(-1, 1, size=base.coords.shape)
     norms = np.linalg.norm(disp, axis=1, keepdims=True)
@@ -309,7 +309,7 @@ def ammann_beenker(window) -> PointSet:
 
 
 _GENERATORS = {
-    "chain": lambda spec: chain_lattice(spec["window"]),
+    "chain": lambda spec: square_lattice(spec["window"], dim=1),
     "square": lambda spec: square_lattice(spec["window"], dim=2),
     "cubic": lambda spec: square_lattice(spec["window"], dim=3),
     "honeycomb": lambda spec: triangular_lattice(spec["window"]),
@@ -401,14 +401,15 @@ def partition_halfspace(ps: PointSet, normal, offset: float,
         thickness = 4 * 0.5 * min_spacing(ps)   # 2 x packing diameter
     if thickness <= 0:
         raise GeometryError("interface thickness must be positive")
-    proj = ps.coords @ (normal / nn) - offset / nn
+    none = np.empty(0, dtype=int)
+    cut = Partition(none, none, none, normal / nn, offset / nn, float(thickness))
+    proj = cut.distance(ps.coords)
     plus = np.where(proj >= 0)[0]
     minus = np.where(proj < 0)[0]
     interface = plus[proj[plus] < thickness]
     if plus.size == 0 or minus.size == 0 or interface.size == 0:
         raise GeometryError("degenerate edge geometry: cut does not split the window")
-    return Partition(plus_ids=plus, minus_ids=minus, interface_ids=interface,
-                     normal=normal / nn, offset=offset / nn, thickness=float(thickness))
+    return replace(cut, plus_ids=plus, minus_ids=minus, interface_ids=interface)
 
 
 # ---------------------------------------------------------------------------

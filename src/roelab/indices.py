@@ -2,12 +2,13 @@
 
 The trace per unit volume is estimated over a nested family of half-open
 boxes; pairing it with the position derivations grad_j = i[x_j, .] yields the
-even (Chern) and odd (winding) index formulas, their edge counterparts on a
-half-space compression, and the spin-resolved mod-2 invariant.  Every report
-carries the raw windowed value, the snapped integer (or mod-2 class), the
-classifying group, and a two-window error estimate; the non-constructive
-limit over windows is replaced by the largest window with the deviation from
-the previous one as the error bar.
+even (Chern) and odd (winding) index formulas and their edge counterparts on
+a half-space compression.  Every report carries the raw windowed value, the
+snapped integer (or mod-2 class), the classifying group, and a two-window
+error estimate; the non-constructive limit over windows is replaced by the
+largest window with the deviation from the previous one as the error bar.
+The spin-resolved mod-2 invariant is the Chern pairing of a spin sector
+(`spin_sectors`), run on the class-AII route of `roelab.bulkedge`.
 
 Orientation conventions are fixed once and used everywhere: the plane pairing
 orders the derivations as (grad_1, grad_2); the edge direction of a cut is
@@ -24,8 +25,8 @@ import numpy as np
 
 from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
-                        certify_gap, compress, derivation, derivation_along,
-                        involution_defect, onsite, restrict_orbitals, spectral_function)
+                        derivation, derivation_along, involution_defect, onsite,
+                        restrict_orbitals, spectral_function)
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
 
@@ -97,14 +98,14 @@ def snap_z2(raw: float, tol: float = 0.25):
                   f"{{0, 1}} (snap tolerance {tol})",)
 
 
-def _report(values, formula: str, group: KGroupDescriptor, snap_tol: float,
-            z2: bool = False, windows=(), error: float | None = None,
-            imag_tol: float = np.inf) -> IndexReport:
+def _report(values, formula: str, group: KGroupDescriptor, z2: bool = False,
+            windows=(), error: float | None = None, imag_tol: float = np.inf) -> IndexReport:
     """Report of a pairing from its per-window values (largest window last).
 
     The raw value is the real part of the last value, whose imaginary part
     must stay within `imag_tol`; the error defaults to the two-window
-    deviation.  It snaps to Z, or to Z2 when `z2`.  A windowless pairing
+    deviation.  It snaps to Z, or to Z2 when `z2`, at the default tolerance
+    of `snap_integer` (0.1) or `snap_z2` (0.25).  A windowless pairing
     passes its single value and an explicit error, and reports no values.
     """
     last = values[-1]
@@ -113,7 +114,7 @@ def _report(values, formula: str, group: KGroupDescriptor, snap_tol: float,
     raw = float(np.real(last))
     if error is None:
         error = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
-    snapped, warns = (snap_z2 if z2 else snap_integer)(raw, snap_tol)
+    snapped, warns = (snap_z2 if z2 else snap_integer)(raw)
     return IndexReport(raw=raw, snapped=snapped, group=group, error=float(error),
                        formula=formula, windows=tuple(float(n) for n in windows),
                        z2=z2, values=tuple(float(np.real(v)) for v in values)
@@ -141,6 +142,16 @@ def _window_values(traces: np.ndarray, ps, windows) -> list:
     return out
 
 
+def check_windows(ps, windows, margin: float) -> tuple:
+    """The windows, sorted, once each box plus `margin` fits in the sample."""
+    windows = tuple(sorted(float(n) for n in windows))
+    c = ps.window.mean(axis=1)
+    for n in windows:
+        if ((c - n - margin < ps.window[:, 0]) | (c + n + margin > ps.window[:, 1])).any():
+            raise PairingError(f"window radius {n} plus margin {margin} exceeds the sample")
+    return windows
+
+
 def trace_per_unit_volume(A: ControlledOperator, windows,
                           margin: float | None = None) -> TraceEstimate:
     """Per-site average of diagonal block traces over nested boxes about
@@ -151,13 +162,8 @@ def trace_per_unit_volume(A: ControlledOperator, windows,
     the open boundary.
     """
     ps = A.module.pointset
-    windows = tuple(sorted(float(n) for n in windows))
-    c = ps.window.mean(axis=1)
-    if margin is None:
-        margin = A.declared_propagation
-    for n in windows:
-        if ((c - n - margin < ps.window[:, 0]) | (c + n + margin > ps.window[:, 1])).any():
-            raise PairingError(f"window radius {n} plus margin {margin} exceeds the sample")
+    windows = check_windows(ps, windows, A.declared_propagation if margin is None
+                            else margin)
     vals = [complex(t.mean()) for t in _window_values(A.site_traces(), ps, windows)]
     err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
     return TraceEstimate(windows=windows, values=tuple(vals),
@@ -189,7 +195,7 @@ def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
 # bulk pairings
 # ---------------------------------------------------------------------------
 
-def chern_even(P: ControlledOperator, windows, snap_tol: float = 0.1) -> IndexReport:
+def chern_even(P: ControlledOperator, windows) -> IndexReport:
     """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of a projection.
 
     P must be a projection to 1e-8 (P^2 = P = P* on the whole matrix).  Only
@@ -219,8 +225,8 @@ def chern_even(P: ControlledOperator, windows, snap_tol: float = 0.1) -> IndexRe
     diag = (np.einsum("ij,ji->i", PW @ D1, D2[:, W])
             - np.einsum("ij,ji->i", PW @ D2, D1[:, W]))
     vals = tuple(2j * np.pi * v for v in _volume_trace(diag, ps, windows, P.m))
-    return _report(vals, "chern_even", kgroup_point("A", 2), snap_tol,
-                   windows=windows, imag_tol=1e-8)
+    return _report(vals, "chern_even", kgroup_point("A", 2), windows=windows,
+                   imag_tol=1e-8)
 
 
 def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
@@ -232,7 +238,7 @@ def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> Controll
     return ControlledOperator(H.module, M, H.module.pointset.diameter, hermitian=True)
 
 
-def _chiral_split(spec: SymmetrySpec, m: int):
+def _chiral_split(spec: SymmetrySpec):
     """Eigenbasis of the on-site chiral unitary, split by eigenvalue sign."""
     if not spec.has_P or spec.P_unitary is None:
         raise PairingError("odd pairing requires a chiral operator P")
@@ -261,8 +267,7 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
     if involution_defect(M) > 1e-6:
         raise PairingError("operator is not flattened (s^2 != 1)")
     ps = s.module.pointset
-    if spec.P_unitary is None:
-        raise PairingError("odd pairing requires a chiral operator P")
+    V, plus, minus = _chiral_split(spec)
     defect = 0.5 * np.abs(M + onsite(spec.P_unitary, M))
     margin = 0.15 * float((ps.window[:, 1] - ps.window[:, 0]).min())
     interior = np.repeat(ps.boundary_distance() > margin, s.m)
@@ -270,14 +275,12 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
         float(defect.max())
     if viol > 1e-4:
         raise PairingError(f"interior chiral violation {viol:.2e} above 0.0001")
-    V, plus, minus = _chiral_split(spec, s.m)
     # the (minus, plus) block of W^* M W with W = 1 (x) V, taken site-wise
     block = onsite(V[:, minus].conj().T, M, V[:, plus].conj().T)
     return block, s.module.orbital_index(plus), s.module.orbital_index(minus)
 
 
-def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows,
-              snap_tol: float = 0.1) -> IndexReport:
+def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows) -> IndexReport:
     """Odd-dimensional winding pairing of a flattened chiral Hamiltonian.
 
     d = 1: i T(U* grad_1 U); d = 3: the full six-term alternating sum with
@@ -308,8 +311,8 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows,
                                          (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)))
         const = 1j * (1j * np.pi) / 3.0      # i (i pi)^1 / 3!!
     vals = tuple(const * v for v in _volume_trace(diag, ps, windows, half))
-    return _report(vals, f"chern_odd_d{d}", kgroup_point("AIII", d), snap_tol,
-                   windows=windows, imag_tol=1e-6)
+    return _report(vals, f"chern_odd_d{d}", kgroup_point("AIII", d), windows=windows,
+                   imag_tol=1e-6)
 
 
 def spin_sectors(H: ControlledOperator):
@@ -324,66 +327,25 @@ def spin_sectors(H: ControlledOperator):
     return restrict_orbitals(H, up), restrict_orbitals(H, dn), mixing
 
 
-def spin_up_sector(H: ControlledOperator, spec: SymmetrySpec, fermi: float = 0.0):
-    """Gapped spin-up sector of a spin-conserving, T-invariant system: (H_up, gap).
-
-    Checks spin-z conservation (mixing at most 1e-10), the declared T (when
-    its unitary is given) on the full system to SYM_TOL, and certifies the
-    sector's own gap.
-    """
-    # the full-size T check runs before the sectors exist, which keeps them
-    # out of its peak memory; spin mixing is still the first error reported
-    t_viol = 0.0
-    if spec.T_unitary is not None:
-        t_viol = verify_symmetry(H, spec, tol=SYM_TOL).violations.get("T", 0.0)
-    H_up, _, mixing = spin_sectors(H)
-    if mixing > 1e-10:
-        raise PairingError(
-            f"spin-z mixing {mixing:.2e} exceeds 1e-10: the spin-resolved "
-            "route needs spin conservation, and no spin-mixing formula is provided")
-    if t_viol > SYM_TOL:
-        raise PairingError(f"T violation {t_viol:.2e}: not T-invariant")
-    cert = certify_gap(H_up, fermi=fermi)
-    if not cert.gapped:
-        raise PairingError("spin-up sector is not gapped at the Fermi level")
-    return H_up, cert
-
-
-def kane_mele(H: ControlledOperator, spec: SymmetrySpec, windows,
-              fermi: float = 0.0) -> IndexReport:
-    """Spin-resolved mod-2 invariant of a time-reversal-invariant plane system.
-
-    Requires T with T^2 = -1 and exact spin-z conservation; the invariant is
-    the Chern pairing of the spin-up spectral projection reduced mod 2.  The
-    general formula without spin conservation is intentionally not provided.
-    """
-    if not (spec.has_T and spec.T_sq == -1):
-        raise PairingError("mod-2 invariant requires T with T^2 = -1")
-    H_up, cert = spin_up_sector(H, spec, fermi)
-    up = chern_even(occupied_projection(H_up, cert), windows, snap_tol=np.inf)
-    return _report(up.values, "kane_mele_spin_chern", kgroup_point("AII", 2), 0.25,
-                   z2=True, windows=up.windows, error=up.error)
-
-
 # ---------------------------------------------------------------------------
 # edge pairings
 # ---------------------------------------------------------------------------
 
 def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction=None):
-    """Strip coordinates of a compressed operator: (normal dist, edge coord, edge dir).
+    """Strip coordinates of a compressed operator: (interface strip mask, edge
+    coord, edge dir).
 
     The edge direction is the cut's own unless one is held fixed explicitly.
     """
     ps = H_hat.module.pointset
     if ps.source_ids is None:
         raise PairingError("edge pairings expect a compressed (half-space) operator")
-    proj = ps.coords @ part.normal - part.offset
     if edge_direction is None:
         e = part.edge_direction()
     else:
         e = np.asarray(edge_direction, dtype=float)
         e = e / np.linalg.norm(e)
-    return proj, ps.coords @ e, e
+    return part.past_strip(ps.coords) < 0, ps.coords @ e, e
 
 
 def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
@@ -397,8 +359,7 @@ def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
     unless `edge_direction` holds another fixed.  `traces` holds one row per
     site; each window sums its rows.
     """
-    proj, ecoord, _ = _interface_frame(H_hat, part, edge_direction)
-    strip = proj < 0.5 * proj.max()
+    strip, ecoord, _ = _interface_frame(H_hat, part, edge_direction)
     iface = np.isin(H_hat.module.pointset.source_ids, part.interface_ids)
     c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max())
     vals = []
@@ -411,8 +372,7 @@ def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
 
 
 def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
-                     edge_windows, bulk_gap: GapCertificate | None = None,
-                     snap_tol: float = 0.1, width_family: int = 8,
+                     edge_windows, bulk_gap: GapCertificate, width_family: int = 8,
                      edge_direction=None) -> IndexReport:
     """Edge transport pairing -(2 pi / |Delta|) T^(P_Delta grad_edge H^).
 
@@ -429,12 +389,11 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PairingError("interval must have positive width")
-    if bulk_gap is not None:
-        lo = bulk_gap.fermi - bulk_gap.epsilon
-        hi = bulk_gap.fermi + bulk_gap.epsilon
-        if a < lo or b > hi:
-            raise PairingError(f"interval ({a}, {b}) leaves the certified bulk gap "
-                               f"({lo:.4f}, {hi:.4f}); the edge formula is gap-valid only")
+    lo = bulk_gap.fermi - bulk_gap.epsilon
+    hi = bulk_gap.fermi + bulk_gap.epsilon
+    if a < lo or b > hi:
+        raise PairingError(f"interval ({a}, {b}) leaves the certified bulk gap "
+                           f"({lo:.4f}, {hi:.4f}); the edge formula is gap-valid only")
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
     w, v = H_hat.eigh()
@@ -457,12 +416,11 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
             sel = (w > centre - h) & (w < centre + h)
             ests.append(-2 * np.pi * complex(state_vals[sel].sum()) / (2 * h))
         per_window.append(np.mean(ests))
-    return _report(per_window, "edge_conductance", kgroup_point("A", 2),
-                   snap_tol, windows=windows)
+    return _report(per_window, "edge_conductance", kgroup_point("A", 2), windows=windows)
 
 
-def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
-                  part: Partition | None = None, theta: float = 1e-6) -> IndexReport:
+def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition,
+                  theta: float = 1e-6) -> IndexReport:
     """Half-line index: chirality-weighted count of cut-bound zero modes.
 
     Eigenvalues below theta in modulus are the kernel; the next one must
@@ -486,16 +444,12 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
         raise PairingError(
             f"no clean spectral separation at theta={theta}: next |E| = "
             f"{rest.min():.2e} <= {10 * theta:.2e}; use a larger sample")
-    x = ps.coords[:, 0]
-    if part is not None:
-        proj = x * part.normal[0] - part.offset
-    else:
-        proj = x - x.min()
+    proj = part.distance(ps.coords)
     chi = (proj <= proj.min() + 0.25 * (proj.max() - proj.min())).astype(float)
     # Tr(Q^* P chi Q) site by site: chi is constant on each site's orbital
     # block, so P chi is Hermitian and acts on the (n, m, k) view of Q
     Q = v[:, near].reshape(ps.n, H_hat.m, -1)
     per_site = (Q.conj() * np.matmul(spec.P_unitary, Q)).sum(axis=(1, 2))
     val = complex(chi @ per_site)
-    return _report((val,), "edge_fredholm", kgroup_point("AIII", 1), 0.1,
+    return _report((val,), "edge_fredholm", kgroup_point("AIII", 1),
                    error=abs(np.imag(val)))

@@ -480,7 +480,7 @@ def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     Exact to roundoff via the full eigendecomposition.  The result is only
     approximately local, so its propagation is recorded as the sample
     diameter; the actual off-diagonal decay can be fitted a posteriori with
-    `decay_length`.
+    `decay_length`, which bins it for the shared `decay_fit`.
     """
     if not cert.gapped:
         raise OperatorError("flatten requires a certified gap")
@@ -489,29 +489,35 @@ def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     return ControlledOperator(H.module, s, H.module.pointset.diameter, hermitian=True)
 
 
+def decay_fit(dist: np.ndarray, values: np.ndarray, starts, min_bins: int):
+    """Fit values <= C exp(-dist / xi) from the log of the per-bin maxima
+    over the unit-width distance bins [lo, lo + 1), lo in `starts`: (xi, C),
+    or None when fewer than `min_bins` bins hold a value above 1e-15."""
+    xs, ys = [], []
+    for lo in starts:
+        sel = (dist >= lo) & (dist < lo + 1.0)
+        if sel.any() and values[sel].max() > 1e-15:
+            xs.append(lo + 0.5)
+            ys.append(np.log(values[sel].max()))
+    if len(xs) < min_bins:
+        return None
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return (float(-1.0 / slope) if slope < 0 else np.inf), float(np.exp(intercept))
+
+
 def decay_length(A: ControlledOperator) -> tuple[float, float]:
     """Fit |block(x,y)| <= C exp(-d(x,y)/xi); returns (xi, C).
 
     Block max-norms are binned by distance up to half the largest one and
-    the log of the bin maxima is fitted linearly; a diagnostic for how well
-    a flattened operator is approximated by controlled ones.
+    fitted by `decay_fit`; a diagnostic for how well a flattened operator is
+    approximated by controlled ones.
     """
     dist = site_distances(A.module.pointset)
     norms = A.block_norms()
     mask = ~np.eye(A.module.n_sites, dtype=bool)
     d, n = dist[mask], norms[mask]
-    bins = np.arange(1.0, 0.5 * d.max(), 1.0)
-    xs, ys = [], []
-    for lo, hi in zip(bins[:-1], bins[1:]):
-        sel = (d >= lo) & (d < hi)
-        if sel.any() and n[sel].max() > 1e-15:
-            xs.append(0.5 * (lo + hi))
-            ys.append(np.log(n[sel].max()))
-    if len(xs) < 2:
-        return np.inf, float(n.max(initial=0.0))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    xi = -1.0 / slope if slope < 0 else np.inf
-    return float(xi), float(np.exp(intercept))
+    fit = decay_fit(d, n, np.arange(1.0, 0.5 * d.max(), 1.0)[:-1], 2)
+    return fit or (np.inf, float(n.max(initial=0.0)))
 
 
 def derivation(A: ControlledOperator, axis: int) -> ControlledOperator:

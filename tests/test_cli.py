@@ -131,6 +131,24 @@ class TestBuildIndex:
                          capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("windows, named", [("8,10,12", "8.0"),
+                                                ("5.5,5.8,6", "5.5")])
+    def test_oversize_windows_exit_1(self, tmp_path, capsys, windows, named):
+        """Bulk windows whose box plus the propagation leaves the 12x12 sample
+        are refused, not snapped (the full box traces a commutator to 0)."""
+        model = tmp_path / "qwz.json"
+        run(["build", "--model", "qwz", "--size", "12", "--m", "1", "--out", str(model)],
+            capsys)
+        code, out, err = run(["index", "--model-file", str(model), "--windows", windows],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: window radius {named} ")
+        assert len(err.strip().splitlines()) == 1 and "exceeds the sample" in err
+        assert "Traceback" not in err
+        code, out, _ = run(["index", "--model-file", str(model), "--windows", "2,3,4"],
+                           capsys)
+        assert code == 0 and json.loads(out)["snapped"] == -1
+
 
 class TestEdgeAndBEC:
     def test_edge_index_ssh(self, tmp_path, capsys):

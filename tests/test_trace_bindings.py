@@ -61,3 +61,23 @@ def test_the_plane_route_is_traced():
     for name in ("indices.occupied_projection", "indices.chern_even",
                  "indices.edge_conductance", "bulkedge.make_edge"):
         assert name in names, f"no span for {name}"
+
+
+def test_the_spin_route_is_traced():
+    """The class-AII route reaches `spin_sectors` through a module global,
+    checks the declared symmetry once (in `make_bulk`) and solves three times:
+    the full system by spin sector, the spin-up sector and the edge."""
+    tracer = _load_tracer()
+    ps = rl.generate({"kind": "honeycomb", "window": [[0, 10], [0, 10]]})
+    _, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": 0.1}, ps)
+    part = rl.partition_halfspace(ps, [1.0, 0.0], 4.6)
+    with tracer.Tracer() as tr:
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part,
+                            {"edge_windows": (2, 3, 4)})
+    assert rep.bulk.snapped == 1
+    names = [sp.name for sp in tr.spans]
+    for name in ("indices.spin_sectors", "indices.chern_even",
+                 "indices.edge_conductance"):
+        assert name in names, f"no span for {name}"
+    assert names.count("symmetry.verify_symmetry") == 1
+    assert tr.solves(tr.call) == 3
