@@ -30,10 +30,9 @@ print(f"flux model: bulk {rep.bulk.raw:+.4f} -> {rep.bulk.snapped}, "
       f"edge {rep.edge.raw:+.4f} -> {rep.edge.snapped}, pass {rep.passed}")
 
 # Quantum spin Hall: the mod-2 index flips when the staggered potential
-# crosses 3 sqrt(3) lambda_so (0.31); the trivial point sits far enough past
-# it for this sample's full-system gap certificate.
+# crosses 3 sqrt(3) lambda_so.
 hc = rl.generate({"kind": "honeycomb", "window": [[0, 22], [0, 22]]})
-for lv in (0.1, 0.5):
+for lv in (0.1, 0.4):
     mod, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": lv}, hc)
     rep = rl.bulk_index(rl.make_bulk(mod, H, spec), {"windows": (5, 7, 9)})
     ref = bloch.kane_mele_z2_reference(1.0, 0.06, lv)

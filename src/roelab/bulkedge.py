@@ -74,9 +74,6 @@ class EdgeSystem:
 
     module: SiteModule
     H_hat: ControlledOperator
-    spec: SymmetrySpec
-    parent_gap: GapCertificate
-    partition: Partition
 
 
 def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
@@ -104,8 +101,7 @@ def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
                 "in-gap edge spectrum is not interface-localized "
                 f"(worst boundary weight {weight.min():.3f} < 0.7); "
                 "interface thickness too small or bulk gap too tight for this sample")
-    return EdgeSystem(module=H_hat.module, H_hat=H_hat, spec=bulk.spec,
-                      parent_gap=bulk.gap, partition=part)
+    return EdgeSystem(module=H_hat.module, H_hat=H_hat)
 
 
 # ---------------------------------------------------------------------------

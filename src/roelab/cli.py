@@ -24,8 +24,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bulkedge import (BECConfig, BulkEdgeError, bulk_index, edge_index, make_bulk,
-                       verify_bec)
+from .bulkedge import (BECConfig, BulkEdgeError, _default_windows, bulk_index, edge_index,
+                       make_bulk, verify_bec)
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
 from .indices import PairingError, trace_per_unit_volume
 from .models import MODELS, ModelError, build_model, default_pointset
@@ -91,8 +91,8 @@ def load_model(path: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v]
+def _float_list(text: str | None) -> tuple:
+    return tuple(float(v) for v in (text or "").split(",") if v)
 
 
 def cmd_build(args, extra_params: dict) -> int:
@@ -143,9 +143,10 @@ def cmd_kgroup(args, extra) -> int:
 
 def _bulk_report(H, spec, formula, windows, fermi=0.0):
     """The bulk index of the file's route, or the windowed trace of H for
-    formula "trace"."""
+    formula "trace"; without windows both derive them from the sample."""
     if formula == "trace":
-        est = trace_per_unit_volume(H, windows)
+        est = trace_per_unit_volume(
+            H, windows or _default_windows(H.module.pointset, H.declared_propagation))
         return {"windows": list(est.windows),
                 "values": [[v.real, v.imag] for v in est.values],
                 "extrapolated": [est.extrapolated.real, est.extrapolated.imag],
@@ -163,8 +164,7 @@ def _csv_values(doc: dict) -> dict:
 
 def cmd_index(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
-    doc = _bulk_report(H, spec, args.formula, _float_list(args.windows),
-                       fermi=args.fermi)
+    doc = _bulk_report(H, spec, args.formula, _float_list(args.windows), fermi=args.fermi)
     doc["model"] = meta
     _write_json(args.out, doc)
     if args.csv:
@@ -183,7 +183,7 @@ def cmd_edge_index(args, extra) -> int:
     part = partition_halfspace(H.module.pointset, _float_list(args.normal), args.offset,
                                thickness=args.thickness)
     bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
-    cfg = BECConfig(edge_windows=tuple(_float_list(args.windows)))
+    cfg = BECConfig(edge_windows=_float_list(args.windows))
     doc = edge_index(bulk, part, cfg).to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
@@ -197,12 +197,10 @@ def cmd_verify_bec(args, extra) -> int:
     part = partition_halfspace(ps, _float_list(args.normal), args.offset,
                                thickness=args.thickness)
     cfg = BECConfig(
-        windows=tuple(_float_list(args.windows)) if args.windows else (),
-        edge_windows=tuple(_float_list(args.edge_windows)) if args.edge_windows else (),
+        windows=_float_list(args.windows), edge_windows=_float_list(args.edge_windows),
         disorder_strength=args.disorder_strength,
-        disorder_seeds=tuple(int(s) for s in args.seeds.split(",") if s) if args.seeds else (),
-        truncation_radii=tuple(_float_list(args.truncation_radii))
-        if args.truncation_radii else ())
+        disorder_seeds=tuple(int(s) for s in (args.seeds or "").split(",") if s),
+        truncation_radii=_float_list(args.truncation_radii))
     rep = verify_bec(bulk, part, cfg)
     doc = rep.to_json()
     doc["model"] = meta
@@ -213,20 +211,16 @@ def cmd_verify_bec(args, extra) -> int:
 
 
 def _sweep_point(cfg: dict, seed, value):
-    params = dict(cfg.get("params", {}))
+    name, params = cfg["model"], dict(cfg.get("params", {}))
+    row = {"model": name, "seed": int(seed)}
     if cfg.get("vary_param"):
-        params[cfg["vary_param"]] = value
-    name = cfg["model"]
+        params[cfg["vary_param"]] = row[cfg["vary_param"]] = value
     ps = default_pointset(name, float(cfg.get("size", 20)), params)
     module, H, spec = build_model(name, params, ps,
                                   disorder=float(cfg.get("disorder", 0.0)),
                                   seed=int(seed))
-    row = {"model": name, "seed": int(seed)}
-    if cfg.get("vary_param"):
-        row[cfg["vary_param"]] = value
-    fermi = float(cfg.get("fermi", 0.0))
-    doc = _bulk_report(H, spec, cfg.get("formula"), cfg.get("windows", [6, 8, 10]),
-                       fermi=fermi)
+    doc = _bulk_report(H, spec, cfg.get("formula"), cfg.get("windows", ()),
+                       fermi=float(cfg.get("fermi", 0.0)))
     row.update(_csv_values(doc))
     return row
 
@@ -332,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--model-file", required=True)
     i.add_argument("--formula", default=None, choices=["trace"],
                    help="report the windowed trace of H instead of the route's index")
-    i.add_argument("--windows", default="6,8,10")
+    i.add_argument("--windows", default=None)
     i.add_argument("--fermi", type=float, default=0.0)
     i.add_argument("--out", default=None)
     i.add_argument("--csv", default=None)

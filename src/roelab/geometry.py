@@ -12,7 +12,7 @@ All generators are deterministic; anything random takes an explicit seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -154,7 +154,8 @@ class Partition:
         return np.array([-n[1], n[0]])
 
     def distance(self, coords) -> np.ndarray:
-        """Signed distance <normal, x> - offset of each point from the cut plane."""
+        """Signed distance <normal, x> - offset of each point from the cut
+        plane, the distance `partition_halfspace` splits by."""
         return coords @ self.normal - self.offset
 
     def past_strip(self, coords) -> np.ndarray:
@@ -401,15 +402,14 @@ def partition_halfspace(ps: PointSet, normal, offset: float,
         thickness = 4 * 0.5 * min_spacing(ps)   # 2 x packing diameter
     if thickness <= 0:
         raise GeometryError("interface thickness must be positive")
-    none = np.empty(0, dtype=int)
-    cut = Partition(none, none, none, normal / nn, offset / nn, float(thickness))
-    proj = cut.distance(ps.coords)
+    normal, offset = normal / nn, offset / nn
+    proj = ps.coords @ normal - offset
     plus = np.where(proj >= 0)[0]
     minus = np.where(proj < 0)[0]
     interface = plus[proj[plus] < thickness]
     if plus.size == 0 or minus.size == 0 or interface.size == 0:
         raise GeometryError("degenerate edge geometry: cut does not split the window")
-    return replace(cut, plus_ids=plus, minus_ids=minus, interface_ids=interface)
+    return Partition(plus, minus, interface, normal, offset, float(thickness))
 
 
 # ---------------------------------------------------------------------------

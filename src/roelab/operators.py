@@ -170,9 +170,7 @@ class ControlledOperator:
                                   hermitian=self.hermitian and other.hermitian)
 
     def __sub__(self, other: "ControlledOperator") -> "ControlledOperator":
-        prop = max(self.declared_propagation, other.declared_propagation)
-        return ControlledOperator(self.module, self.matrix - other.matrix, prop,
-                                  hermitian=self.hermitian and other.hermitian)
+        return self + (-1) * other
 
     def __mul__(self, scalar) -> "ControlledOperator":
         herm = self.hermitian and np.isreal(scalar)
@@ -443,10 +441,14 @@ def certify_gap(H: ControlledOperator, fermi: float = 0.0) -> GapCertificate:
     lo = float(below.max()) if len(below) else None
     hi = float(above.min()) if len(above) else None
     eps = min([abs(x - fermi) for x in (lo, hi) if x is not None])
-    near = np.sort(np.abs(wb - fermi))[:20]
     # typical level spacing near the Fermi level: median of the nonzero gaps
-    # (zero gaps are exact degeneracies, and the first gap may be the spectral
-    # gap itself, which the median discounts)
+    # among the 20 distinct levels nearest it.  A degenerate level (a Kramers
+    # pair) counts once, the zero gaps left are levels mirrored about the
+    # Fermi level, and the first gap may be the spectral gap itself, which
+    # the median discounts.
+    levels = np.sort(wb)
+    levels = levels[np.r_[True, np.diff(levels) > 1e-12]]
+    near = np.sort(np.abs(levels - fermi))[:20]
     diffs = np.diff(near)
     diffs = diffs[diffs > 1e-12]
     spacing = float(np.median(diffs)) if diffs.size else 0.0

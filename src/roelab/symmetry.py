@@ -381,9 +381,6 @@ class SymmetrySpec:
         # T(CT) = (TC)T and TC = CT * (T^2 C^2 (CT)^2) with (CT)^2 = +1
         return self.T_sq * self.C_sq
 
-    def label(self) -> str:
-        return classify(self)
-
     def conjugated(self, W) -> "SymmetrySpec":
         """Same symmetry in the rotated orbital basis W (antiunitaries pick W . U . W^T)."""
         W = _as_unitary(W, "W")

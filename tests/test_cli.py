@@ -149,6 +149,27 @@ class TestBuildIndex:
                            capsys)
         assert code == 0 and json.loads(out)["snapped"] == -1
 
+    def test_default_windows_fit_the_sample(self, tmp_path, capsys):
+        """Without windows, index, its trace and a sweep derive them from the
+        sample, as verify-bec does, so any sample size has a default."""
+        model = tmp_path / "qwz.json"
+        run(["build", "--model", "qwz", "--size", "12", "--m", "1", "--out", str(model)],
+            capsys)
+        code, out, _ = run(["index", "--model-file", str(model)], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["snapped"] == -1 and doc["windows"] == [2.4, 3.2, 4.0]
+        code, out, _ = run(["index", "--model-file", str(model), "--formula", "trace"],
+                           capsys)
+        assert code == 0 and json.loads(out)["windows"] == [3.0, 4.0, 5.0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "qwz", "params": {"m": 1}, "size": 12,
+                                   "seeds": [0]}))
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["snapped"] == "-1"
+
 
 class TestEdgeAndBEC:
     def test_edge_index_ssh(self, tmp_path, capsys):

@@ -212,11 +212,8 @@ class TestKaneMele:
         assert rep.formula == "kane_mele_spin_chern" and str(rep.group) == "Z2"
 
     def test_phases_match_reference(self):
-        # the route certifies the full system's gap first: at lv = 0.4 this
-        # sample's Kramers-paired spectrum puts the gap (0.121) inside twice
-        # the level spacing (0.086), so the trivial point sits at lv = 0.5
         ps = rl.generate({"kind": "honeycomb", "window": [[0, 20], [0, 20]]})
-        for lv, expect in ((0.1, 1), (0.5, 0)):
+        for lv, expect in ((0.1, 1), (0.4, 0)):
             _, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": lv}, ps)
             rep = self._spin_pairing(H, spec, (4, 5, 6))
             assert rep.snapped == bloch.kane_mele_z2_reference(1.0, 0.06, lv) == expect

@@ -113,6 +113,18 @@ class TestCertifyGap:
         cert = rl.certify_gap(H)
         assert cert.gapped and cert.epsilon > 0.4
 
+    def test_degenerate_level_counts_once(self, chain30):
+        """A doubly degenerate (Kramers-paired) spectrum has the level spacing
+        and the verdict of one copy; counting each pair twice would halve the
+        levels sampled and, with spacings shrinking away from the gap, refuse."""
+        e = 0.08 + 0.2 * np.sqrt(np.arange(30))
+        e = e[np.random.default_rng(0).permutation(30)]   # levels over the sites
+        one, two = (rl.certify_gap(rl.ControlledOperator(
+            SiteModule(chain30, m), np.diag(np.repeat(e, m)).astype(complex), 0.0))
+            for m in (1, 2))
+        assert two.level_spacing == pytest.approx(one.level_spacing)
+        assert one.gapped and two.gapped
+
     def test_non_hermitian_rejected(self, mod30):
         M = np.zeros((60, 60), dtype=complex)
         M[0, 1] = 1.0
