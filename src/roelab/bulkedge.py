@@ -24,9 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition
-from .indices import (IndexReport, PairingError, _report, check_windows,
-                      chern_even, chern_odd, edge_conductance, edge_fredholm,
-                      edge_trace, occupied_projection, spin_sectors)
+from .indices import (IndexReport, PairingError, _box_windows, _edge_windows,
+                      _interface_frame, _report, box_bound, chern_even, chern_odd,
+                      edge_conductance, edge_fredholm, edge_trace, occupied_projection,
+                      spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
                         compress, decay_fit, derivation_along, flatten,
                         involution_defect, spectral_function, truncate)
@@ -37,6 +38,8 @@ from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup
 DELTA_FRACTION = 1 / 3      # edge interval Delta: this fraction of the bulk gap
 PLATEAU_FRACTION = 1 / 5    # second interval width for the plateau check
 PLATEAU_TOL = 0.05          # largest edge change between the two widths
+BULK_RESERVE = 2.0          # least margin of derived bulk windows on a route
+EDGE_RESERVE = 1.0          # least margin of derived edge windows to the sample
 
 
 class BulkEdgeError(ValueError):
@@ -146,9 +149,10 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
     if ps.dim == 2 and edge_windows is not None:
         DU = derivation_along(U, part.edge_direction()).matrix
         traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
-        vals = edge_trace(U, part, traces, edge_windows)
+        windows = _edge_windows(edge_windows, _interface_frame(U, part, None)[-1])
+        vals = edge_trace(U, part, traces, windows)
         winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
-                          kgroup_point("A", 2), windows=edge_windows)
+                          kgroup_point("A", 2), windows=windows)
     return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
                        off_interface_deviation=off_dev,
                        decay_xi=fit[0] if fit else np.inf)
@@ -197,11 +201,14 @@ class BECReport:
                 "reasons": list(self.reasons)}
 
 
-def _default_windows(ps, margin: float):
-    lo = ps.window[:, 0].max()
-    hi = ps.window[:, 1].min()
-    half = (hi - lo) / 2 - margin
-    return tuple(np.round(half * f, 2) for f in (0.6, 0.8, 1.0))
+def _default_windows(*bounds) -> tuple:
+    """0.6, 0.8 and 1 times the least of `bounds`, each the largest radius a
+    window check allows, to 2 decimals but never past it: they pass."""
+    top = min(bounds)
+    cap = float(np.round(top, 2))
+    cap = cap if cap <= top else float(np.round(cap - 0.01, 2))
+    return tuple(r if (r := float(np.round(top * f, 2))) <= top else cap
+                 for f in (0.6, 0.8, 1.0))
 
 
 def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec:
@@ -272,7 +279,9 @@ def _winding(work: BulkSystem, spec, windows) -> IndexReport:
 def _conductance(work: BulkSystem, spec, part, cfg):
     """Edge conductance at both interval widths: (first report, their spread)."""
     edge = make_edge(work, part)
-    windows = cfg.edge_windows or _default_windows(edge.module.pointset, 1.0)
+    windows = cfg.edge_windows or _default_windows(
+        _interface_frame(edge.H_hat, part, None)[-1],
+        box_bound(edge.module.pointset, EDGE_RESERVE))
     fermi, eps = work.gap.fermi, work.gap.epsilon
     first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
                                       windows, bulk_gap=work.gap)
@@ -321,9 +330,9 @@ class _OnRoute:
                        windows=rep.windows, error=rep.error)
 
     def bulk_report(self, cfg: BECConfig) -> IndexReport:
-        ps = self.work.module.pointset
-        windows = check_windows(ps, cfg.windows or _default_windows(ps, 2.0),
-                                self.work.H.declared_propagation)
+        ps, reach = self.work.module.pointset, self.work.H.declared_propagation
+        windows = _box_windows(ps, cfg.windows or _default_windows(
+            box_bound(ps, reach), box_bound(ps, BULK_RESERVE)), reach)
         return self._snap(self.route.bulk(self.work, self.spec, windows),
                           self.route.formulas[0])
 

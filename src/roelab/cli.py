@@ -27,7 +27,7 @@ import numpy as np
 from .bulkedge import (BECConfig, BulkEdgeError, _default_windows, bulk_index, edge_index,
                        make_bulk, verify_bec)
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
-from .indices import PairingError, trace_per_unit_volume
+from .indices import PairingError, box_bound, trace_per_unit_volume
 from .models import MODELS, ModelError, build_model, default_pointset
 from .operators import ControlledOperator, OperatorError
 from .symmetry import (CARTAN_LABELS, SymmetryError, SymmetrySpec, classify,
@@ -91,8 +91,13 @@ def load_model(path: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str | None) -> tuple:
-    return tuple(float(v) for v in (text or "").split(",") if v)
+def _numbers(text: str | None, kind) -> tuple:
+    """The comma-separated `kind` values of a list option; malformed: a usage error."""
+    try:
+        return tuple(kind(v) for v in (text or "").split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of {kind.__name__} values") from None
 
 
 def cmd_build(args, extra_params: dict) -> int:
@@ -146,7 +151,8 @@ def _bulk_report(H, spec, formula, windows, fermi=0.0):
     formula "trace"; without windows both derive them from the sample."""
     if formula == "trace":
         est = trace_per_unit_volume(
-            H, windows or _default_windows(H.module.pointset, H.declared_propagation))
+            H, windows or _default_windows(box_bound(H.module.pointset,
+                                                     H.declared_propagation)))
         return {"windows": list(est.windows),
                 "values": [[v.real, v.imag] for v in est.values],
                 "extrapolated": [est.extrapolated.real, est.extrapolated.imag],
@@ -164,7 +170,7 @@ def _csv_values(doc: dict) -> dict:
 
 def cmd_index(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
-    doc = _bulk_report(H, spec, args.formula, _float_list(args.windows), fermi=args.fermi)
+    doc = _bulk_report(H, spec, args.formula, _numbers(args.windows, float), fermi=args.fermi)
     doc["model"] = meta
     _write_json(args.out, doc)
     if args.csv:
@@ -180,10 +186,10 @@ def cmd_index(args, extra) -> int:
 
 def cmd_edge_index(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
-    part = partition_halfspace(H.module.pointset, _float_list(args.normal), args.offset,
-                               thickness=args.thickness)
+    part = partition_halfspace(H.module.pointset, _numbers(args.normal, float),
+                               args.offset, thickness=args.thickness)
     bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
-    cfg = BECConfig(edge_windows=_float_list(args.windows))
+    cfg = BECConfig(edge_windows=_numbers(args.windows, float))
     doc = edge_index(bulk, part, cfg).to_json()
     doc["model"] = meta
     _write_json(args.out, doc)
@@ -194,13 +200,14 @@ def cmd_verify_bec(args, extra) -> int:
     H, spec, meta = load_model(args.model_file)
     ps = H.module.pointset
     bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
-    part = partition_halfspace(ps, _float_list(args.normal), args.offset,
+    part = partition_halfspace(ps, _numbers(args.normal, float), args.offset,
                                thickness=args.thickness)
     cfg = BECConfig(
-        windows=_float_list(args.windows), edge_windows=_float_list(args.edge_windows),
+        windows=_numbers(args.windows, float),
+        edge_windows=_numbers(args.edge_windows, float),
         disorder_strength=args.disorder_strength,
-        disorder_seeds=tuple(int(s) for s in (args.seeds or "").split(",") if s),
-        truncation_radii=_float_list(args.truncation_radii))
+        disorder_seeds=_numbers(args.seeds, int),
+        truncation_radii=_numbers(args.truncation_radii, float))
     rep = verify_bec(bulk, part, cfg)
     doc = rep.to_json()
     doc["model"] = meta
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--model-file", required=True)
     i.add_argument("--formula", default=None, choices=["trace"],
                    help="report the windowed trace of H instead of the route's index")
-    i.add_argument("--windows", default=None)
+    i.add_argument("--windows", default=None, help="bulk window radii (default: derived)")
     i.add_argument("--fermi", type=float, default=0.0)
     i.add_argument("--out", default=None)
     i.add_argument("--csv", default=None)
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--normal", required=True, help="cut normal, comma-separated")
     e.add_argument("--offset", type=float, required=True)
     e.add_argument("--thickness", type=float, default=None)
-    e.add_argument("--windows", default="6,8,10")
+    e.add_argument("--windows", default=None, help="edge window radii (default: derived)")
     e.add_argument("--fermi", type=float, default=0.0)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_edge_index, accepts_params=False)
@@ -347,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--normal", required=True)
     v.add_argument("--offset", type=float, required=True)
     v.add_argument("--thickness", type=float, default=None)
-    v.add_argument("--windows", default=None)
-    v.add_argument("--edge-windows", default=None)
+    v.add_argument("--windows", default=None, help="bulk window radii (default: derived)")
+    v.add_argument("--edge-windows", default=None, help="edge window radii (default: derived)")
     v.add_argument("--fermi", type=float, default=0.0)
     v.add_argument("--seeds", default=None, help="disorder sweep seeds")
     v.add_argument("--disorder-strength", type=float, default=0.0)

@@ -3,7 +3,11 @@
 The trace per unit volume is estimated over a nested family of half-open
 boxes; pairing it with the position derivations grad_j = i[x_j, .] yields the
 even (Chern) and odd (winding) index formulas and their edge counterparts on
-a half-space compression.  Every report carries the raw windowed value, the
+a half-space compression, whose windows are intervals along the interface.
+One rule, `check_windows`, decides what a window family is on both sides:
+strictly increasing positive radii, each window inside what it averages
+over (a bulk box plus its margin inside the sample, an edge interval inside
+the interface).  Every report carries the raw windowed value, the
 snapped integer (or mod-2 class), the classifying group, and a two-window
 error estimate; the non-constructive limit over windows is replaced by the
 largest window with the deviation from the previous one as the error bar.
@@ -37,16 +41,12 @@ class PairingError(ValueError):
 
 @dataclass(frozen=True)
 class TraceEstimate:
-    """Windowed averages of site traces: one value per window radius."""
+    """Windowed traces per unit volume: one value per window radius."""
 
     windows: tuple
     values: tuple
     extrapolated: complex
     error: float
-
-    def __post_init__(self):
-        if not all(a < b for a, b in zip(self.windows, self.windows[1:])):
-            raise PairingError("windows must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -131,43 +131,44 @@ def window_mask(ps, radius: float) -> np.ndarray:
     return ((ps.coords >= c - radius) & (ps.coords < c + radius)).all(axis=1)
 
 
-def _window_values(traces: np.ndarray, ps, windows) -> list:
-    """Per-site values inside each nested box; every box must hold a site."""
-    out = []
-    for n in windows:
-        mask = window_mask(ps, n)
-        if not mask.any():
-            raise PairingError(f"window radius {n} contains no sites")
-        out.append(traces[mask])
-    return out
+def check_windows(windows, bound: float, beyond: str) -> tuple:
+    """The window radii, strictly increasing: each positive, finite, not
+    repeated and at most `bound`, the largest radius whose window lies inside
+    what it averages over (`beyond` says what a larger one leaves)."""
+    radii = tuple(sorted(float(n) for n in windows))
+    if not radii:
+        raise PairingError("no window radii given")
+    for i, n in enumerate(radii):
+        why = ("is not positive and finite" if not 0 < n < np.inf
+               else "is repeated" if i and n == radii[i - 1]
+               else beyond if not n <= bound else "")
+        if why:
+            raise PairingError(f"window radius {n} {why}")
+    return radii
 
 
-def check_windows(ps, windows, margin: float) -> tuple:
-    """The windows, sorted, once each box plus `margin` fits in the sample."""
-    windows = tuple(sorted(float(n) for n in windows))
-    c = ps.window.mean(axis=1)
-    for n in windows:
-        if ((c - n - margin < ps.window[:, 0]) | (c + n + margin > ps.window[:, 1])).any():
-            raise PairingError(f"window radius {n} plus margin {margin} exceeds the sample")
-    return windows
+def box_bound(ps, margin: float) -> float:
+    """Largest radius whose box plus `margin` fits in the sample."""
+    return float((ps.window[:, 1] - ps.window[:, 0]).min()) / 2 - margin
 
 
-def trace_per_unit_volume(A: ControlledOperator, windows,
-                          margin: float | None = None) -> TraceEstimate:
-    """Per-site average of diagonal block traces over nested boxes about
-    the window midpoint.
+def _box_windows(ps, windows, margin: float) -> tuple:
+    return check_windows(windows, box_bound(ps, margin),
+                         f"plus margin {margin} exceeds the sample")
 
-    Windows must fit in the sample with a safety margin (default: the
-    operator's propagation), so diagonal blocks inside the window never see
-    the open boundary.
+
+def trace_per_unit_volume(A: ControlledOperator, windows) -> TraceEstimate:
+    """Trace per unit volume of A over nested boxes about the window
+    midpoint: its diagonal block traces, reduced by `_volume_trace`.
+
+    Each box plus the operator's declared propagation must fit in the
+    sample, so diagonal blocks inside the window never see the open boundary.
     """
     ps = A.module.pointset
-    windows = check_windows(ps, windows, A.declared_propagation if margin is None
-                            else margin)
-    vals = [complex(t.mean()) for t in _window_values(A.site_traces(), ps, windows)]
+    windows = _box_windows(ps, windows, A.declared_propagation)
+    vals = _volume_trace(np.diag(A.matrix)[_window_rows(ps, windows, A.m)], ps, windows, A.m)
     err = abs(vals[-1] - vals[-2]) if len(vals) > 1 else np.inf
-    return TraceEstimate(windows=windows, values=tuple(vals),
-                         extrapolated=vals[-1], error=float(err))
+    return TraceEstimate(windows, vals, vals[-1], float(err))
 
 
 def _window_rows(ps, windows, k: int) -> np.ndarray:
@@ -177,7 +178,8 @@ def _window_rows(ps, windows, k: int) -> np.ndarray:
 
 
 def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
-    """Per-unit-volume windowed sums of a pairing's diagonal on `_window_rows`.
+    """Per-unit-volume windowed sums of a diagonal on `_window_rows`, k
+    entries per site; every box must hold a site.
 
     Uses the point set's analytic density when available (count / volume
     fluctuates by a boundary term on non-unit lattices), else the empirical
@@ -185,7 +187,10 @@ def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
     """
     traces = np.zeros(ps.n, dtype=complex)
     traces[window_mask(ps, windows[-1])] = diag.reshape(-1, k).sum(axis=1)
-    inside = _window_values(traces, ps, windows)
+    inside = [traces[window_mask(ps, n)] for n in windows]
+    for n, t in zip(windows, inside):
+        if not t.size:
+            raise PairingError(f"window radius {n} contains no sites")
     if ps.density is not None:
         return tuple(complex(t.mean()) * ps.density for t in inside)
     return tuple(complex(t.sum()) / (2.0 * n) ** ps.dim for t, n in zip(inside, windows))
@@ -208,6 +213,7 @@ def chern_even(P: ControlledOperator, windows) -> IndexReport:
     ps = P.module.pointset
     if ps.dim != 2:
         raise PairingError("chern_even is the d = 2 pairing")
+    windows = _box_windows(ps, windows, 0.0)
     M = P.matrix
     R = M @ M
     R -= M                                   # P^2 - P, then P* - P, in one buffer
@@ -219,7 +225,6 @@ def chern_even(P: ControlledOperator, windows) -> IndexReport:
     del R
     D1 = derivation(P, 0).matrix
     D2 = derivation(P, 1).matrix
-    windows = tuple(sorted(float(n) for n in windows))
     W = _window_rows(ps, windows, P.m)
     PW = M[W]
     diag = (np.einsum("ij,ji->i", PW @ D1, D2[:, W])
@@ -294,11 +299,11 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows) -> IndexReport
     d = ps.dim
     if d not in (1, 3):
         raise PairingError("odd pairing implemented for d = 1 and d = 3")
+    windows = _box_windows(ps, windows, 0.0)
     U, ip, im = chiral_unitary(s, spec)
     half = len(ip) // s.module.n_sites
     xs = [s.module.position_along(e) for e in np.eye(d)]
     grads = [1j * (xs[j][im][:, None] - xs[j][ip][None, :]) * U for j in range(d)]
-    windows = tuple(sorted(float(w) for w in windows))
     W = _window_rows(ps, windows, half)
     if d == 1:
         diag = np.einsum("ji,ji->i", U.conj(), grads[0])[W]
@@ -331,11 +336,12 @@ def spin_sectors(H: ControlledOperator):
 # edge pairings
 # ---------------------------------------------------------------------------
 
-def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction=None):
+def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction):
     """Strip coordinates of a compressed operator: (interface strip mask, edge
-    coord, edge dir).
+    coordinate, edge direction, interface centre c0, interface half-length).
 
-    The edge direction is the cut's own unless one is held fixed explicitly.
+    The edge direction is the cut's own unless one is held fixed explicitly
+    (None: the cut's).  No edge window may pass the half-length.
     """
     ps = H_hat.module.pointset
     if ps.source_ids is None:
@@ -345,25 +351,32 @@ def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction=
     else:
         e = np.asarray(edge_direction, dtype=float)
         e = e / np.linalg.norm(e)
-    return part.past_strip(ps.coords) < 0, ps.coords @ e, e
+    ecoord = ps.coords @ e
+    iface = ecoord[np.isin(ps.source_ids, part.interface_ids)]
+    lo, hi = iface.min(), iface.max()
+    return part.past_strip(ps.coords) < 0, ecoord, e, 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _edge_windows(edge_windows, half: float) -> tuple:
+    return check_windows(edge_windows, half,
+                         f"exceeds the interface half-length {half:.4g}")
 
 
 def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
                edge_windows, edge_direction=None) -> tuple:
-    """Per-unit-edge-length windowed sums over the interface strip.
+    """Per-unit-edge-length windowed sums over the interface strip, one per
+    edge window in increasing order.
 
     The strip keeps sites with normal distance in [0, w), w half the largest
     one - wide enough to hold the interface-bound states, narrow enough to
     exclude the sample's outer boundary; windows are half-open intervals
-    along the edge, centred on the interface, in the cut's edge direction
-    unless `edge_direction` holds another fixed.  `traces` holds one row per
-    site; each window sums its rows.
+    along the edge about the interface centre, in the cut's edge direction
+    unless `edge_direction` holds another fixed, and pass `_edge_windows`.
+    `traces` holds one row per site; each window sums its rows.
     """
-    strip, ecoord, _ = _interface_frame(H_hat, part, edge_direction)
-    iface = np.isin(H_hat.module.pointset.source_ids, part.interface_ids)
-    c0 = 0.5 * (ecoord[iface].min() + ecoord[iface].max())
+    strip, ecoord, _, c0, half = _interface_frame(H_hat, part, edge_direction)
     vals = []
-    for n in edge_windows:
+    for n in _edge_windows(edge_windows, half):
         mask = strip & (ecoord >= c0 - n) & (ecoord < c0 + n)
         if not mask.any():
             raise PairingError(f"edge window {n} contains no strip sites")
@@ -396,18 +409,18 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
                            f"({lo:.4f}, {hi:.4f}); the edge formula is gap-valid only")
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
+    # edge_direction overrides the orientation: measure along a held-fixed
+    # direction instead of the one the cut normal induces
+    _, _, e, _, length = _interface_frame(H_hat, part, edge_direction)
+    windows = _edge_windows(edge_windows, length)
     w, v = H_hat.eigh()
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     inside = (w > centre - half) & (w < centre + half)
     w, v = w[inside], v[:, inside]
-    # edge_direction overrides the orientation: measure along a held-fixed
-    # direction instead of the one the cut normal induces
-    _, _, e = _interface_frame(H_hat, part, edge_direction)
     # per-state current within the strip, resolved per site then per window
     DHv = derivation_along(H_hat, e).matrix @ v
     site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
     halves = np.linspace(0.7 * half, half, max(width_family, 1))
-    windows = tuple(float(n) for n in edge_windows)
     per_window = []
     for state_vals in edge_trace(H_hat, part, site_state, windows,
                                  edge_direction=edge_direction):

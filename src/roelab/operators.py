@@ -147,10 +147,6 @@ class ControlledOperator:
         N, m = self.module.n_sites, self.m
         return np.abs(self.matrix).reshape(N, m, N, m).max(axis=(1, 3))
 
-    def site_traces(self) -> np.ndarray:
-        """(N,) trace of every diagonal block."""
-        return np.diag(self.matrix).reshape(-1, self.m).sum(axis=1)
-
     def nonzero_blocks(self):
         """Iterate (x, y, block) over blocks above the zero threshold."""
         norms = self.block_norms()
@@ -256,7 +252,9 @@ class ControlledOperator:
     @classmethod
     def from_json(cls, doc: dict) -> "ControlledOperator":
         """Inverse of `to_json`; block indices, block shapes and the
-        `hermitian` flag are checked against the module and the matrix."""
+        `hermitian` flag are checked against the module and the matrix; every
+        entry must be finite, and the declared propagation (default: the
+        blocks' reach, `propagation`) finite and no smaller than that reach."""
         module = SiteModule.from_json(doc["module"])
         n, m = module.n_sites, module.orbitals_per_site
         M = np.zeros((module.dim, module.dim), dtype=complex)
@@ -267,10 +265,17 @@ class ControlledOperator:
             if B.shape != (m, m):
                 raise OperatorError(f"block ({x},{y}) has shape {B.shape}, expected ({m},{m})")
             M[x * m:(x + 1) * m, y * m:(y + 1) * m] = B
+        if not np.isfinite(M).all():
+            raise OperatorError("operator has a non-finite block entry")
         hermitian = bool(doc["hermitian"])
         if hermitian and np.abs(M - M.conj().T).max() > 1e-12:
             raise OperatorError("operator declared Hermitian but matrix is not")
-        return cls(module, M, float(doc.get("propagation", 0.0)), hermitian=hermitian)
+        reach = cls.from_dense(module, M, hermitian).declared_propagation
+        prop = float(doc.get("propagation", reach))
+        if not reach <= prop < np.inf:
+            raise OperatorError(f"declared propagation {prop} is not finite or lies "
+                                f"below the blocks' reach {reach:g}")
+        return cls(module, M, prop, hermitian=hermitian)
 
 
 def identity(module: SiteModule) -> ControlledOperator:

@@ -294,8 +294,8 @@ def test_criterion_8_algebraic_property_suite():
     for _ in range(1000):
         A = random_controlled(bigmod, rng, hop_range=2.0)
         B = random_controlled(bigmod, rng, hop_range=2.0)
-        AB = rl.trace_per_unit_volume(A @ B, windows, margin=5.0)
-        BA = rl.trace_per_unit_volume(B @ A, windows, margin=5.0)
+        AB = rl.trace_per_unit_volume(A @ B, windows)
+        BA = rl.trace_per_unit_volume(B @ A, windows)
         defects += np.abs(np.array(AB.values) - np.array(BA.values))
     defects /= 1000
     ok_folner = bool(defects[0] > defects[1] > defects[2])

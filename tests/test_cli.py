@@ -265,6 +265,88 @@ class TestEdgeAndBEC:
         assert out.strip() == f"bulk 1 vs edge 1: FAIL ({reason})"
 
 
+class TestWindowRule:
+    """One window rule on both sides: sorted, no repeats, inside what it
+    averages over; derived windows pass it."""
+
+    @pytest.fixture(scope="class")
+    def qwz12(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("qwz12") / "qwz.json"
+        assert main(["build", "--model", "qwz", "--size", "12", "--m", "1",
+                     "--out", str(path)]) == 0
+        return str(path)
+
+    def _bec(self, capsys, model, *flags):
+        code, out, err = run(["verify-bec", "--model-file", model, "--normal", "1,0",
+                              "--offset", "5.6", *flags], capsys)
+        return code, out, err
+
+    def test_unsorted_edge_windows_are_sorted(self, tmp_path, capsys, qwz12):
+        docs = []
+        for windows in ("4,3,2", "2,3,4"):
+            out = tmp_path / f"{windows}.json"
+            self._bec(capsys, qwz12, "--edge-windows", windows, "--out", str(out))
+            docs.append(json.loads(out.read_text())["edge"])
+        assert docs[0]["windows"] == docs[1]["windows"] == [2.0, 3.0, 4.0]
+        assert docs[0]["raw"] == docs[1]["raw"]
+
+    @pytest.mark.parametrize("side", ["index", "edge"])
+    def test_repeated_windows_exit_1(self, capsys, qwz12, side):
+        if side == "index":
+            code, out, err = run(["index", "--model-file", qwz12, "--windows", "2,2"],
+                                 capsys)
+            named = "2.0"
+        else:
+            code, out, err = self._bec(capsys, qwz12, "--edge-windows", "3,3")
+            named = "3.0"
+        assert code == 1 and out == ""
+        assert err == f"error: window radius {named} is repeated\n"
+
+    def test_edge_windows_longer_than_the_edge_exit_1(self, capsys, qwz12):
+        code, out, err = run(["edge-index", "--model-file", qwz12, "--normal", "1,0",
+                              "--offset", "5.6", "--windows", "6,8,10"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: window radius 6.0 exceeds the interface half-length 5.5\n"
+
+    def test_edge_index_derives_verify_becs_windows(self, tmp_path, capsys):
+        model = tmp_path / "qwz.json"
+        run(["build", "--model", "qwz", "--m", "1", "--out", str(model)], capsys)
+        cut = ["--model-file", str(model), "--normal", "1,0", "--offset", "9.6"]
+        edge, bec = tmp_path / "edge.json", tmp_path / "bec.json"
+        assert run(["edge-index", *cut, "--out", str(edge)], capsys)[0] == 0
+        run(["verify-bec", *cut, "--out", str(bec)], capsys)    # its plateau fails
+        got, want = json.loads(edge.read_text()), json.loads(bec.read_text())["edge"]
+        assert got["windows"] == [5.4, 7.2, 9.0]
+        got.pop("generated_at"), got.pop("model")
+        assert got == want
+
+    @pytest.mark.parametrize("model, build, flags", [
+        ("kane_mele", ["--lso", "0.06", "--lv", "0.1", "--size", "12"],
+         ["--formula", "trace"]),
+        ("qwz", ["--m", "1", "--cutoff", "3", "--size", "16"], []),
+    ], ids=["kane_mele_trace", "qwz_cutoff3_index"])
+    def test_derived_windows_pass_the_check(self, tmp_path, capsys, model, build, flags):
+        path = tmp_path / "m.json"
+        run(["build", "--model", model, *build, "--out", str(path)], capsys)
+        code, out, err = run(["index", "--model-file", str(path), *flags], capsys)
+        assert code == 0, err
+        windows = json.loads(out)["windows"]
+        H, _, _ = load_model(str(path))
+        size = float(build[-1])
+        assert windows == sorted(set(windows)) and len(windows) == 3
+        assert windows[-1] + H.declared_propagation <= size / 2
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--windows", "a,b"],
+        ["edge-index", "--normal", "a", "--offset", "5.6"],
+        ["verify-bec", "--normal", "1,0", "--offset", "5.6", "--seeds", "x"],
+    ], ids=["windows", "normal", "seeds"])
+    def test_malformed_list_is_a_usage_error(self, capsys, qwz12, argv):
+        code, out, err = run([argv[0], "--model-file", qwz12, *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+
+
 def _break_model(kind, path):
     """Damage a model file in one way; returns the path to load."""
     doc = json.loads(path.read_text())
@@ -288,6 +370,13 @@ def _break_model(kind, path):
         blocks[0][2] = [[[1.0, 0.0]]]
     elif kind == "not_hermitian":
         next(b for b in blocks if b[0] != b[1])[2][0][0][0] += 1.0
+    elif kind in ("nan_entry", "inf_entry"):
+        blocks[0][2][0][0][0] = float(kind[:3])
+    elif kind in ("nan_propagation", "inf_propagation", "negative_propagation",
+                  "propagation_below_reach"):
+        doc["operator"]["propagation"] = {"nan": float("nan"), "inf": float("inf"),
+                                          "negative": -1.0,
+                                          "propagation": 0.5}[kind.split("_")[0]]
     path.write_text(json.dumps(doc))
     return path
 
@@ -296,7 +385,10 @@ class TestMalformedModelFile:
     @pytest.mark.parametrize("kind", ["missing_file", "not_json", "no_operator",
                                       "no_module", "negative_index", "index_past_end",
                                       "short_label", "one_by_one_block",
-                                      "not_hermitian"])
+                                      "not_hermitian", "nan_entry", "inf_entry",
+                                      "nan_propagation", "inf_propagation",
+                                      "negative_propagation",
+                                      "propagation_below_reach"])
     def test_named_error_not_traceback(self, tmp_path, capsys, kind):
         model = tmp_path / "ssh.json"
         run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)

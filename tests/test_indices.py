@@ -74,8 +74,8 @@ class TestTracePerUnitVolume:
         for _ in range(30):
             A = random_controlled(mod, rng, hop_range=2.0)
             B = random_controlled(mod, rng, hop_range=2.0)
-            AB = rl.trace_per_unit_volume(A @ B, windows, margin=5.0)
-            BA = rl.trace_per_unit_volume(B @ A, windows, margin=5.0)
+            AB = rl.trace_per_unit_volume(A @ B, windows)
+            BA = rl.trace_per_unit_volume(B @ A, windows)
             defects += np.abs(np.array(AB.values) - np.array(BA.values))
         defects /= 30
         assert defects[0] > defects[1] > defects[2]
