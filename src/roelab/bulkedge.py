@@ -29,8 +29,8 @@ from .indices import (IndexReport, PairingError, _box_windows, _edge_windows,
                       edge_conductance, edge_fredholm, edge_trace, occupied_projection,
                       spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        compress, decay_fit, derivation_along, flatten,
-                        involution_defect, spectral_function, truncate)
+                        compress, decay_fit, derivation_along, flatten, involution_defect,
+                        site_blocks, spectral_function, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
@@ -61,7 +61,7 @@ def make_bulk(module: SiteModule, H: ControlledOperator, spec: SymmetrySpec,
               fermi: float = 0.0) -> BulkSystem:
     """Certify the gap and the symmetry relations (to SYM_TOL), then package
     the system."""
-    rep = verify_symmetry(H, spec, tol=SYM_TOL)
+    rep = verify_symmetry(H, spec)
     if not rep.passed:
         raise BulkEdgeError(f"symmetry violations {rep.violations} exceed {SYM_TOL}")
     cert = certify_gap(H, fermi=fermi)
@@ -221,7 +221,7 @@ def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec
         raise BulkEdgeError("no chiral operator: the class-D refinement needs "
                             "the C unitary block")
     aux = SymmetrySpec(has_P=True, P_unitary=spec.C_unitary)
-    rep = verify_symmetry(H, aux, tol=SYM_TOL)
+    rep = verify_symmetry(H, aux)
     if rep.violations.get("P", 1.0) > SYM_TOL:
         raise BulkEdgeError(
             "class D sample does not anticommute with the C unitary (complex "
@@ -377,13 +377,11 @@ def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
     conserve = ()
     if label == "AII" and "spin_z" in bulk.module.labels:
         conserve = (bulk.module.labels["spin_z"],)   # spin-resolved route needs it
-    m = bulk.H.m
     for seed in cfg.disorder_seeds:
-        blocks = disorder_blocks(bulk.spec, m, bulk.module.n_sites,
-                                 cfg.disorder_strength, seed, conserve=conserve)
         M = bulk.H.matrix.copy()
-        for x, B in enumerate(blocks):
-            M[x * m:(x + 1) * m, x * m:(x + 1) * m] += B
+        M[site_blocks(len(M), bulk.H.m)] += disorder_blocks(
+            bulk.spec, bulk.H.m, bulk.module.n_sites, cfg.disorder_strength, seed,
+            conserve=conserve)
         yield ({"kind": "disorder", "seed": int(seed), "strength": cfg.disorder_strength},
                ControlledOperator(bulk.module, M, bulk.H.declared_propagation,
                                   hermitian=True))

@@ -246,6 +246,9 @@ def cmd_sweep(args, extra) -> int:
         if cfg.get("formula", "trace") != "trace":
             raise ValueError(f"formula {cfg['formula']!r} is not \"trace\"; the index "
                              "follows the model's (class, d) route")
+        windows = cfg.get("windows", [])
+        if not isinstance(windows, list) or any(type(w) not in (int, float) for w in windows):
+            raise TypeError(f"windows {windows!r} is not a list of numbers")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -297,9 +300,15 @@ def _sign(text: str) -> int:
     return v
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise, one `usage error:` line in `main`."""
+
+    def error(self, message):
+        raise argparse.ArgumentTypeError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="roelab", description=__doc__,
-                            allow_abbrev=False)
+    p = _Parser(prog="roelab", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", allow_abbrev=False, help="build a model file")
@@ -400,16 +409,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if getattr(args, "accepts_params", False):
-            extra = _parse_extra_params(unknown)
-        elif unknown:
+        if unknown and not args.accepts_params:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-        else:
-            extra = {}
-        return args.func(args, extra)
+        return args.func(args, _parse_extra_params(unknown))
+    except SystemExit as exc:            # -h: the help is printed
+        return int(exc.code or 0)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -391,10 +391,12 @@ def partition_halfspace(ps: PointSet, normal, offset: float,
 
     The interface is the set of plus points within `thickness` of the cut
     plane (default: twice the packing diameter, which keeps the interface a
-    relatively dense sample of the cut at the window scale).  Degenerate
-    geometry - an empty side or an empty interface - raises.
+    relatively dense sample of the cut at the window scale).  A normal of the
+    wrong length and degenerate geometry - an empty side or interface - raise.
     """
     normal = np.asarray(normal, dtype=float)
+    if normal.shape != (ps.dim,):
+        raise GeometryError(f"cut normal has shape {normal.shape}, not ({ps.dim},)")
     nn = np.linalg.norm(normal)
     if nn == 0:
         raise GeometryError("cut normal must be nonzero")

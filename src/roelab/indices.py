@@ -31,7 +31,7 @@ from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
                         derivation, derivation_along, involution_defect, onsite,
                         restrict_orbitals, spectral_function)
-from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
+from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
 
 
@@ -244,9 +244,11 @@ def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> Controll
 
 
 def _chiral_split(spec: SymmetrySpec):
-    """Eigenbasis of the on-site chiral unitary, split by eigenvalue sign."""
+    """Eigenbasis of the on-site chiral unitary, Hermitian (eigenvalues +-1), by sign."""
     if not spec.has_P or spec.P_unitary is None:
         raise PairingError("odd pairing requires a chiral operator P")
+    if not np.allclose(spec.P_unitary, spec.P_unitary.conj().T, atol=1e-10):
+        raise PairingError("chiral unitary P is not Hermitian (P != P*): no chirality split")
     w, V = np.linalg.eigh(spec.P_unitary)
     plus = np.where(w > 0)[0]
     minus = np.where(w < 0)[0]
@@ -273,7 +275,7 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
         raise PairingError("operator is not flattened (s^2 != 1)")
     ps = s.module.pointset
     V, plus, minus = _chiral_split(spec)
-    defect = 0.5 * np.abs(M + onsite(spec.P_unitary, M))
+    defect = RELATIONS["P"].defect(spec.P_unitary, s)
     margin = 0.15 * float((ps.window[:, 1] - ps.window[:, 0]).min())
     interior = np.repeat(ps.boundary_distance() > margin, s.m)
     viol = float(defect[np.ix_(interior, interior)].max()) if interior.any() else \
@@ -447,7 +449,7 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition
         raise PairingError("the Fredholm count is the d = 1 edge pairing")
     if not spec.has_P or spec.P_unitary is None:
         raise PairingError("Fredholm count requires a chiral operator P")
-    rep = verify_symmetry(H_hat, spec, tol=SYM_TOL)
+    rep = verify_symmetry(H_hat, spec)
     if rep.violations.get("P", 0.0) > SYM_TOL:
         raise PairingError(f"chiral violation {rep.violations['P']:.2e} above {SYM_TOL}")
     w, v = H_hat.eigh()

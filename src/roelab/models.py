@@ -21,8 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PointSet, TRIANGULAR_BASIS, generate
-from .operators import ControlledOperator, SiteModule
-from .symmetry import SymmetrySpec
+from .operators import ControlledOperator, SiteModule, site_blocks
+from .symmetry import CONSERVED, SymmetrySpec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -256,22 +256,13 @@ def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
                      conserve=()) -> np.ndarray:
     """Project an on-site Hermitian block onto the symmetry commutant.
 
-    Keeps the part with T B-bar T^-1 = B, C B-bar C^-1 = -B, P B P^-1 = -B,
-    plus [L, B] = 0 for each conserved diagonal label L, so adding the result
+    Averages B with its image under each relation of `spec`, then of each
+    conserved diagonal label L (a commuting relation), so adding the result
     to a symmetric Hamiltonian preserves every relation exactly.
     """
-    if spec.has_T and spec.T_unitary is not None:
-        T = spec.T_unitary
-        B = (B + T @ B.conj() @ T.conj().T) / 2
-    if spec.has_C and spec.C_unitary is not None:
-        C = spec.C_unitary
-        B = (B - C @ B.conj() @ C.conj().T) / 2
-    if spec.has_P and spec.P_unitary is not None:
-        P = spec.P_unitary
-        B = (B - P @ B @ P.conj().T) / 2
-    for lab in conserve:
-        L = np.diag(np.asarray(lab, dtype=complex))
-        B = (B + L @ B @ L.conj().T) / 2
+    for r, U in spec.relations() + [(CONSERVED, np.diag(np.asarray(lab, dtype=complex)))
+                                    for lab in conserve]:
+        B = (B + r.image(U, B)) / 2
     return B
 
 
@@ -313,8 +304,8 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
     m = st.orbitals
     N = ps.n
     M = np.zeros((N * m, N * m), dtype=complex)
-    for x in range(N):
-        M[x * m:(x + 1) * m, x * m:(x + 1) * m] = st.onsite
+    diagonal = site_blocks(N * m, m)
+    M[diagonal] = st.onsite
     tree = ps.tree()
     extent = ps.window[:, 1] - ps.window[:, 0]
     for off, entry in st.hops.items():
@@ -337,8 +328,6 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
             M[x * m:(x + 1) * m, y * m:(y + 1) * m] += amp * B.conj().T
     if disorder:
         conserve = [module.labels[k] for k in st.conserve_labels]
-        for x, B in enumerate(disorder_blocks(st.spec, m, N, disorder, seed,
-                                              conserve=conserve)):
-            M[x * m:(x + 1) * m, x * m:(x + 1) * m] += B
+        M[diagonal] += disorder_blocks(st.spec, m, N, disorder, seed, conserve=conserve)
     H = ControlledOperator.from_dense(module, M, hermitian=True)
     return module, H, st.spec

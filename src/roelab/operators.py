@@ -352,6 +352,14 @@ def onsite(A, M: np.ndarray, B=None) -> np.ndarray:
     return (left.reshape(n * p * n, m) @ B.conj().T).reshape(n * p, n * q)
 
 
+def site_blocks(dim: int, m: int) -> tuple:
+    """Index of the on-site (diagonal) m x m block of every site of a dim x dim
+    matrix: M[site_blocks(len(M), m)] is the (n, m, m) stack of them, so one
+    assignment or `+=` places one block per site, or one block at every site."""
+    idx = np.arange(dim).reshape(-1, m)
+    return idx[:, :, None], idx[:, None, :]
+
+
 # ---------------------------------------------------------------------------
 # the controlled-operator toolbox
 # ---------------------------------------------------------------------------

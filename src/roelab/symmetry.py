@@ -3,9 +3,12 @@
 Concrete side: a `SymmetrySpec` records which of time-reversal T, particle-hole
 C and chiral P are present, the signs T^2, C^2 and the unitary parts (an
 antiunitary operator is "unitary part followed by complex conjugation"), plus
-optional signs for how a spatial reflection commutes with them.
-`verify_symmetry` applies these on-site unitaries (and a point-group element's
-on-site block) site by site, without forming the n*m x n*m unitary.
+optional signs for how a spatial reflection commutes with them.  `RELATIONS`
+is the one table of how each acts: antiunitarily or not, commuting or
+anticommuting with H.  `verify_symmetry`, the disorder projection of
+`roelab.models` and the chirality check of the odd pairing apply its on-site
+unitaries (and a point-group element's on-site block) site by site, without
+forming the n*m x n*m unitary.
 
 Symbolic side: the Cartan label of a spec, and the classifying groups - the
 point-symmetry table over the four physical dimensions, the cyclic-rotation
@@ -20,7 +23,7 @@ and the complex K-group at (j - d) mod 2 for A and AIII.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,13 +139,18 @@ def spec_from_label(label: str, CR_sign: int | None = None,
     return SymmetrySpec(has_T=True, has_C=True, T_sq=signs[0], C_sq=signs[1], **kw)
 
 
-def kgroup_point(label: str, d: int) -> KGroupDescriptor:
-    """Classifying group of a d-dimensional gapped system in class `label`."""
+def _degree(label: str, d: int) -> int:
+    """Homological degree j(label) - d of a Cartan label in d = 0..3."""
     if label not in CARTAN_LABELS:
         raise SymmetryError(f"unknown Cartan label {label!r}")
     if d not in (0, 1, 2, 3):
         raise SymmetryError("d must be 0..3")
-    s = _group_at(label, LABEL_DEGREE[label] - d)
+    return LABEL_DEGREE[label] - d
+
+
+def kgroup_point(label: str, d: int) -> KGroupDescriptor:
+    """Classifying group of a d-dimensional gapped system in class `label`."""
+    s = _group_at(label, _degree(label, d))
     return KGroupDescriptor((s,), provenance=f"point table ({label}, d={d})")
 
 
@@ -154,11 +162,9 @@ def kgroup_rotation(label: str, d: int, k: int) -> KGroupDescriptor:
     k complex summands while a real class contributes one or two real summands
     plus complex pairs, all evaluated at the degree of (label, d).
     """
-    if label not in CARTAN_LABELS:
-        raise SymmetryError(f"unknown Cartan label {label!r}")
+    deg = _degree(label, d)
     if k < 2:
         raise SymmetryError("rotation order k must be >= 2")
-    deg = LABEL_DEGREE[label] - d
     prov = f"rotation C_{k} ({label}, d={d})"
     if label in COMPLEX_LABELS:
         return KGroupDescriptor((_complex_at(deg),) * k, provenance=prov)
@@ -182,32 +188,23 @@ def kgroup_reflection(spec: "SymmetrySpec", d: int) -> KGroupDescriptor:
     Requires a chiral spec (P present) with the reflection signs set.
     """
     label = classify(spec)
+    deg = _degree(label, d)
     if not spec.has_P:
         raise SymmetryError("reflection table requires a chiral spec (P present)")
-    pr = spec.PR_sign
-    if pr is None:
+    if spec.PR_sign is None:
         raise SymmetryError("reflection signs missing (PR undetermined)")
-    j = LABEL_DEGREE[label]
-    if pr == 1:
-        if spec.has_T:
-            if spec.TR_sign is None:
-                raise SymmetryError("reflection signs missing (TR undetermined)")
-            shift = d - 1 if spec.TR_sign == 1 else d + 1
-        else:
-            shift = d - 1
-        s = _group_at(label, j - shift)
+    if spec.has_T and spec.TR_sign is None:
+        raise SymmetryError("reflection signs missing (TR undetermined)")
+    tr = spec.TR_sign if spec.has_T else 1
+    if spec.PR_sign == 1:
+        # degree d - 1 when TR = +RT (or without T), d + 1 when TR = -RT
+        s = _group_at(label, deg + tr)
         return KGroupDescriptor((s,), provenance=f"reflection case PR=+ ({label}, d={d})")
     # PR = -RP: compare T(RP) with (RP)T; sign is TR_sign * PT commutation
-    if spec.has_T:
-        if spec.TR_sign is None:
-            raise SymmetryError("reflection signs missing (TR undetermined)")
-        trp = spec.TR_sign * spec.TP_sign
-    else:
-        trp = 1
-    if trp == 1:
-        s = _group_at(label, j - d)
+    if tr * spec.TP_sign == 1:
+        s = _group_at(label, deg)
         return KGroupDescriptor((s, s), provenance=f"reflection case PR=-, TRP=+ ({label}, d={d})")
-    s = _complex_at(LABEL_DEGREE[label] - d)
+    s = _complex_at(deg)
     return KGroupDescriptor((s,), provenance=f"reflection case PR=-, TRP=- ({label}, d={d})")
 
 
@@ -289,13 +286,11 @@ def kgroup_finite_group(label: str, d: int, ct: CharacterTable) -> KGroupDescrip
     Real-type irreducibles contribute the label's own group, conjugate pairs a
     complex summand, quaternionic ones the group at degree shifted by 4.
     """
+    deg = _degree(label, d)
     if label in COMPLEX_LABELS:
-        n_irr = len(ct.class_sizes)
-        deg = LABEL_DEGREE[label] - d
-        return KGroupDescriptor((_complex_at(deg),) * n_irr,
+        return KGroupDescriptor((_complex_at(deg),) * len(ct.class_sizes),
                                 provenance=f"finite group ({label}, d={d})")
     n1, n0, nm1 = frobenius_schur_split(ct)
-    deg = LABEL_DEGREE[label] - d
     summands = ((_real_at(deg),) * n1
                 + (_complex_at(deg),) * (n0 // 2)
                 + (_real_at(deg + 4),) * nm1)
@@ -316,13 +311,58 @@ def _as_unitary(U, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Relation:
+    """One symmetry relation U H' U^* = sign H of an on-site unitary U, where
+    H' is conj(H) for an antiunitary action and H for a unitary one.
+
+    `present`, `unitary` and `square` name the `SymmetrySpec` fields of the
+    flag, of U and of the sign of U conj(U) (T and C only).
+    """
+
+    name: str
+    present: str | None
+    unitary: str | None
+    antiunitary: bool
+    sign: int
+    square: str | None
+
+    def image(self, U, X: np.ndarray) -> np.ndarray:
+        """sign * U X' U^*, site by site (`operators.onsite`), in a new buffer."""
+        Y = onsite(U, X.conj() if self.antiunitary else X)
+        return np.negative(Y, out=Y) if self.sign < 0 else Y
+
+    def defect(self, U, H: ControlledOperator) -> np.ndarray:
+        """Entrywise 0.5 |H - image of H|, formed in the buffer `image` returns."""
+        Y = self.image(_block(U, H.m), H.matrix)
+        return 0.5 * np.abs(np.subtract(H.matrix, Y, out=Y))
+
+
+# the one table of CT relations: T commutes antiunitarily, C anticommutes
+# antiunitarily, P anticommutes unitarily
+RELATIONS = {
+    "T": Relation("T", "has_T", "T_unitary", antiunitary=True, sign=1, square="T_sq"),
+    "C": Relation("C", "has_C", "C_unitary", antiunitary=True, sign=-1, square="C_sq"),
+    "P": Relation("P", "has_P", "P_unitary", antiunitary=False, sign=-1, square=None),
+}
+# a conserved diagonal label L: [L, H] = 0
+CONSERVED = Relation("conserved", None, None, antiunitary=False, sign=1, square=None)
+
+
+def _block(U, m: int) -> np.ndarray:
+    U = np.asarray(U)
+    if U.shape != (m, m):
+        raise SymmetryError(f"symmetry block is {U.shape}, orbital space is {m}")
+    return U
+
+
+@dataclass(frozen=True)
 class SymmetrySpec:
     """Concrete CT-type data on an orbital space.
 
-    T and C act antiunitarily as (unitary part) o (complex conjugation); P acts
-    unitarily and anticommutes with the Hamiltonian.  When both T and C are
-    present P is derived as their product.  Reflection signs record whether a
-    declared spatial reflection commutes (+1) or anticommutes (-1) with each
+    T, C and P act as the `RELATIONS` table says, an antiunitary as (unitary
+    part) o (complex conjugation).  When both T and C are present P is
+    derived as their product.  Reflection signs record whether a declared
+    spatial reflection commutes (+1) or anticommutes (-1) with each
     operator; they only matter for the reflection classification.
     """
 
@@ -340,22 +380,17 @@ class SymmetrySpec:
     action: object | None = None      # optional geometry.GroupAction
 
     def __post_init__(self):
-        if self.has_T:
-            if self.T_sq not in (1, -1):
-                raise SymmetryError("has_T requires T_sq in {+1, -1}")
-            if self.T_unitary is not None:
-                T = _as_unitary(self.T_unitary, "T_unitary")
-                object.__setattr__(self, "T_unitary", T)
-                if not np.allclose(T @ T.conj(), self.T_sq * np.eye(len(T)), atol=1e-10):
-                    raise SymmetryError("T_unitary . conj(T_unitary) != T_sq * 1")
-        if self.has_C:
-            if self.C_sq not in (1, -1):
-                raise SymmetryError("has_C requires C_sq in {+1, -1}")
-            if self.C_unitary is not None:
-                C = _as_unitary(self.C_unitary, "C_unitary")
-                object.__setattr__(self, "C_unitary", C)
-                if not np.allclose(C @ C.conj(), self.C_sq * np.eye(len(C)), atol=1e-10):
-                    raise SymmetryError("C_unitary . conj(C_unitary) != C_sq * 1")
+        for r in RELATIONS.values():
+            if r.square is None or not getattr(self, r.present):
+                continue
+            sq = getattr(self, r.square)
+            if sq not in (1, -1):
+                raise SymmetryError(f"{r.present} requires {r.square} in {{+1, -1}}")
+            if getattr(self, r.unitary) is not None:
+                U = _as_unitary(getattr(self, r.unitary), r.unitary)
+                object.__setattr__(self, r.unitary, U)
+                if not np.allclose(U @ U.conj(), sq * np.eye(len(U)), atol=1e-10):
+                    raise SymmetryError(f"{r.unitary} . conj({r.unitary}) != {r.square} * 1")
         if self.has_T and self.has_C:
             object.__setattr__(self, "has_P", True)
             if self.P_unitary is None and self.T_unitary is not None \
@@ -364,6 +399,11 @@ class SymmetrySpec:
                                    self.C_unitary @ self.T_unitary.conj())
         if self.has_P and self.P_unitary is not None:
             object.__setattr__(self, "P_unitary", _as_unitary(self.P_unitary, "P_unitary"))
+
+    def relations(self) -> list:
+        """(relation, unitary) of each present relation whose unitary is given."""
+        return [(r, getattr(self, r.unitary)) for r in RELATIONS.values()
+                if getattr(self, r.present) and getattr(self, r.unitary) is not None]
 
     @property
     def PR_sign(self) -> int | None:
@@ -382,49 +422,43 @@ class SymmetrySpec:
         return self.T_sq * self.C_sq
 
     def conjugated(self, W) -> "SymmetrySpec":
-        """Same symmetry in the rotated orbital basis W (antiunitaries pick W . U . W^T)."""
+        """Same symmetry in the rotated orbital basis W: U -> W U W^T for an
+        antiunitary, W U W^* for a unitary."""
         W = _as_unitary(W, "W")
-        rot_a = lambda U: None if U is None else W @ U @ W.T
-        rot_u = lambda U: None if U is None else W @ U @ W.conj().T
-        return SymmetrySpec(
-            has_T=self.has_T, has_C=self.has_C, has_P=self.has_P,
-            T_sq=self.T_sq, C_sq=self.C_sq,
-            T_unitary=rot_a(self.T_unitary), C_unitary=rot_a(self.C_unitary),
-            P_unitary=rot_u(self.P_unitary),
-            CR_sign=self.CR_sign, TR_sign=self.TR_sign,
-            PR_sign_explicit=self.PR_sign_explicit, action=self.action)
+
+        def rotated(r):
+            U = getattr(self, r.unitary)
+            return None if U is None else W @ U @ (W.T if r.antiunitary else W.conj().T)
+        return replace(self, **{r.unitary: rotated(r) for r in RELATIONS.values()})
 
     def to_json(self) -> dict:
         enc = lambda U: None if U is None else [[[float(z.real), float(z.imag)] for z in row]
                                                 for row in U]
-        return {
-            "has_T": self.has_T, "has_C": self.has_C, "has_P": self.has_P,
-            "T_sq": self.T_sq, "C_sq": self.C_sq,
-            "T_unitary": enc(self.T_unitary), "C_unitary": enc(self.C_unitary),
-            "P_unitary": enc(self.P_unitary),
-            "CR_sign": self.CR_sign, "TR_sign": self.TR_sign,
-            "PR_sign": self.PR_sign_explicit,
-        }
+        rels = RELATIONS.values()
+        return {**{r.present: getattr(self, r.present) for r in rels},
+                **{r.square: getattr(self, r.square) for r in rels if r.square},
+                **{r.unitary: enc(getattr(self, r.unitary)) for r in rels},
+                "CR_sign": self.CR_sign, "TR_sign": self.TR_sign,
+                "PR_sign": self.PR_sign_explicit}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SymmetrySpec":
         dec = lambda M: None if M is None else np.array(
             [[complex(v[0], v[1]) for v in row] for row in M])
-        return cls(has_T=doc.get("has_T", False), has_C=doc.get("has_C", False),
-                   has_P=doc.get("has_P", False),
-                   T_sq=doc.get("T_sq"), C_sq=doc.get("C_sq"),
-                   T_unitary=dec(doc.get("T_unitary")), C_unitary=dec(doc.get("C_unitary")),
-                   P_unitary=dec(doc.get("P_unitary")),
+        rels = RELATIONS.values()
+        return cls(**{r.present: doc.get(r.present, False) for r in rels},
+                   **{r.square: doc.get(r.square) for r in rels if r.square},
+                   **{r.unitary: dec(doc.get(r.unitary)) for r in rels},
                    CR_sign=doc.get("CR_sign"), TR_sign=doc.get("TR_sign"),
                    PR_sign_explicit=doc.get("PR_sign"))
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Max-entry violations of each declared symmetry relation."""
+    """Max-entry violations of each declared symmetry relation; it passes at
+    SYM_TOL."""
 
     violations: dict
-    tol: float
 
     @property
     def max_violation(self) -> float:
@@ -432,52 +466,34 @@ class SymmetryReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tol
+        return self.max_violation <= SYM_TOL
 
 
-def verify_symmetry(H, spec: SymmetrySpec, tol: float = 1e-10) -> SymmetryReport:
+def verify_symmetry(H, spec: SymmetrySpec) -> SymmetryReport:
     """Check the symmetry relations of a controlled operator.
 
-    T H-bar T^-1 = H (antiunitary, commuting), C H-bar C^-1 = -H (antiunitary,
-    anticommuting), P H P^-1 = -H (unitary, anticommuting), and U_g H U_g^-1 = H
-    for any point-group elements.  Each violation is the max absolute entry of
-    the distance from H to its symmetrized part.  The unitaries act site-wise
-    (`operators.onsite`), and a group element as its on-site block followed by
-    its site permutation; the n*m x n*m unitary is never formed.
+    Each relation of `spec` (`RELATIONS`) and each point-group element
+    U_g H U_g^-1 = H.  A violation is the max absolute entry of the distance
+    from H to its symmetrized part, 0.5 max|H - sign U H' U^*| for a
+    relation.  The unitaries act site-wise (`operators.onsite`), and a group
+    element as its on-site block followed by its site permutation; the
+    n*m x n*m unitary is never formed.
     """
     if not isinstance(H, ControlledOperator):
         raise SymmetryError("verify_symmetry expects a ControlledOperator")
     if not H.hermitian:
         raise SymmetryError("verify_symmetry expects a Hermitian operator")
-    M = H.matrix
-    n, m = H.module.n_sites, H.m
-
-    def conj(U, X):
-        """(1 (x) U) X (1 (x) U)^* for an m x m on-site block U."""
-        if U.shape != (m, m):
-            raise SymmetryError(f"symmetry block is {U.shape}, orbital space is {m}")
-        return onsite(U, X)
-
-    out = {}
-    if spec.has_T and spec.T_unitary is not None:
-        out["T"] = 0.5 * np.abs(M - conj(spec.T_unitary, M.conj())).max()
-    if spec.has_C and spec.C_unitary is not None:
-        out["C"] = 0.5 * np.abs(M + conj(spec.C_unitary, M.conj())).max()
-    if spec.has_P and spec.P_unitary is not None:
-        out["P"] = 0.5 * np.abs(M + conj(spec.P_unitary, M)).max()
-    if spec.action is not None:
-        worst = 0.0
-        act = spec.action
-        M4 = M.reshape(n, m, n, m)
-        for i in range(act.order):
-            perm = act.site_permutation[i]
-            if (perm < 0).any():
-                continue  # truncated elements checked only on full matches
-            blk = act.onsite_blocks[i] if act.onsite_blocks is not None else np.eye(m)
-            # block (perm x, perm y) of U_g M U_g^* is blk M(x, y) blk^*;
-            # compare it with M(perm x, perm y)
-            moved = M4[perm][:, :, perm]
-            worst = max(worst, 0.5 * np.abs(moved.reshape(n * m, n * m)
-                                            - conj(np.asarray(blk), M)).max())
-        out["group"] = worst
-    return SymmetryReport(violations=out, tol=tol)
+    out = {r.name: r.defect(U, H).max() for r, U in spec.relations()}
+    act = spec.action
+    if act is not None:
+        n, m = H.module.n_sites, H.m
+        M4 = H.matrix.reshape(n, m, n, m)
+        blocks = [np.eye(m)] * act.order if act.onsite_blocks is None else act.onsite_blocks
+        # block (perm x, perm y) of U_g M U_g^* is blk M(x, y) blk^*; compare it
+        # with M(perm x, perm y).  Truncated elements are checked only on full
+        # matches.
+        out["group"] = max([0.0] + [
+            0.5 * np.abs(M4[perm][:, :, perm].reshape(n * m, n * m)
+                         - onsite(_block(blk, m), H.matrix)).max()
+            for perm, blk in zip(act.site_permutation, blocks) if (perm >= 0).all()])
+    return SymmetryReport(violations=out)

@@ -487,3 +487,62 @@ class TestSpectrum:
         # particle-hole symmetric spectrum
         w = np.array(doc["eigenvalues"])
         assert np.allclose(np.sort(w), -np.sort(-w)[::-1], atol=1e-10)
+
+
+def _one_line(err, prefix):
+    return err.startswith(prefix) and len(err.strip().splitlines()) == 1
+
+
+class TestNamedErrors:
+    """Bad input ends in one named error line, never a traceback."""
+
+    def test_argparse_errors_are_one_usage_line(self, tmp_path, capsys):
+        model = str(tmp_path / "absent.json")
+        for argv in (["index", "--model-file", model, "--bogus", "1"],
+                     ["index", "--model-file", model, "--windows", "-1,2"],
+                     ["index"], ["nope"], []):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and _one_line(err, "usage error: "), argv
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(["-h"], capsys)
+        assert code == 0 and out.startswith("usage: roelab")
+        assert run(["index", "-h"], capsys)[0] == 0
+
+    def test_kgroup_d_outside_0_to_3_exits_1(self, capsys):
+        for flags in (["--rotation", "3"], ["--reflection", "--pr-sign", "1"], []):
+            code, out, err = run(["kgroup", "--label", "AIII", "--d", "9", *flags], capsys)
+            assert code == 1 and out == "" and _one_line(err, "error: d must be 0..3")
+
+    def test_normal_of_the_wrong_length_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "qwz.json"
+        run(["build", "--model", "qwz", "--size", "8", "--out", str(model)], capsys)
+        for normal in ("1", "1,0,0"):
+            code, out, err = run(["edge-index", "--model-file", str(model), "--normal",
+                                  normal, "--offset", "3.6"], capsys)
+            assert code == 1 and out == "" and _one_line(err, "error: cut normal has shape")
+
+    def test_non_hermitian_chiral_unitary_exits_1(self, tmp_path, capsys):
+        """P = i sigma_z is unitary and anticommutes with an ssh chain, but it
+        has no chirality split into +-1 eigenspaces."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "60",
+             "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        doc["symmetry"]["P_unitary"] = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
+        model.write_text(json.dumps(doc))
+        for argv in (["index", "--model-file", str(model)],
+                     ["verify-bec", "--model-file", str(model), "--normal", "1",
+                      "--offset", "29.6"]):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert _one_line(err, "error: chiral unitary P is not Hermitian"), err
+
+    @pytest.mark.parametrize("windows", [["a"], "3", [None], [True, 2]])
+    def test_sweep_windows_not_a_list_of_numbers_exit_2(self, tmp_path, capsys, windows):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "qwz", "size": 8, "windows": windows,
+                                   "seeds": [0]}))
+        code, _, err = run(["sweep", "--config", str(cfg), "--out",
+                            str(tmp_path / "o.csv")], capsys)
+        assert code == 2 and _one_line(err, "config error: windows ")

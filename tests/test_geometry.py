@@ -153,6 +153,11 @@ class TestPartition:
         with pytest.raises(GeometryError):
             rl.partition_halfspace(square16, [1, 0], 40.0)
 
+    @pytest.mark.parametrize("normal", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_normal_must_match_the_dimension(self, square16, normal):
+        with pytest.raises(GeometryError, match="cut normal has shape"):
+            rl.partition_halfspace(square16, normal, 1.6)
+
     def test_tilted_cut_brute_force(self, square20):
         normal = np.array([np.cos(0.3), np.sin(0.3)])
         part = rl.partition_halfspace(square20, normal, 9.7, thickness=1.2)

@@ -6,7 +6,7 @@ from roelab import bloch
 from roelab.indices import (PairingError, chiral_unitary, edge_trace, snap_integer,
                             snap_z2, spin_sectors, window_mask)
 from roelab.models import AUX_CHIRAL
-from roelab.operators import SiteModule
+from roelab.operators import SiteModule, site_blocks
 from roelab.symmetry import SymmetrySpec
 from conftest import random_controlled
 
@@ -376,8 +376,7 @@ class TestStability:
         for seed in range(4):
             blocks = disorder_blocks(spec, 2, mod.n_sites, 0.45 * cert.epsilon, seed)
             M = H.matrix.copy()
-            for x, B in enumerate(blocks):
-                M[2 * x:2 * x + 2, 2 * x:2 * x + 2] += B
+            M[site_blocks(len(M), 2)] += blocks
             Hp = rl.ControlledOperator(mod, M, H.declared_propagation)
             assert (Hp - H).norm() < cert.epsilon / 2 * 2.5
             cert_p = rl.certify_gap(Hp)

@@ -3,7 +3,7 @@ import pytest
 
 import roelab as rl
 from roelab import bloch
-from roelab.operators import OperatorError, SiteModule, decay_length
+from roelab.operators import OperatorError, SiteModule, decay_length, site_blocks
 from roelab.symmetry import SymmetrySpec
 from conftest import random_controlled
 
@@ -261,8 +261,7 @@ class TestCompress:
         from roelab.models import disorder_blocks
         blocks = disorder_blocks(spec, 2, mod.n_sites, 0.3 * cert.epsilon, 2)
         M = H.matrix.copy()
-        for x, B in enumerate(blocks):
-            M[2 * x:2 * x + 2, 2 * x:2 * x + 2] += B
+        M[site_blocks(len(M), 2)] += blocks
         Hp = rl.ControlledOperator(mod, M, H.declared_propagation)
         assert (Hp - H).norm() < cert.epsilon
         for t in np.linspace(0, 1, 11):
@@ -326,6 +325,25 @@ class TestOnsite:
             rl.onsite(np.eye(3), np.eye(8))
         with pytest.raises(OperatorError):
             rl.onsite(np.eye(2), np.eye(8), np.eye(4))
+
+
+class TestSiteBlocks:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_slice_loop(self, m):
+        """Assigning one block and adding one block per site equal the loop
+        over diagonal slices bit for bit."""
+        rng = np.random.default_rng(m)
+        n = 11
+        one = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        per_site = list(rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m)))
+        want = rng.standard_normal((n * m, n * m)) + 0j
+        got = want.copy()
+        for x, B in enumerate(per_site):
+            want[x * m:(x + 1) * m, x * m:(x + 1) * m] = one
+            want[x * m:(x + 1) * m, x * m:(x + 1) * m] += B
+        got[site_blocks(n * m, m)] = one
+        got[site_blocks(n * m, m)] += per_site
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFromBlocks:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import roelab as rl
+from roelab.models import _random_hermitian, disorder_blocks, symmetrize_block
+from roelab.operators import onsite
 from roelab.symmetry import (CharacterTable, SymmetryError, SymmetrySpec,
                              kgroup_finite_group, spec_from_label)
 from tables import POINT_GROUPS, TENFOLD
@@ -62,6 +64,19 @@ class TestKGroupPoint:
             rl.kgroup_point("X", 0)
         with pytest.raises(SymmetryError):
             rl.kgroup_point("A", 5)
+
+    @pytest.mark.parametrize("lookup", [
+        lambda label, d: rl.kgroup_point(label, d),
+        lambda label, d: rl.kgroup_rotation(label, d, 3),
+        lambda label, d: rl.kgroup_reflection(spec_from_label(label, PR_sign=1), d),
+        lambda label, d: kgroup_finite_group(label, d, CharacterTable.cyclic(3)),
+    ], ids=["point", "rotation", "reflection", "finite_group"])
+    def test_every_lookup_checks_label_and_d(self, lookup):
+        for d in (-1, 4, 9):
+            with pytest.raises(SymmetryError, match="d must be 0..3"):
+                lookup("AIII", d)
+        with pytest.raises(SymmetryError, match="unknown Cartan label"):
+            lookup("X", 1)
 
 
 class TestKGroupRotation:
@@ -277,3 +292,80 @@ class TestVerifySymmetryMatchesDense:
             worst = max(worst, 0.5 * np.abs(M - U @ M @ U.conj().T).max())
         got = rl.verify_symmetry(H, SymmetrySpec(action=act)).violations["group"]
         assert worst > 0.1 and abs(got - worst) < 1e-12
+
+
+class TestRelationTable:
+    """The relation table reproduces the explicit formulas bit for bit:
+    T H-bar T^* = H, C H-bar C^* = -H, P H P^* = -H and L B L^* = B for a
+    conserved label L."""
+
+    @staticmethod
+    def _spec(rng):
+        W = _unitary(rng, 4)
+        return SymmetrySpec(has_T=True, T_sq=-1, T_unitary=W @ np.kron(1j * SY, np.eye(2)) @ W.T,
+                            has_C=True, C_sq=1, C_unitary=W @ W.T)
+
+    @staticmethod
+    def _explicit(B, spec, labels=()):
+        if spec.has_T and spec.T_unitary is not None:
+            T = spec.T_unitary
+            B = (B + T @ B.conj() @ T.conj().T) / 2
+        if spec.has_C and spec.C_unitary is not None:
+            C = spec.C_unitary
+            B = (B - C @ B.conj() @ C.conj().T) / 2
+        if spec.has_P and spec.P_unitary is not None:
+            P = spec.P_unitary
+            B = (B - P @ B @ P.conj().T) / 2
+        for lab in labels:
+            L = np.diag(np.asarray(lab, dtype=complex))
+            B = (B + L @ B @ L.conj().T) / 2
+        return B
+
+    def test_symmetrize_block(self):
+        rng = np.random.default_rng(21)
+        spec = self._spec(rng)
+        labels = (np.array([1, 1, -1, -1]),)
+        for _ in range(200):
+            B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            B = B + B.conj().T
+            want = self._explicit(B, spec, labels)
+            assert symmetrize_block(B, spec, labels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["ssh", "kitaev", "kane_mele", "layered3d"])
+    def test_disorder_blocks(self, name):
+        st = rl.stencil(name)
+        labels = [st.labels[k] for k in st.conserve_labels]
+        rng = np.random.default_rng(5)
+        want = [0.3 * self._explicit(_random_hermitian(rng, st.orbitals), st.spec, labels)
+                for _ in range(40)]
+        got = disorder_blocks(st.spec, st.orbitals, 40, 0.3, 5, conserve=labels)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_verify_symmetry_violations(self, chain200):
+        from conftest import random_controlled
+        rng = np.random.default_rng(22)
+        spec = self._spec(rng)
+        H = random_controlled(rl.SiteModule(chain200, 4), rng, hop_range=2.0)
+        M = H.matrix
+        T, C, P = spec.T_unitary, spec.C_unitary, spec.P_unitary
+        want = {"T": 0.5 * np.abs(M - onsite(T, M.conj())).max(),
+                "C": 0.5 * np.abs(M + onsite(C, M.conj())).max(),
+                "P": 0.5 * np.abs(M + onsite(P, M)).max()}
+        got = rl.verify_symmetry(H, spec).violations
+        assert list(got) == list(want)
+        for key in want:
+            assert type(got[key]) is type(want[key]) and got[key] == want[key], key
+
+    def test_conjugated_and_json(self):
+        rng = np.random.default_rng(23)
+        spec = self._spec(rng)
+        W = _unitary(rng, 4)
+        rot = spec.conjugated(W)
+        assert np.array_equal(rot.T_unitary, W @ spec.T_unitary @ W.T)
+        assert np.array_equal(rot.C_unitary, W @ spec.C_unitary @ W.T)
+        assert np.array_equal(rot.P_unitary, W @ spec.P_unitary @ W.conj().T)
+        doc = spec.to_json()
+        assert list(doc) == ["has_T", "has_C", "has_P", "T_sq", "C_sq", "T_unitary",
+                             "C_unitary", "P_unitary", "CR_sign", "TR_sign", "PR_sign"]
+        back = SymmetrySpec.from_json(doc)
+        assert back.to_json() == doc
