@@ -8,8 +8,9 @@ reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
 sweeping symmetric disorder seeds and truncation radii to exercise the
 stability of both snapped values; `bulk_index` and `edge_index` run one side
 alone.  `ROUTES` is the one table of supported (class, dimension) pairs: each
-entry names its working system, its symmetry spec, its bulk and edge pairings
-and its snap.
+entry names its working system, which carries the spec both pairings read,
+and its bulk and edge pairings; both reports snap in the pair's classifying
+group.
 
 Desk-scale caveat handled throughout: a windowed sample has an outer boundary
 besides the cut.  All interface traces are restricted to the interface strip,
@@ -18,16 +19,15 @@ and gap checks exclude states pinned to the sample boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .geometry import Partition
-from .indices import (IndexReport, PairingError, _box_windows, _edge_windows,
-                      _interface_frame, _report, box_bound, chern_even, chern_odd,
-                      edge_conductance, edge_fredholm, edge_trace, occupied_projection,
-                      spin_sectors)
+from .indices import (IndexReport, Interface, PairingError, _box_windows, _report,
+                      box_bound, chern_even, chern_odd, edge_conductance, edge_fredholm,
+                      occupied_projection, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
                         compress, decay_fit, derivation_along, flatten, involution_defect,
                         site_blocks, spectral_function, truncate)
@@ -147,12 +147,12 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
     fit = decay_fit(proj, site_dev, np.arange(0.0, proj.max() * 0.7, 1.0), 3)
     winding = None
     if ps.dim == 2 and edge_windows is not None:
-        DU = derivation_along(U, part.edge_direction()).matrix
+        frame = Interface.of(U, part)
+        windows = frame.windows(edge_windows)
+        DU = derivation_along(U, frame.direction).matrix
         traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
-        windows = _edge_windows(edge_windows, _interface_frame(U, part, None)[-1])
-        vals = edge_trace(U, part, traces, windows)
-        winding = _report(tuple(1j * v for v in vals), "mv_boundary_winding",
-                          kgroup_point("A", 2), windows=windows)
+        winding = _report(tuple(1j * v for v in frame.sums(traces, windows)),
+                          "mv_boundary_winding", kgroup_point("A", 2), windows=windows)
     return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
                        off_interface_deviation=off_dev,
                        decay_xi=fit[0] if fit else np.inf)
@@ -211,24 +211,6 @@ def _default_windows(*bounds) -> tuple:
                  for f in (0.6, 0.8, 1.0))
 
 
-def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec:
-    """Chiral refinement of a class-D system whose C acts unitarily too.
-
-    Real Bogoliubov-de Gennes Hamiltonians anticommute with the unitary part
-    of C; that makes the mod-2 index computable as a winding reduced mod 2.
-    """
-    if spec.C_unitary is None:
-        raise BulkEdgeError("no chiral operator: the class-D refinement needs "
-                            "the C unitary block")
-    aux = SymmetrySpec(has_P=True, P_unitary=spec.C_unitary)
-    rep = verify_symmetry(H, aux)
-    if rep.violations.get("P", 1.0) > SYM_TOL:
-        raise BulkEdgeError(
-            "class D sample does not anticommute with the C unitary (complex "
-            "pairing disorder?); the desk-scale mod-2 route needs this refinement")
-    return aux
-
-
 # ---------------------------------------------------------------------------
 # the (class, d) route table
 # ---------------------------------------------------------------------------
@@ -237,20 +219,18 @@ def chiral_refinement(H: ControlledOperator, spec: SymmetrySpec) -> SymmetrySpec
 class Route:
     """How one supported (class, d) pair is certified.
 
-    `system(bulk)` and `spec(bulk)` resolve, once per point, the working
-    system and the symmetry spec both pairings run on.  `bulk(work, spec,
-    windows)` and `edge(work, spec, part, cfg)` run the two pairings; the edge
-    also returns its plateau deviation (None without one).  Both reports are
-    snapped once more, mod 2 when `z2` and else to an integer, under the
-    names in `formulas`, so each carries only that snap's warning.  The step
-    functions look pairings up by name when called.
+    `system(bulk)` resolves, once per point, the working system both
+    pairings run on; its spec is the one they read.  `bulk(work, windows)`
+    and `edge(work, part, cfg)` run the two pairings; the edge also returns
+    its plateau deviation (None without one).  Both reports are snapped once
+    more in the pair's classifying group, under the names in `formulas`, so
+    each carries only that snap's warning.  The step functions look pairings
+    up by name when called.
     """
 
     system: Callable
-    spec: Callable
     bulk: Callable
     edge: Callable
-    z2: bool
     formulas: tuple
 
 
@@ -268,20 +248,36 @@ def _spin_up(bulk: BulkSystem) -> BulkSystem:
     return BulkSystem(H_up.module, H_up, SymmetrySpec(), cert)
 
 
-def _chern(work: BulkSystem, spec, windows) -> IndexReport:
+def _chiral_refinement(bulk: BulkSystem) -> BulkSystem:
+    """A class-D system under its chiral refinement, P = the unitary part of C.
+
+    Real Bogoliubov-de Gennes Hamiltonians anticommute with the unitary part
+    of C; that makes the mod-2 index computable as a winding reduced mod 2.
+    """
+    if bulk.spec.C_unitary is None:
+        raise BulkEdgeError("no chiral operator: the class-D refinement needs "
+                            "the C unitary block")
+    aux = SymmetrySpec(has_P=True, P_unitary=bulk.spec.C_unitary)
+    if verify_symmetry(bulk.H, aux).violations.get("P", 1.0) > SYM_TOL:
+        raise BulkEdgeError(
+            "class D sample does not anticommute with the C unitary (complex "
+            "pairing disorder?); the desk-scale mod-2 route needs this refinement")
+    return replace(bulk, spec=aux)
+
+
+def _chern(work: BulkSystem, windows) -> IndexReport:
     return chern_even(occupied_projection(work.H, work.gap), windows)
 
 
-def _winding(work: BulkSystem, spec, windows) -> IndexReport:
-    return chern_odd(flatten(work.H, work.gap), spec, windows)
+def _winding(work: BulkSystem, windows) -> IndexReport:
+    return chern_odd(flatten(work.H, work.gap), work.spec, windows)
 
 
-def _conductance(work: BulkSystem, spec, part, cfg):
+def _conductance(work: BulkSystem, part, cfg):
     """Edge conductance at both interval widths: (first report, their spread)."""
     edge = make_edge(work, part)
     windows = cfg.edge_windows or _default_windows(
-        _interface_frame(edge.H_hat, part, None)[-1],
-        box_bound(edge.module.pointset, EDGE_RESERVE))
+        Interface.of(edge.H_hat, part).half, box_bound(edge.module.pointset, EDGE_RESERVE))
     fermi, eps = work.gap.fermi, work.gap.epsilon
     first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
                                       windows, bulk_gap=work.gap)
@@ -289,27 +285,20 @@ def _conductance(work: BulkSystem, spec, part, cfg):
     return first, float(abs(first.raw - second.raw))
 
 
-def _kernel_count(work: BulkSystem, spec, part, cfg):
-    return edge_fredholm(make_edge(work, part).H_hat, spec, part=part), None
+def _kernel_count(work: BulkSystem, part, cfg):
+    return edge_fredholm(make_edge(work, part).H_hat, work.spec, part=part), None
 
 
 def _itself(bulk: BulkSystem):
     return bulk
 
 
-def _declared(bulk: BulkSystem) -> SymmetrySpec:
-    return bulk.spec
-
-
 ROUTES = {
-    ("A", 2): Route(_itself, _declared, _chern, _conductance, False,
-                    ("chern_even", "edge_conductance")),
-    ("AIII", 1): Route(_itself, _declared, _winding, _kernel_count, False,
-                       ("chern_odd_d1", "edge_fredholm")),
-    ("D", 1): Route(_itself, lambda bulk: chiral_refinement(bulk.H, bulk.spec),
-                    _winding, _kernel_count, True,
+    ("A", 2): Route(_itself, _chern, _conductance, ("chern_even", "edge_conductance")),
+    ("AIII", 1): Route(_itself, _winding, _kernel_count, ("chern_odd_d1", "edge_fredholm")),
+    ("D", 1): Route(_chiral_refinement, _winding, _kernel_count,
                     ("winding_mod2", "majorana_count_mod2")),
-    ("AII", 2): Route(_spin_up, _declared, _chern, _conductance, True,
+    ("AII", 2): Route(_spin_up, _chern, _conductance,
                       ("kane_mele_spin_chern", "spin_edge_conductance_mod2")),
 }
 
@@ -317,28 +306,26 @@ ROUTES = {
 @dataclass(frozen=True)
 class _OnRoute:
     """A bulk system resolved on its route, once per point: the working
-    system and spec both sides run on, and the group both reports snap in."""
+    system both sides run on, and the group both reports snap in."""
 
     route: Route
     work: BulkSystem
-    spec: SymmetrySpec
     group: KGroupDescriptor
 
     def _snap(self, rep: IndexReport, formula: str) -> IndexReport:
         # a windowless pairing (the kernel count) reports no per-window values
-        return _report(rep.values or (rep.raw,), formula, self.group, z2=self.route.z2,
+        return _report(rep.values or (rep.raw,), formula, self.group,
                        windows=rep.windows, error=rep.error)
 
     def bulk_report(self, cfg: BECConfig) -> IndexReport:
         ps, reach = self.work.module.pointset, self.work.H.declared_propagation
         windows = _box_windows(ps, cfg.windows or _default_windows(
             box_bound(ps, reach), box_bound(ps, BULK_RESERVE)), reach)
-        return self._snap(self.route.bulk(self.work, self.spec, windows),
-                          self.route.formulas[0])
+        return self._snap(self.route.bulk(self.work, windows), self.route.formulas[0])
 
     def edge_report(self, part: Partition, cfg: BECConfig):
         """(edge report, plateau deviation or None)."""
-        rep, plateau = self.route.edge(self.work, self.spec, part, cfg)
+        rep, plateau = self.route.edge(self.work, part, cfg)
         return self._snap(rep, self.route.formulas[1]), plateau
 
 
@@ -348,19 +335,19 @@ def _on_route(bulk: BulkSystem) -> _OnRoute:
         raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
                             f"supported: {sorted(ROUTES)}")
     route = ROUTES[label, d]
-    return _OnRoute(route, route.system(bulk), route.spec(bulk), kgroup_point(label, d))
+    return _OnRoute(route, route.system(bulk), kgroup_point(label, d))
 
 
 def bulk_index(bulk: BulkSystem, config: BECConfig | dict | None = None) -> IndexReport:
-    """The bulk side of `verify_bec` alone: the same working system, spec,
-    bulk pairing and snap as the bulk system's route."""
+    """The bulk side of `verify_bec` alone: the same working system, bulk
+    pairing and snap as the bulk system's route."""
     return _on_route(bulk).bulk_report(BECConfig.of(config))
 
 
 def edge_index(bulk: BulkSystem, part: Partition,
                config: BECConfig | dict | None = None) -> IndexReport:
-    """The edge side of `verify_bec` alone: the same working system, spec,
-    edge pairing and snap as the bulk system's route."""
+    """The edge side of `verify_bec` alone: the same working system, edge
+    pairing and snap as the bulk system's route."""
     return _on_route(bulk).edge_report(part, BECConfig.of(config))[0]
 
 

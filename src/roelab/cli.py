@@ -116,7 +116,7 @@ def cmd_build(args, extra_params: dict) -> int:
     return 0
 
 
-def cmd_classify(args, extra) -> int:
+def cmd_classify(args) -> int:
     spec = SymmetrySpec(
         has_T=args.T is not None, T_sq=args.T,
         has_C=args.C is not None, C_sq=args.C,
@@ -129,7 +129,7 @@ def cmd_classify(args, extra) -> int:
     return 0
 
 
-def cmd_kgroup(args, extra) -> int:
+def cmd_kgroup(args) -> int:
     if args.rotation is not None:
         desc = kgroup_rotation(args.label, args.d, args.rotation)
     elif args.reflection:
@@ -168,7 +168,7 @@ def _csv_values(doc: dict) -> dict:
     return {"raw": raw, "snapped": doc.get("snapped"), "error": doc["error"]}
 
 
-def cmd_index(args, extra) -> int:
+def cmd_index(args) -> int:
     H, spec, meta = load_model(args.model_file)
     doc = _bulk_report(H, spec, args.formula, _numbers(args.windows, float), fermi=args.fermi)
     doc["model"] = meta
@@ -184,11 +184,17 @@ def cmd_index(args, extra) -> int:
     return 0
 
 
-def cmd_edge_index(args, extra) -> int:
+def _bulk_and_cut(args):
+    """(bulk system, cut, model metadata) of the model file and the cut flags."""
     H, spec, meta = load_model(args.model_file)
-    part = partition_halfspace(H.module.pointset, _numbers(args.normal, float),
-                               args.offset, thickness=args.thickness)
+    normal = _numbers(args.normal, float)
     bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
+    return bulk, partition_halfspace(H.module.pointset, normal, args.offset,
+                                     thickness=args.thickness), meta
+
+
+def cmd_edge_index(args) -> int:
+    bulk, part, meta = _bulk_and_cut(args)
     cfg = BECConfig(edge_windows=_numbers(args.windows, float))
     doc = edge_index(bulk, part, cfg).to_json()
     doc["model"] = meta
@@ -196,12 +202,8 @@ def cmd_edge_index(args, extra) -> int:
     return 0
 
 
-def cmd_verify_bec(args, extra) -> int:
-    H, spec, meta = load_model(args.model_file)
-    ps = H.module.pointset
-    bulk = make_bulk(H.module, H, spec, fermi=args.fermi)
-    part = partition_halfspace(ps, _numbers(args.normal, float), args.offset,
-                               thickness=args.thickness)
+def cmd_verify_bec(args) -> int:
+    bulk, part, meta = _bulk_and_cut(args)
     cfg = BECConfig(
         windows=_numbers(args.windows, float),
         edge_windows=_numbers(args.edge_windows, float),
@@ -232,7 +234,17 @@ def _sweep_point(cfg: dict, seed, value):
     return row
 
 
-def cmd_sweep(args, extra) -> int:
+_NUMBER = (int, float)                 # json numbers; a bool is not one
+# each sweep config key: (the types its value may have, those of its entries, what it must be)
+_SWEEP_KEYS = {"seeds": ((list,), (int,), "a list of integers"),
+               "values": ((list,), None, "a list"),
+               "windows": ((list,), _NUMBER, "a list of numbers"),
+               "size": (_NUMBER, None, "a number"), "fermi": (_NUMBER, None, "a number"),
+               "disorder": (_NUMBER, None, "a number"), "params": ((dict,), None, "an object"),
+               "vary_param": ((str,), None, "a string")}
+
+
+def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -246,9 +258,11 @@ def cmd_sweep(args, extra) -> int:
         if cfg.get("formula", "trace") != "trace":
             raise ValueError(f"formula {cfg['formula']!r} is not \"trace\"; the index "
                              "follows the model's (class, d) route")
-        windows = cfg.get("windows", [])
-        if not isinstance(windows, list) or any(type(w) not in (int, float) for w in windows):
-            raise TypeError(f"windows {windows!r} is not a list of numbers")
+        for key, (kinds, entries, what) in _SWEEP_KEYS.items():
+            value = cfg.get(key)
+            if key in cfg and (type(value) not in kinds or entries and any(
+                    type(v) not in entries for v in value)):
+                raise TypeError(f"{key} {value!r} is not {what}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -272,7 +286,7 @@ def cmd_sweep(args, extra) -> int:
     return 0
 
 
-def cmd_spectrum(args, extra) -> int:
+def cmd_spectrum(args) -> int:
     H, spec, meta = load_model(args.model_file)
     if not H.hermitian:
         raise OperatorError("spectrum of a non-Hermitian operator")
@@ -301,30 +315,40 @@ def _sign(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors raise, one `usage error:` line in `main`."""
+    """Argument parser that refuses abbreviated flags and raises usage errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise argparse.ArgumentTypeError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="roelab", description=__doc__, allow_abbrev=False)
+    p = _Parser(prog="roelab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    files = _Parser(add_help=False)
+    files.add_argument("--model-file", required=True)
+    files.add_argument("--out", default=None)
+    cut = _Parser(add_help=False)
+    cut.add_argument("--normal", required=True, help="cut normal, comma-separated")
+    cut.add_argument("--offset", type=float, required=True)
+    cut.add_argument("--thickness", type=float, default=None)
+    cut.add_argument("--fermi", type=float, default=0.0)
 
-    b = sub.add_parser("build", allow_abbrev=False, help="build a model file")
+    b = sub.add_parser("build", help="build a model file")
     b.add_argument("--model", required=True, choices=sorted(MODELS))
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_build, accepts_params=True)
 
-    c = sub.add_parser("classify", allow_abbrev=False, help="Cartan label from symmetry flags")
+    c = sub.add_parser("classify", help="Cartan label from symmetry flags")
     c.add_argument("--T", type=_sign, default=None, help="T^2 sign if T present")
     c.add_argument("--C", type=_sign, default=None, help="C^2 sign if C present")
     c.add_argument("--P", action="store_true", help="chiral operator present")
     c.add_argument("--json", action="store_true")
     c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_classify, accepts_params=False)
+    c.set_defaults(func=cmd_classify)
 
-    k = sub.add_parser("kgroup", allow_abbrev=False, help="classifying group lookup")
+    k = sub.add_parser("kgroup", help="classifying group lookup")
     k.add_argument("--label", required=True, choices=CARTAN_LABELS)
     k.add_argument("--d", type=int, required=True)
     k.add_argument("--rotation", type=int, default=None, metavar="K",
@@ -336,53 +360,39 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pr-sign", type=_sign, default=None)
     k.add_argument("--json", action="store_true")
     k.add_argument("--out", default=None)
-    k.set_defaults(func=cmd_kgroup, accepts_params=False)
+    k.set_defaults(func=cmd_kgroup)
 
-    i = sub.add_parser("index", allow_abbrev=False, help="bulk index of a model file")
-    i.add_argument("--model-file", required=True)
+    i = sub.add_parser("index", parents=[files], help="bulk index of a model file")
     i.add_argument("--formula", default=None, choices=["trace"],
                    help="report the windowed trace of H instead of the route's index")
     i.add_argument("--windows", default=None, help="bulk window radii (default: derived)")
     i.add_argument("--fermi", type=float, default=0.0)
-    i.add_argument("--out", default=None)
     i.add_argument("--csv", default=None)
-    i.set_defaults(func=cmd_index, accepts_params=False)
+    i.set_defaults(func=cmd_index)
 
-    e = sub.add_parser("edge-index", allow_abbrev=False, help="edge index on a half-space cut")
-    e.add_argument("--model-file", required=True)
-    e.add_argument("--normal", required=True, help="cut normal, comma-separated")
-    e.add_argument("--offset", type=float, required=True)
-    e.add_argument("--thickness", type=float, default=None)
+    e = sub.add_parser("edge-index", parents=[files, cut],
+                       help="edge index on a half-space cut")
     e.add_argument("--windows", default=None, help="edge window radii (default: derived)")
-    e.add_argument("--fermi", type=float, default=0.0)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_edge_index, accepts_params=False)
+    e.set_defaults(func=cmd_edge_index)
 
-    v = sub.add_parser("verify-bec", allow_abbrev=False, help="certify bulk index = edge index")
-    v.add_argument("--model-file", required=True)
-    v.add_argument("--normal", required=True)
-    v.add_argument("--offset", type=float, required=True)
-    v.add_argument("--thickness", type=float, default=None)
+    v = sub.add_parser("verify-bec", parents=[files, cut],
+                       help="certify bulk index = edge index")
     v.add_argument("--windows", default=None, help="bulk window radii (default: derived)")
     v.add_argument("--edge-windows", default=None, help="edge window radii (default: derived)")
-    v.add_argument("--fermi", type=float, default=0.0)
     v.add_argument("--seeds", default=None, help="disorder sweep seeds")
     v.add_argument("--disorder-strength", type=float, default=0.0)
     v.add_argument("--truncation-radii", default=None)
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify_bec, accepts_params=False)
+    v.set_defaults(func=cmd_verify_bec)
 
-    s = sub.add_parser("sweep", allow_abbrev=False, help="batch sweep from a JSON config")
+    s = sub.add_parser("sweep", help="batch sweep from a JSON config")
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--jobs", type=int, default=None)
-    s.set_defaults(func=cmd_sweep, accepts_params=False)
+    s.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("spectrum", allow_abbrev=False, help="eigenvalues of a model file")
-    sp.add_argument("--model-file", required=True)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("spectrum", parents=[files], help="eigenvalues of a model file")
     sp.add_argument("--emit-plot-data", default=None, metavar="CSV")
-    sp.set_defaults(func=cmd_spectrum, accepts_params=False)
+    sp.set_defaults(func=cmd_spectrum)
     return p
 
 
@@ -409,9 +419,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown and not args.accepts_params:
+        if args.command == "build":          # the leftover --key value pairs are parameters
+            return cmd_build(args, _parse_extra_params(unknown))
+        if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-        return args.func(args, _parse_extra_params(unknown))
+        return args.func(args)
     except SystemExit as exc:            # -h: the help is printed
         return int(exc.code or 0)
     except argparse.ArgumentTypeError as exc:

@@ -59,9 +59,13 @@ class IndexReport:
     error: float
     formula: str
     windows: tuple
-    z2: bool = False
     values: tuple = ()
     warnings: tuple = ()
+
+    @property
+    def z2(self) -> bool:
+        """Whether the classifying group is Z2, the group the value snaps in."""
+        return self.group.summands == ("Z2",)
 
     def to_json(self) -> dict:
         if self.snapped is None:
@@ -98,15 +102,16 @@ def snap_z2(raw: float, tol: float = 0.25):
                   f"{{0, 1}} (snap tolerance {tol})",)
 
 
-def _report(values, formula: str, group: KGroupDescriptor, z2: bool = False,
-            windows=(), error: float | None = None, imag_tol: float = np.inf) -> IndexReport:
+def _report(values, formula: str, group: KGroupDescriptor, windows=(),
+            error: float | None = None, imag_tol: float = np.inf) -> IndexReport:
     """Report of a pairing from its per-window values (largest window last).
 
     The raw value is the real part of the last value, whose imaginary part
     must stay within `imag_tol`; the error defaults to the two-window
-    deviation.  It snaps to Z, or to Z2 when `z2`, at the default tolerance
-    of `snap_integer` (0.1) or `snap_z2` (0.25).  A windowless pairing
-    passes its single value and an explicit error, and reports no values.
+    deviation.  It snaps in `group`: mod 2 when the group is Z2, else to an
+    integer, at the default tolerance of `snap_z2` (0.25) or `snap_integer`
+    (0.1).  A windowless pairing passes its single value and an explicit
+    error, and reports no values.
     """
     last = values[-1]
     if abs(np.imag(last)) > imag_tol:
@@ -114,10 +119,10 @@ def _report(values, formula: str, group: KGroupDescriptor, z2: bool = False,
     raw = float(np.real(last))
     if error is None:
         error = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
-    snapped, warns = (snap_z2 if z2 else snap_integer)(raw)
+    snapped, warns = (snap_z2 if group.summands == ("Z2",) else snap_integer)(raw)
     return IndexReport(raw=raw, snapped=snapped, group=group, error=float(error),
                        formula=formula, windows=tuple(float(n) for n in windows),
-                       z2=z2, values=tuple(float(np.real(v)) for v in values)
+                       values=tuple(float(np.real(v)) for v in values)
                        if windows else (), warnings=warns)
 
 
@@ -338,52 +343,59 @@ def spin_sectors(H: ControlledOperator):
 # edge pairings
 # ---------------------------------------------------------------------------
 
-def _interface_frame(H_hat: ControlledOperator, part: Partition, edge_direction):
-    """Strip coordinates of a compressed operator: (interface strip mask, edge
-    coordinate, edge direction, interface centre c0, interface half-length).
-
-    The edge direction is the cut's own unless one is held fixed explicitly
-    (None: the cut's).  No edge window may pass the half-length.
-    """
-    ps = H_hat.module.pointset
-    if ps.source_ids is None:
+def _check_compressed(H_hat: ControlledOperator, part: Partition):
+    """Refuse an operator whose sites are not the cut's plus sites, in order."""
+    src = H_hat.module.pointset.source_ids
+    if src is None:
         raise PairingError("edge pairings expect a compressed (half-space) operator")
-    if edge_direction is None:
-        e = part.edge_direction()
-    else:
-        e = np.asarray(edge_direction, dtype=float)
-        e = e / np.linalg.norm(e)
-    ecoord = ps.coords @ e
-    iface = ecoord[np.isin(ps.source_ids, part.interface_ids)]
-    lo, hi = iface.min(), iface.max()
-    return part.past_strip(ps.coords) < 0, ecoord, e, 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not np.array_equal(src, part.plus_ids):
+        raise PairingError(
+            f"operator is not the compression of this partition: {len(src)} sites "
+            f"against the cut's {len(part.plus_ids)} plus sites, "
+            f"{np.intersect1d(src, part.plus_ids).size} shared")
 
 
-def _edge_windows(edge_windows, half: float) -> tuple:
-    return check_windows(edge_windows, half,
-                         f"exceeds the interface half-length {half:.4g}")
+@dataclass(frozen=True)
+class Interface:
+    """Frame of a compressed operator along its cut: the interface strip
+    (normal distance in [0, w), w half the largest: it holds the interface-
+    bound states but not the sample's outer boundary), each site's coordinate
+    along the edge direction, and the interface centre and half-length, which
+    bound the half-open edge windows about the centre."""
 
+    strip: np.ndarray
+    coord: np.ndarray
+    direction: np.ndarray
+    centre: float
+    half: float
 
-def edge_trace(H_hat: ControlledOperator, part: Partition, traces: np.ndarray,
-               edge_windows, edge_direction=None) -> tuple:
-    """Per-unit-edge-length windowed sums over the interface strip, one per
-    edge window in increasing order.
+    @classmethod
+    def of(cls, H_hat: ControlledOperator, part: Partition, direction=None) -> "Interface":
+        """The frame of H_hat, the compression of `part`, along the cut's edge
+        direction unless another is held fixed (None: the cut's)."""
+        _check_compressed(H_hat, part)
+        ps = H_hat.module.pointset
+        e = (part.edge_direction() if direction is None
+             else np.asarray(direction, dtype=float) / np.linalg.norm(direction))
+        coord = ps.coords @ e
+        iface = coord[np.isin(ps.source_ids, part.interface_ids)]
+        lo, hi = iface.min(), iface.max()
+        return cls(part.past_strip(ps.coords) < 0, coord, e, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
-    The strip keeps sites with normal distance in [0, w), w half the largest
-    one - wide enough to hold the interface-bound states, narrow enough to
-    exclude the sample's outer boundary; windows are half-open intervals
-    along the edge about the interface centre, in the cut's edge direction
-    unless `edge_direction` holds another fixed, and pass `_edge_windows`.
-    `traces` holds one row per site; each window sums its rows.
-    """
-    strip, ecoord, _, c0, half = _interface_frame(H_hat, part, edge_direction)
-    vals = []
-    for n in _edge_windows(edge_windows, half):
-        mask = strip & (ecoord >= c0 - n) & (ecoord < c0 + n)
-        if not mask.any():
-            raise PairingError(f"edge window {n} contains no strip sites")
-        vals.append(traces[mask].sum(axis=0) / (2.0 * n))
-    return tuple(vals)
+    def windows(self, radii) -> tuple:
+        """The edge window radii, through `check_windows`."""
+        return check_windows(radii, self.half,
+                             f"exceeds the interface half-length {self.half:.4g}")
+
+    def sums(self, traces: np.ndarray, windows) -> tuple:
+        """Per-unit-edge-length strip sums of `traces` (a row per site), one per window."""
+        vals = []
+        for n in windows:
+            mask = self.strip & (self.coord >= self.centre - n) & (self.coord < self.centre + n)
+            if not mask.any():
+                raise PairingError(f"edge window {n} contains no strip sites")
+            vals.append(traces[mask].sum(axis=0) / (2.0 * n))
+        return tuple(vals)
 
 
 def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
@@ -413,19 +425,18 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
         raise PairingError("edge conductance is the d = 2 edge pairing")
     # edge_direction overrides the orientation: measure along a held-fixed
     # direction instead of the one the cut normal induces
-    _, _, e, _, length = _interface_frame(H_hat, part, edge_direction)
-    windows = _edge_windows(edge_windows, length)
+    frame = Interface.of(H_hat, part, edge_direction)
+    windows = frame.windows(edge_windows)
     w, v = H_hat.eigh()
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     inside = (w > centre - half) & (w < centre + half)
     w, v = w[inside], v[:, inside]
     # per-state current within the strip, resolved per site then per window
-    DHv = derivation_along(H_hat, e).matrix @ v
+    DHv = derivation_along(H_hat, frame.direction).matrix @ v
     site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
     halves = np.linspace(0.7 * half, half, max(width_family, 1))
     per_window = []
-    for state_vals in edge_trace(H_hat, part, site_state, windows,
-                                 edge_direction=edge_direction):
+    for state_vals in frame.sums(site_state, windows):
         ests = []
         for h in halves:
             sel = (w > centre - h) & (w < centre + h)
@@ -447,6 +458,7 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition
     ps = H_hat.module.pointset
     if ps.dim != 1:
         raise PairingError("the Fredholm count is the d = 1 edge pairing")
+    _check_compressed(H_hat, part)
     if not spec.has_P or spec.P_unitary is None:
         raise PairingError("Fredholm count requires a chiral operator P")
     rep = verify_symmetry(H_hat, spec)

@@ -208,8 +208,8 @@ class TestVerifyBEC:
         route = bulkedge.ROUTES["AIII", 1]
         shifts = iter([0.5, 1.0, 1.0])
 
-        def edge(work, spec, part, cfg):
-            rep, plateau = route.edge(work, spec, part, cfg)
+        def edge(work, part, cfg):
+            rep, plateau = route.edge(work, part, cfg)
             return replace(rep, raw=rep.raw + next(shifts)), plateau
 
         monkeypatch.setitem(bulkedge.ROUTES, ("AIII", 1), replace(route, edge=edge))

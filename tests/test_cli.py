@@ -202,8 +202,8 @@ class TestEdgeAndBEC:
         route = bulkedge.ROUTES["AIII", 1]
         points = []
 
-        def edge(work, spec, part, cfg):
-            rep, plateau = route.edge(work, spec, part, cfg)
+        def edge(work, part, cfg):
+            rep, plateau = route.edge(work, part, cfg)
             points.append(rep)
             # the clean point keeps its edge; every sweep point is off by one
             return (rep if len(points) == 1 else replace(rep, raw=rep.raw + 1.0)), plateau
@@ -546,3 +546,31 @@ class TestNamedErrors:
         code, _, err = run(["sweep", "--config", str(cfg), "--out",
                             str(tmp_path / "o.csv")], capsys)
         assert code == 2 and _one_line(err, "config error: windows ")
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"seeds": ["x"]}, "seeds"), ({"seeds": 3}, "seeds"), ({"seeds": [True]}, "seeds"),
+        ({"size": "big"}, "size"), ({"size": True}, "size"),
+        ({"vary_param": "t1", "values": 0.5}, "values"), ({"params": [1, 2]}, "params"),
+        ({"fermi": "0"}, "fermi"), ({"disorder": None}, "disorder"),
+        ({"vary_param": 1, "values": [1.0]}, "vary_param")])
+    def test_sweep_key_of_the_wrong_type_exit_2(self, tmp_path, capsys, bad, key):
+        """Every key the sweep reads is checked before any point runs: one
+        `config error:` line, not a traceback from the worker thread."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ssh", "size": 40, "windows": [5, 10],
+                                   "seeds": [0], **bad}))
+        out = tmp_path / "o.csv"
+        code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and _one_line(err, f"config error: {key} "), err
+        assert not out.exists()
+
+    def test_one_site_chain_is_a_named_error(self, tmp_path, capsys):
+        """A chain of one site has no bulk states once the boundary is
+        filtered: index and verify-bec exit 1 with one `error:` line."""
+        model = tmp_path / "one.json"
+        assert run(["build", "--model", "ssh", "--size", "1", "--out", str(model)],
+                   capsys)[0] == 0
+        for argv in (["index"], ["verify-bec", "--normal", "1", "--offset", "0.5"]):
+            code, out, err = run([*argv, "--model-file", str(model)], capsys)
+            assert code == 1 and out == "", argv
+            assert _one_line(err, "error: no bulk states left after boundary filtering"), err

@@ -3,8 +3,8 @@ import pytest
 
 import roelab as rl
 from roelab import bloch
-from roelab.indices import (PairingError, chiral_unitary, edge_trace, snap_integer,
-                            snap_z2, spin_sectors, window_mask)
+from roelab.indices import (PairingError, chiral_unitary, snap_integer, snap_z2,
+                            spin_sectors, window_mask)
 from roelab.models import AUX_CHIRAL
 from roelab.operators import SiteModule, site_blocks
 from roelab.symmetry import SymmetrySpec
@@ -301,6 +301,29 @@ class TestEdgeConductance:
         assert abs(thirds.raw - fifths.raw) < 0.05
 
 
+class TestMismatchedPartition:
+    """An edge pairing refuses an operator compressed by another cut than the
+    one it is given, and names the mismatch."""
+
+    @pytest.mark.parametrize("normal, offset", [([1.0, 0.0], 8.6), ([0.0, 1.0], 5.6)],
+                             ids=["shifted", "perpendicular"])
+    def test_edge_conductance(self, normal, offset):
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
+        bulk = rl.make_bulk(mod, H, spec)
+        H_hat = rl.make_edge(bulk, rl.partition_halfspace(ps, [1.0, 0.0], 5.6)).H_hat
+        eps = bulk.gap.epsilon
+        with pytest.raises(PairingError, match="not the compression of this partition"):
+            rl.edge_conductance(H_hat, rl.partition_halfspace(ps, normal, offset),
+                                (-eps / 3, eps / 3), (2, 3), bulk_gap=bulk.gap)
+
+    def test_edge_fredholm(self, chain200):
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+        H_hat = rl.compress(H, rl.partition_halfspace(chain200, [1.0], 99.6))
+        with pytest.raises(PairingError, match="100 sites against the cut's 50 plus"):
+            rl.edge_fredholm(H_hat, spec, part=rl.partition_halfspace(chain200, [1.0], 149.6))
+
+
 class TestEdgeFredholm:
     def test_invertible_compression_gives_zero(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 1.0, "t2": 0.5}, chain200)
@@ -444,13 +467,22 @@ def _chern_odd_full(s, spec, windows):
 
 
 def _edge_conductance_full(H_hat, part, interval, windows, width_family=8):
-    """The edge pairing with the current formed for every eigenstate."""
+    """The edge pairing with the current formed for every eigenstate, summed
+    over each window's literal mask: the plus sites inside the strip
+    (past_strip < 0) and the half-open interval about the interface centre."""
     w, v = H_hat.eigh()
-    DHv = rl.derivation_along(H_hat, part.edge_direction()).matrix @ v
+    e = part.edge_direction()
+    DHv = rl.derivation_along(H_hat, e).matrix @ v
     site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
+    plus = H_hat.module.pointset.coords          # the plus sites, in part.plus_ids order
+    x = plus @ e
+    iface = x[np.isin(part.plus_ids, part.interface_ids)]
+    c0 = 0.5 * (iface.min() + iface.max())
+    strip = part.past_strip(plus) < 0
     centre, half = 0.5 * (interval[0] + interval[1]), 0.5 * (interval[1] - interval[0])
     out = []
-    for vals in edge_trace(H_hat, part, site_state, windows):
+    for n in windows:
+        vals = site_state[strip & (x >= c0 - n) & (x < c0 + n)].sum(axis=0) / (2 * n)
         out.append(np.mean([-2 * np.pi * vals[(w > centre - h) & (w < centre + h)].sum()
                             / (2 * h) for h in np.linspace(0.7 * half, half, width_family)]))
     return out
