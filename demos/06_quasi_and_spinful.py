@@ -42,7 +42,7 @@ for lv in (0.1, 0.4):
 # No lattice needed: the same pairing on a jittered sample.
 jps = rl.generate({"kind": "perturbed", "window": [[0, 24], [0, 24]],
                    "jitter": 0.15, "seed": 3})
-mod, H, spec = rl.build_model("qwz", {"m": 1.0}, jps, decay=1.0)
+mod, H, spec = rl.build_model("qwz", {"m": 1.0}, jps)
 cert = rl.certify_gap(H)
 rep = rl.chern_even(rl.occupied_projection(H, cert), [5, 7, 9])
 print(f"jittered sample: gap eps {cert.epsilon:.3f}, "

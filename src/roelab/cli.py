@@ -28,7 +28,8 @@ from .bulkedge import (BECConfig, BulkEdgeError, _default_windows, bulk_index, e
                        make_bulk, verify_bec)
 from .geometry import GeometryError, PointSet, generate, partition_halfspace
 from .indices import PairingError, box_bound, trace_per_unit_volume
-from .models import MODELS, ModelError, build_model, default_pointset
+from .models import (MODELS, RECIPE, ModelError, build_model, default_pointset, resolve,
+                     resolve_params)
 from .operators import ControlledOperator, OperatorError
 from .symmetry import (CARTAN_LABELS, SymmetryError, SymmetrySpec, classify,
                        kgroup_point, kgroup_reflection, kgroup_rotation,
@@ -63,6 +64,30 @@ def save_model(path: str, H: ControlledOperator, spec: SymmetrySpec,
         fh.write("\n")
 
 
+_NUMBER = (int, float)                 # json numbers; a bool is not one
+# each key of an input file: (the types its value may have, those of its entries, what it must be)
+_STRING, _OBJECT, _A_NUMBER = ((str,), None, "a string"), ((dict,), None, "an object"), \
+    (_NUMBER, None, "a number")
+_MODEL_FILE_KEYS = {"format": _STRING, "version": ((int,), None, "an integer"), "model": _OBJECT,
+                    "operator": _OBJECT, "symmetry": _OBJECT, "generated_at": _STRING}
+_SWEEP_KEYS = {"model": _STRING, "formula": _STRING, "params": _OBJECT, "size": _A_NUMBER,
+               "disorder": _A_NUMBER, "fermi": _A_NUMBER, "vary_param": _STRING,
+               "values": ((list,), None, "a list"),
+               "windows": ((list,), _NUMBER, "a list of numbers"),
+               "seeds": ((list,), (int,), "a list of integers")}
+
+
+def _check_keys(doc, table: dict, name: str):
+    """Refuse a `doc` that is not an object or holds a key that `table` does
+    not declare or a value of a type it does not allow."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"the {name} is not a JSON object")
+    for key, value in doc.items():
+        kinds, entries, desc = table.get(key, ((), None, f"a {name} key: {', '.join(table)}"))
+        if type(value) not in kinds or entries and any(type(v) not in entries for v in value):
+            raise ValueError(f"{key} {value!r} is not {desc}")
+
+
 def load_model(path: str):
     """(H, spec, model metadata) of a model file; a file that cannot be read,
     parsed or decoded raises ModelError, bad operator data OperatorError."""
@@ -76,6 +101,7 @@ def load_model(path: str):
     if not isinstance(doc, dict) or doc.get("format") != "roelab-model":
         raise ModelError(f"{path} is not a roelab model file")
     try:
+        _check_keys(doc, _MODEL_FILE_KEYS, "model file")
         H = ControlledOperator.from_json(doc["operator"])
         spec = SymmetrySpec.from_json(doc["symmetry"])
     except USER_ERRORS:
@@ -101,16 +127,12 @@ def _numbers(text: str | None, kind) -> tuple:
 
 
 def cmd_build(args, extra_params: dict) -> int:
-    params = dict(extra_params)
-    size = params.pop("size", None) or params.pop("n", None) or 20
-    ps = default_pointset(args.model, float(size), params)
-    disorder = float(params.pop("disorder", 0.0))
-    seed = int(params.pop("seed", 0))
+    params = resolve_params(args.model, extra_params)
+    recipe = resolve(RECIPE, {k: getattr(args, k) for k in RECIPE}, "build")
+    ps = default_pointset(args.model, recipe["size"], params)
     module, H, spec = build_model(args.model, params, ps,
-                                  disorder=disorder, seed=seed)
-    save_model(args.out, H, spec,
-               model={"name": args.model, "params": params, "size": size,
-                      "disorder": disorder, "seed": seed})
+                                  disorder=recipe["disorder"], seed=recipe["seed"])
+    save_model(args.out, H, spec, model={"name": args.model, "params": params, **recipe})
     print(f"wrote {args.out}: {module.n_sites} sites x {module.orbitals_per_site} "
           f"orbitals, class {classify(spec)}")
     return 0
@@ -219,64 +241,42 @@ def cmd_verify_bec(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _sweep_point(cfg: dict, seed, value):
-    name, params = cfg["model"], dict(cfg.get("params", {}))
-    row = {"model": name, "seed": int(seed)}
-    if cfg.get("vary_param"):
-        params[cfg["vary_param"]] = row[cfg["vary_param"]] = value
-    ps = default_pointset(name, float(cfg.get("size", 20)), params)
-    module, H, spec = build_model(name, params, ps,
-                                  disorder=float(cfg.get("disorder", 0.0)),
-                                  seed=int(seed))
+def _sweep_point(cfg: dict, ps: PointSet, params: dict, row: dict) -> dict:
+    """The CSV row of one point: `row` (model, seed, varied value) and its report."""
+    module, H, spec = build_model(row["model"], params, ps, seed=row["seed"],
+                                  disorder=cfg.get("disorder", RECIPE["disorder"]))
     doc = _bulk_report(H, spec, cfg.get("formula"), cfg.get("windows", ()),
-                       fermi=float(cfg.get("fermi", 0.0)))
-    row.update(_csv_values(doc))
-    return row
-
-
-_NUMBER = (int, float)                 # json numbers; a bool is not one
-# each sweep config key: (the types its value may have, those of its entries, what it must be)
-_SWEEP_KEYS = {"seeds": ((list,), (int,), "a list of integers"),
-               "values": ((list,), None, "a list"),
-               "windows": ((list,), _NUMBER, "a list of numbers"),
-               "size": (_NUMBER, None, "a number"), "fermi": (_NUMBER, None, "a number"),
-               "disorder": (_NUMBER, None, "a number"), "params": ((dict,), None, "an object"),
-               "vary_param": ((str,), None, "a string")}
+                       fermi=cfg.get("fermi", 0.0))
+    return {**row, **_csv_values(doc)}
 
 
 def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        model = cfg["model"]
-        if model not in MODELS:
-            raise KeyError(f"unknown model {model!r}")
-        seeds = cfg.get("seeds", [0])
-        values = cfg.get("values", [None])
-        if cfg.get("vary_param") and not cfg.get("values"):
-            raise KeyError("vary_param given without values")
+        _check_keys(cfg, _SWEEP_KEYS, "sweep config")
         if cfg.get("formula", "trace") != "trace":
             raise ValueError(f"formula {cfg['formula']!r} is not \"trace\"; the index "
                              "follows the model's (class, d) route")
-        for key, (kinds, entries, what) in _SWEEP_KEYS.items():
-            value = cfg.get(key)
-            if key in cfg and (type(value) not in kinds or entries and any(
-                    type(v) not in entries for v in value)):
-                raise TypeError(f"{key} {value!r} is not {what}")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        model, vary, values = cfg.get("model"), cfg.get("vary_param"), cfg.get("values")
+        params = resolve_params(model, cfg.get("params"))
+        if (vary is None) != (not values):
+            raise ValueError("vary_param and a non-empty list of values go together")
+        runs = [(resolve_params(model, {**params, vary: v}), {vary: v}) for v in values] \
+            if vary else [(params, {})]
+        ps = default_pointset(model, cfg.get("size", RECIPE["size"]), params)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     jobs = args.jobs or int(os.environ.get("ROELAB_JOBS", "1"))
-    points = [(s, v) for v in values for s in seeds]
+    points = [(p, {"model": model, "seed": s, **varied}) for p, varied in runs
+              for s in cfg.get("seeds", [RECIPE["seed"]])]
     rows = []
     if points:
         with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-            futs = [pool.submit(_sweep_point, cfg, s, v) for s, v in points]
+            futs = [pool.submit(_sweep_point, cfg, ps, p, row) for p, row in points]
             rows = [f.result() for f in futs]
-    fields = ["model", "seed"]
-    if cfg.get("vary_param"):
-        fields.append(cfg["vary_param"])
-    fields += ["raw", "snapped", "error"]
+    fields = ["model", "seed", *([vary] if vary else []), "raw", "snapped", "error"]
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()
@@ -336,9 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     cut.add_argument("--thickness", type=float, default=None)
     cut.add_argument("--fermi", type=float, default=0.0)
 
-    b = sub.add_parser("build", help="build a model file")
+    b = sub.add_parser("build", help="build a model file",
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                       epilog="model parameters (--NAME VALUE) and their defaults: "
+                       + "; ".join(f"{name} {table}" for name, (_, table) in MODELS.items()))
     b.add_argument("--model", required=True, choices=sorted(MODELS))
     b.add_argument("--out", required=True)
+    b.add_argument("--size", "--n", type=float, default=RECIPE["size"], help="sample extent")
+    b.add_argument("--disorder", type=float, default=RECIPE["disorder"], help="on-site disorder")
+    b.add_argument("--seed", type=float, default=RECIPE["seed"], help="disorder seed")
 
     c = sub.add_parser("classify", help="Cartan label from symmetry flags")
     c.add_argument("--T", type=_sign, default=None, help="T^2 sign if T present")
@@ -396,23 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_extra_params(tokens):
-    """--key value pairs for model parameters (build only)."""
-    params = {}
-    it = iter(tokens)
-    for tok in it:
-        if not tok.startswith("--"):
-            raise argparse.ArgumentTypeError(f"unexpected argument {tok!r}")
-        key = tok[2:].replace("-", "_")
-        try:
-            val = next(it)
-        except StopIteration:
-            raise argparse.ArgumentTypeError(f"missing value for {tok}")
-        try:
-            params[key] = float(val)
-        except ValueError:
-            params[key] = val
-    return params
+def _parse_extra_params(tokens) -> dict:
+    """The --name value pairs that `build` leaves over: model parameters, each a number."""
+    parser = _Parser(prog="roelab build")
+    for flag in dict.fromkeys(t for t in tokens if t.startswith("--") and len(t) > 2):
+        parser.add_argument(flag, dest=flag[2:].replace("-", "_"), type=float)
+    return vars(parser.parse_args(tokens))
 
 
 def main(argv=None) -> int:

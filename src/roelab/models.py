@@ -4,7 +4,7 @@ Each model is a stencil: an onsite block plus hopping blocks keyed by integer
 cell offsets of a lattice basis.  The real-space builder places the blocks on
 a point set by matching coordinate differences to offsets, which also covers
 jittered samples (amplitudes then pick up a distance-dependent factor
-exp(-decay * (d - d_clean))).  The same stencil feeds the momentum-space
+exp(-(d - d_clean))).  The same stencil feeds the momentum-space
 reference Hamiltonians in `roelab.bloch`, so both routes share the model
 definition while computing invariants by unrelated methods.
 
@@ -15,6 +15,8 @@ Hamiltonians satisfy their symmetry relations exactly, not approximately.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +57,8 @@ class Stencil:
 # stencil factories
 # ---------------------------------------------------------------------------
 
-def _ssh(params) -> Stencil:
-    t1 = float(params.get("t1", 1.0))
-    t2 = float(params.get("t2", 0.5))
+def _ssh(p) -> Stencil:
+    t1, t2 = p["t1"], p["t2"]
     inter = np.zeros((2, 2), dtype=complex)
     inter[0, 1] = t2                  # cell x+1 sublattice A <- cell x sublattice B
     return Stencil(
@@ -69,10 +70,8 @@ def _ssh(params) -> Stencil:
         notes="dimerized chain; chiral class, winding +1 for |t2| > |t1|")
 
 
-def _kitaev(params) -> Stencil:
-    mu = float(params.get("mu", 1.0))
-    t = float(params.get("t", 1.0))
-    delta = float(params.get("delta", 1.0))
+def _kitaev(p) -> Stencil:
+    mu, t, delta = p["mu"], p["t"], p["delta"]
     hop = np.array([[-t, -delta], [delta, t]], dtype=complex)
     return Stencil(
         name="kitaev", orbitals=2, onsite=-mu * SZ, hops={(1,): hop},
@@ -88,10 +87,8 @@ def _qwz_block(direction: np.ndarray) -> np.ndarray:
     return (SZ - 1j * (direction[0] * SX + direction[1] * SY)) / 2
 
 
-def _qwz(params) -> Stencil:
-    m = float(params.get("m", 1.0))
-    cutoff = int(params.get("cutoff", 1))
-    decay = float(params.get("decay", 1.0))
+def _qwz(p) -> Stencil:
+    m, cutoff, decay = p["m"], p["cutoff"], p["decay"]
     hops = {}
     if cutoff == 1:
         hops[(1, 0)] = _qwz_block(np.array([1.0, 0.0]))
@@ -116,10 +113,8 @@ def _qwz(params) -> Stencil:
         notes="two-band Chern insulator; |C| = 1 for 0 < |m| < 2, trivial beyond")
 
 
-def _harper(params) -> Stencil:
-    flux = float(params.get("flux", 0.25))
-    fermi = float(params.get("fermi", 0.0))
-    t = float(params.get("t", 1.0))
+def _harper(p) -> Stencil:
+    flux, fermi, t = p["flux"], p["fermi"], p["t"]
     # Landau gauge: the y-hop picks up the Peierls phase exp(2 pi i flux x1);
     # encoded as a callable block evaluated at the source site.
     hops = {
@@ -147,12 +142,8 @@ def _haldane_blocks(t1, t2, phi, mass):
     return onsite, hops
 
 
-def _haldane(params) -> Stencil:
-    t1 = float(params.get("t1", 1.0))
-    t2 = float(params.get("t2", 0.1))
-    phi = float(params.get("phi", np.pi / 2))
-    mass = float(params.get("mass", 0.0))
-    onsite, hops = _haldane_blocks(t1, t2, phi, mass)
+def _haldane(p) -> Stencil:
+    onsite, hops = _haldane_blocks(p["t1"], p["t2"], p["phi"], p["mass"])
     return Stencil(
         name="haldane", orbitals=2, onsite=onsite, hops=hops,
         basis=TRIANGULAR_BASIS, grading=np.array([1, -1]),
@@ -163,10 +154,8 @@ def _haldane(params) -> Stencil:
               "carried on one triangular point set)")
 
 
-def _kane_mele(params) -> Stencil:
-    t = float(params.get("t", 1.0))
-    lso = float(params.get("lso", 0.06))
-    lv = float(params.get("lv", 0.0))
+def _kane_mele(p) -> Stencil:
+    t, lso, lv = p["t"], p["lso"], p["lv"]
     on_up, hop_up = _haldane_blocks(t, lso, np.pi / 2, lv)
     on_dn, hop_dn = _haldane_blocks(t, lso, -np.pi / 2, lv)
     m = 4
@@ -190,8 +179,8 @@ def _kane_mele(params) -> Stencil:
               "|lv| < 3 sqrt(3) lso")
 
 
-def _layered3d(params) -> Stencil:
-    m = float(params.get("m", 2.0))
+def _layered3d(p) -> Stencil:
+    m = p["m"]
     alphas = [np.kron(SX, s) for s in (SX, SY, SZ)]
     beta = np.kron(SZ, S0)
     hops = {}
@@ -208,15 +197,19 @@ def _layered3d(params) -> Stencil:
               "1 < |m| < 3 and a double band inversion for |m| < 1")
 
 
+# each model's stencil factory and its parameters with their defaults; an
+# integer default declares an integer parameter
 MODELS = {
-    "ssh": _ssh,
-    "kitaev": _kitaev,
-    "qwz": _qwz,
-    "harper": _harper,
-    "haldane": _haldane,
-    "kane_mele": _kane_mele,
-    "layered3d": _layered3d,
+    "ssh": (_ssh, {"t1": 1.0, "t2": 0.5}),
+    "kitaev": (_kitaev, {"mu": 1.0, "t": 1.0, "delta": 1.0}),
+    "qwz": (_qwz, {"m": 1.0, "cutoff": 1, "decay": 1.0}),
+    "harper": (_harper, {"flux": 0.25, "fermi": 0.0, "t": 1.0}),
+    "haldane": (_haldane, {"t1": 1.0, "t2": 0.1, "phi": np.pi / 2, "mass": 0.0}),
+    "kane_mele": (_kane_mele, {"t": 1.0, "lso": 0.06, "lv": 0.0}),
+    "layered3d": (_layered3d, {"m": 2.0}),
 }
+# the recipe that places a model: sample size, disorder strength and seed
+RECIPE = {"size": 20.0, "disorder": 0.0, "seed": 0}
 
 # auxiliary on-site chiral operators: unitaries anticommuting with the clean
 # Hamiltonian that are not part of the declared class (used by odd pairings
@@ -227,10 +220,32 @@ AUX_CHIRAL = {
 }
 
 
-def stencil(name: str, params: dict | None = None) -> Stencil:
+def resolve(table: dict, given: dict | None, what: str) -> dict:
+    """`given` over the defaults of `table` (name -> default); each value must
+    be a finite number (not a bool) that its default's type holds exactly."""
+    out = dict(table)
+    for key, value in (given or {}).items():
+        if key not in table:
+            raise ModelError(f"{what} has no parameter {key!r}; declared: {', '.join(table)}")
+        kind = type(table[key])
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value) or kind(value) != value:
+            raise ModelError(f"{what} parameter {key} = {value!r} is not "
+                             + ("an integer" if kind is int else "a finite number"))
+        out[key] = kind(value)
+    return out
+
+
+def resolve_params(name: str, params: dict | None) -> dict:
+    """Every declared parameter of model `name`: `params` over its defaults."""
     if name not in MODELS:
         raise ModelError(f"unknown model {name!r}; known: {sorted(MODELS)}")
-    return MODELS[name](params or {})
+    return resolve(MODELS[name][1], params, f"model {name}")
+
+
+def stencil(name: str, params: dict | None = None) -> Stencil:
+    params = resolve_params(name, params)
+    return MODELS[name][0](params)
 
 
 def default_pointset(name: str, size: float, params: dict | None = None) -> PointSet:
@@ -282,21 +297,20 @@ def _hop_block(entry, xy) -> np.ndarray:
 
 
 def build_model(name: str, params: dict | None = None, ps: PointSet | None = None,
-                disorder: float = 0.0, seed: int = 0, decay: float = 1.0,
+                disorder: float = RECIPE["disorder"], seed: int = RECIPE["seed"],
                 periodic: bool = False):
     """Assemble (SiteModule, ControlledOperator, SymmetrySpec) on a point set.
 
     Hopping blocks attach to site pairs whose coordinate difference matches a
     stencil offset; on jittered samples the match is by nearest target within
-    half a bond length and the amplitude is scaled by exp(-decay (d - d0)).
+    half a bond length and the amplitude is scaled by exp(-(d - d0)).
     `disorder` adds seeded on-site blocks projected onto the symmetry
     commutant.  `periodic` wraps bonds across the window (axis-aligned
     lattices only) - intended for building translation-invariant references,
     not for edge physics.
     """
     st = stencil(name, params)
-    if ps is None:
-        ps = default_pointset(name, params.get("size", 20) if params else 20, params)
+    ps = ps if ps is not None else default_pointset(name, RECIPE["size"], params)
     if ps.dim != st.basis.shape[0]:
         raise ModelError(f"model {name} lives in d={st.basis.shape[0]}, "
                          f"point set has d={ps.dim}")
@@ -320,8 +334,8 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
             if y >= N:
                 continue
             B = _hop_block(entry, ps.coords[x])
-            amp = 1.0 if abs(dist[x]) < 1e-9 else np.exp(-decay * (
-                np.linalg.norm(ps.coords[y] - ps.coords[x]) - d0))
+            amp = 1.0 if abs(dist[x]) < 1e-9 else np.exp(
+                d0 - np.linalg.norm(ps.coords[y] - ps.coords[x]))
             if periodic:
                 amp = 1.0
             M[y * m:(y + 1) * m, x * m:(x + 1) * m] += amp * B

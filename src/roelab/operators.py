@@ -59,9 +59,9 @@ class SiteModule:
                 raise OperatorError("grading must be a +-1 vector over the orbitals")
             object.__setattr__(self, "grading", g)
         for name, v in self.labels.items():
-            if np.shape(v) != (self.orbitals_per_site,):
-                raise OperatorError(f"label {name!r} has shape {np.shape(v)}, expected "
-                                    f"({self.orbitals_per_site},)")
+            if np.shape(v) != (self.orbitals_per_site,) or np.asarray(v).dtype.kind not in "iuf":
+                raise OperatorError(f"label {name!r} is not {self.orbitals_per_site} numbers: "
+                                    f"{np.asarray(v).tolist()!r}")
 
     @property
     def n_sites(self) -> int:
@@ -102,9 +102,13 @@ class SiteModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SiteModule":
-        return cls(PointSet.from_json(doc["pointset"]), int(doc["orbitals_per_site"]),
-                   grading=doc.get("grading"),
-                   labels={k: np.asarray(v) for k, v in doc.get("labels", {}).items()})
+        m, labels = doc["orbitals_per_site"], doc.get("labels", {})
+        if type(m) is not int or m < 1:
+            raise OperatorError(f"orbitals_per_site {m!r} is not a positive integer")
+        if not isinstance(labels, dict):
+            raise OperatorError(f"labels {labels!r} is not an object")
+        return cls(PointSet.from_json(doc["pointset"]), m, grading=doc.get("grading"),
+                   labels={k: np.asarray(v) for k, v in labels.items()})
 
 
 def site_distances(ps: PointSet) -> np.ndarray:
@@ -255,11 +259,14 @@ class ControlledOperator:
         `hermitian` flag are checked against the module and the matrix; every
         entry must be finite, and the declared propagation (default: the
         blocks' reach, `propagation`) finite and no smaller than that reach."""
+        hermitian = doc["hermitian"]
+        if type(hermitian) is not bool:
+            raise OperatorError(f"hermitian {hermitian!r} is not true or false")
         module = SiteModule.from_json(doc["module"])
         n, m = module.n_sites, module.orbitals_per_site
         M = np.zeros((module.dim, module.dim), dtype=complex)
         for x, y, rows in doc["blocks"]:
-            if not all(isinstance(i, int) and 0 <= i < n for i in (x, y)):
+            if not all(type(i) is int and 0 <= i < n for i in (x, y)):
                 raise OperatorError(f"block ({x},{y}) lies outside the {n} sites")
             B = np.array([[complex(v[0], v[1]) for v in row] for row in rows])
             if B.shape != (m, m):
@@ -267,15 +274,14 @@ class ControlledOperator:
             M[x * m:(x + 1) * m, y * m:(y + 1) * m] = B
         if not np.isfinite(M).all():
             raise OperatorError("operator has a non-finite block entry")
-        hermitian = bool(doc["hermitian"])
         if hermitian and np.abs(M - M.conj().T).max() > 1e-12:
             raise OperatorError("operator declared Hermitian but matrix is not")
         reach = cls.from_dense(module, M, hermitian).declared_propagation
-        prop = float(doc.get("propagation", reach))
-        if not reach <= prop < np.inf:
+        prop = doc.get("propagation", reach)
+        if isinstance(prop, bool) or not reach <= prop < np.inf:
             raise OperatorError(f"declared propagation {prop} is not finite or lies "
                                 f"below the blocks' reach {reach:g}")
-        return cls(module, M, prop, hermitian=hermitian)
+        return cls(module, M, float(prop), hermitian=hermitian)
 
 
 def identity(module: SiteModule) -> ControlledOperator:

@@ -446,6 +446,9 @@ class SymmetrySpec:
         dec = lambda M: None if M is None else np.array(
             [[complex(v[0], v[1]) for v in row] for row in M])
         rels = RELATIONS.values()
+        for r in rels:
+            if type(doc.get(r.present, False)) is not bool:
+                raise SymmetryError(f"{r.present} {doc[r.present]!r} is not true or false")
         return cls(**{r.present: doc.get(r.present, False) for r in rels},
                    **{r.square: doc.get(r.square) for r in rels if r.square},
                    **{r.unitary: dec(doc.get(r.unitary)) for r in rels},

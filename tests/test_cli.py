@@ -48,7 +48,9 @@ class TestBuildIndex:
         assert code == 0
         H, spec, meta = load_model(str(out))
         assert H.module.dim == 8 * 8 * 2
-        assert meta["name"] == "qwz" and meta["params"]["m"] == 1.0
+        assert meta["name"] == "qwz"
+        assert meta["params"] == {"m": 1.0, "cutoff": 1, "decay": 1.0}
+        assert (meta["size"], meta["disorder"], meta["seed"]) == (8.0, 0.0, 0)
 
     def test_build_embeds_chiral_spec(self, tmp_path, capsys):
         out = tmp_path / "ssh.json"
@@ -372,6 +374,17 @@ def _break_model(kind, path):
         next(b for b in blocks if b[0] != b[1])[2][0][0][0] += 1.0
     elif kind in ("nan_entry", "inf_entry"):
         blocks[0][2][0][0][0] = float(kind[:3])
+    elif kind in ("has_T_not_bool", "has_C_not_bool", "has_P_not_bool"):
+        doc["symmetry"][kind[:5]] = "no"
+    elif kind == "hermitian_not_bool":
+        doc["operator"]["hermitian"] = "false"
+    elif kind == "fractional_orbitals":
+        doc["operator"]["module"]["orbitals_per_site"] = 2.5
+    elif kind in ("null_symmetry", "list_model", "list_labels"):
+        parent = doc["operator"]["module"] if kind == "list_labels" else doc
+        parent[kind.split("_")[1]] = None if kind == "null_symmetry" else [1]
+    elif kind == "unknown_key":
+        doc["operater"] = doc["operator"]
     elif kind in ("nan_propagation", "inf_propagation", "negative_propagation",
                   "propagation_below_reach"):
         doc["operator"]["propagation"] = {"nan": float("nan"), "inf": float("inf"),
@@ -388,7 +401,11 @@ class TestMalformedModelFile:
                                       "not_hermitian", "nan_entry", "inf_entry",
                                       "nan_propagation", "inf_propagation",
                                       "negative_propagation",
-                                      "propagation_below_reach"])
+                                      "propagation_below_reach", "has_T_not_bool",
+                                      "has_C_not_bool", "has_P_not_bool",
+                                      "hermitian_not_bool", "fractional_orbitals",
+                                      "null_symmetry", "list_model", "list_labels",
+                                      "unknown_key"])
     def test_named_error_not_traceback(self, tmp_path, capsys, kind):
         model = tmp_path / "ssh.json"
         run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
@@ -397,6 +414,20 @@ class TestMalformedModelFile:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_model_block_keys_are_optional(self, tmp_path, capsys):
+        """A file whose `model` block holds only a name and parameters, or
+        that has no `model` block at all, loads."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        for block in ({"name": "ssh", "params": {"t1": 0.5}}, None):
+            if block is None:
+                del doc["model"]
+            else:
+                doc["model"] = block
+            model.write_text(json.dumps(doc))
+            assert load_model(str(model))[2] == (block or {})
 
 
 class TestSweep:
@@ -508,6 +539,10 @@ class TestNamedErrors:
         code, out, _ = run(["-h"], capsys)
         assert code == 0 and out.startswith("usage: roelab")
         assert run(["index", "-h"], capsys)[0] == 0
+        code, out, _ = run(["build", "-h"], capsys)
+        text = " ".join(out.split())
+        assert code == 0 and "ssh {'t1': 1.0, 't2': 0.5}" in text
+        assert "qwz {'m': 1.0, 'cutoff': 1, 'decay': 1.0}" in text
 
     def test_kgroup_d_outside_0_to_3_exits_1(self, capsys):
         for flags in (["--rotation", "3"], ["--reflection", "--pr-sign", "1"], []):
@@ -552,7 +587,11 @@ class TestNamedErrors:
         ({"size": "big"}, "size"), ({"size": True}, "size"),
         ({"vary_param": "t1", "values": 0.5}, "values"), ({"params": [1, 2]}, "params"),
         ({"fermi": "0"}, "fermi"), ({"disorder": None}, "disorder"),
-        ({"vary_param": 1, "values": [1.0]}, "vary_param")])
+        ({"vary_param": 1, "values": [1.0]}, "vary_param"), ({"sizee": 40}, "sizee"),
+        ({"params": {"tt1": 0.2}}, "model"), ({"params": {"t1": "x"}}, "model"),
+        ({"vary_param": "tt2", "values": [0.5]}, "model"),
+        ({"vary_param": "size", "values": [20]}, "model"),
+        ({"vary_param": "t2", "values": ["a"]}, "model"), ({"values": [1.0]}, "vary_param")])
     def test_sweep_key_of_the_wrong_type_exit_2(self, tmp_path, capsys, bad, key):
         """Every key the sweep reads is checked before any point runs: one
         `config error:` line, not a traceback from the worker thread."""
@@ -562,6 +601,24 @@ class TestNamedErrors:
         out = tmp_path / "o.csv"
         code, _, err = run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 2 and _one_line(err, f"config error: {key} "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code, line", [
+        (["--model", "ssh", "--tt1", "0.2"], 1,
+         "error: model ssh has no parameter 'tt1'; declared: t1, t2"),
+        (["--model", "ssh", "--t1", "x"], 2,
+         "usage error: argument --t1: invalid float value: 'x'"),
+        (["--model", "qwz", "--cutoff", "1.5"], 1,
+         "error: model qwz parameter cutoff = 1.5 is not an integer"),
+        (["--model", "ssh", "--seed", "1.7"], 1,
+         "error: build parameter seed = 1.7 is not an integer"),
+        (["--model", "ssh", "--size", "0"], 1, "error: window must have positive extent"),
+    ], ids=["undeclared", "not_a_number", "cutoff", "seed", "size"])
+    def test_build_refuses_what_it_would_ignore(self, tmp_path, capsys, flags, code, line):
+        """A parameter the model does not declare, or a value it would cast
+        or replace, is one named line; no file is written."""
+        out = tmp_path / "m.json"
+        assert run(["build", *flags, "--out", str(out)], capsys) == (code, "", line + "\n")
         assert not out.exists()
 
     def test_one_site_chain_is_a_named_error(self, tmp_path, capsys):

@@ -63,7 +63,7 @@ class TestBuild:
     def test_perturbed_lattice_hoppings(self):
         ps = rl.generate({"kind": "perturbed", "window": [[0, 10], [0, 10]],
                           "jitter": 0.15, "seed": 2})
-        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps, decay=1.0)
+        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
         # every site is connected and amplitudes vary with bond length
         norms = H.block_norms()
         np.fill_diagonal(norms, 0)
