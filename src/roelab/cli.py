@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -67,14 +68,20 @@ def save_model(path: str, H: ControlledOperator, spec: SymmetrySpec,
 _NUMBER = (int, float)                 # json numbers; a bool is not one
 # each key of an input file: (the types its value may have, those of its entries, what it must be)
 _STRING, _OBJECT, _A_NUMBER = ((str,), None, "a string"), ((dict,), None, "an object"), \
-    (_NUMBER, None, "a number")
+    (_NUMBER, None, "a finite number")
 _MODEL_FILE_KEYS = {"format": _STRING, "version": ((int,), None, "an integer"), "model": _OBJECT,
                     "operator": _OBJECT, "symmetry": _OBJECT, "generated_at": _STRING}
 _SWEEP_KEYS = {"model": _STRING, "formula": _STRING, "params": _OBJECT, "size": _A_NUMBER,
                "disorder": _A_NUMBER, "fermi": _A_NUMBER, "vary_param": _STRING,
                "values": ((list,), None, "a list"),
-               "windows": ((list,), _NUMBER, "a list of numbers"),
+               "windows": ((list,), _NUMBER, "a list of finite numbers"),
                "seeds": ((list,), (int,), "a list of integers")}
+
+
+def _fits(value, kinds) -> bool:
+    """`value` has one of the types `kinds`, and is finite if it is a float
+    (Python's JSON reader takes NaN and Infinity)."""
+    return type(value) in kinds and (type(value) is not float or math.isfinite(value))
 
 
 def _check_keys(doc, table: dict, name: str):
@@ -84,7 +91,7 @@ def _check_keys(doc, table: dict, name: str):
         raise ValueError(f"the {name} is not a JSON object")
     for key, value in doc.items():
         kinds, entries, desc = table.get(key, ((), None, f"a {name} key: {', '.join(table)}"))
-        if type(value) not in kinds or entries and any(type(v) not in entries for v in value):
+        if not _fits(value, kinds) or entries and not all(_fits(v, entries) for v in value):
             raise ValueError(f"{key} {value!r} is not {desc}")
 
 

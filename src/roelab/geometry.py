@@ -59,11 +59,11 @@ class PointSet:
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
+        if coords.shape[1] != self.dim:
+            raise GeometryError(f"coords have dimension {coords.shape[1]}, expected {self.dim}")
         window = np.asarray(self.window, dtype=float).reshape(self.dim, 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "window", window)
-        if coords.shape[1] != self.dim:
-            raise GeometryError(f"coords have dimension {coords.shape[1]}, expected {self.dim}")
         inside = (coords >= window[:, 0]) & (coords < window[:, 1])
         if not inside.all():
             raise GeometryError("points outside the declared window")
@@ -110,8 +110,13 @@ class PointSet:
         if ids != list(range(len(ids))):
             raise GeometryError("point ids must be unique and dense in [0, N)")
         coords = np.array([row[1:] for row in pts], dtype=float)
-        return cls(int(doc["dim"]), coords, np.asarray(doc["window"], dtype=float),
-                   density=doc.get("density"))
+        dim, density = doc["dim"], doc.get("density")
+        if type(dim) is not int or not 1 <= dim <= 3:
+            raise GeometryError(f"dim {dim!r} is not 1, 2 or 3")
+        if density is not None and (type(density) not in (int, float)
+                                    or not 0 < density < np.inf):
+            raise GeometryError(f"density {density!r} is not null or a finite positive number")
+        return cls(dim, coords, np.asarray(doc["window"], dtype=float), density=density)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

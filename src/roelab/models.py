@@ -283,6 +283,8 @@ def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
 
 def disorder_blocks(spec: SymmetrySpec, m: int, n_sites: int, strength: float,
                     seed: int, conserve=()) -> list[np.ndarray]:
+    if not math.isfinite(strength):
+        raise ModelError(f"disorder strength {strength} is not a finite number")
     rng = np.random.default_rng(seed)
     return [strength * symmetrize_block(_random_hermitian(rng, m), spec, conserve)
             for _ in range(n_sites)]

@@ -449,6 +449,9 @@ class SymmetrySpec:
         for r in rels:
             if type(doc.get(r.present, False)) is not bool:
                 raise SymmetryError(f"{r.present} {doc[r.present]!r} is not true or false")
+        for key in [r.square for r in rels if r.square] + ["CR_sign", "TR_sign", "PR_sign"]:
+            if (v := doc.get(key)) is not None and (type(v) is not int or v not in (1, -1)):
+                raise SymmetryError(f"{key} {v!r} is not +1, -1 or null")
         return cls(**{r.present: doc.get(r.present, False) for r in rels},
                    **{r.square: doc.get(r.square) for r in rels if r.square},
                    **{r.unitary: dec(doc.get(r.unitary)) for r in rels},

@@ -385,6 +385,14 @@ def _break_model(kind, path):
         parent[kind.split("_")[1]] = None if kind == "null_symmetry" else [1]
     elif kind == "unknown_key":
         doc["operater"] = doc["operator"]
+    elif kind in ("dim_bool", "dim_mismatch"):
+        doc["operator"]["module"]["pointset"]["dim"] = True if kind == "dim_bool" else 2
+    elif kind in ("density_string", "density_negative", "density_nan"):
+        doc["operator"]["module"]["pointset"]["density"] = {
+            "string": "1", "negative": -1.0, "nan": float("nan")}[kind.split("_")[1]]
+    elif kind in ("CR_sign_two", "TR_sign_string", "PR_sign_bool", "T_sq_float"):
+        doc["symmetry"][kind.rsplit("_", 1)[0]] = {
+            "two": 2, "string": "1", "bool": True, "float": 1.0}[kind.rsplit("_", 1)[1]]
     elif kind in ("nan_propagation", "inf_propagation", "negative_propagation",
                   "propagation_below_reach"):
         doc["operator"]["propagation"] = {"nan": float("nan"), "inf": float("inf"),
@@ -405,7 +413,10 @@ class TestMalformedModelFile:
                                       "has_C_not_bool", "has_P_not_bool",
                                       "hermitian_not_bool", "fractional_orbitals",
                                       "null_symmetry", "list_model", "list_labels",
-                                      "unknown_key"])
+                                      "unknown_key", "dim_bool", "dim_mismatch",
+                                      "density_string", "density_negative",
+                                      "density_nan", "CR_sign_two", "TR_sign_string",
+                                      "PR_sign_bool", "T_sq_float"])
     def test_named_error_not_traceback(self, tmp_path, capsys, kind):
         model = tmp_path / "ssh.json"
         run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
@@ -591,10 +602,13 @@ class TestNamedErrors:
         ({"params": {"tt1": 0.2}}, "model"), ({"params": {"t1": "x"}}, "model"),
         ({"vary_param": "tt2", "values": [0.5]}, "model"),
         ({"vary_param": "size", "values": [20]}, "model"),
-        ({"vary_param": "t2", "values": ["a"]}, "model"), ({"values": [1.0]}, "vary_param")])
+        ({"vary_param": "t2", "values": ["a"]}, "model"), ({"values": [1.0]}, "vary_param"),
+        ({"fermi": float("nan")}, "fermi"), ({"disorder": float("nan")}, "disorder"),
+        ({"size": float("inf")}, "size"), ({"windows": [5, float("nan")]}, "windows")])
     def test_sweep_key_of_the_wrong_type_exit_2(self, tmp_path, capsys, bad, key):
         """Every key the sweep reads is checked before any point runs: one
-        `config error:` line, not a traceback from the worker thread."""
+        `config error:` line, not a traceback from the worker thread.  A
+        number must be finite (the JSON reader takes NaN and Infinity)."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "ssh", "size": 40, "windows": [5, 10],
                                    "seeds": [0], **bad}))
@@ -620,6 +634,23 @@ class TestNamedErrors:
         out = tmp_path / "m.json"
         assert run(["build", *flags, "--out", str(out)], capsys) == (code, "", line + "\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["index", "--fermi", "nan"], "error: Fermi level nan is not a finite number"),
+        (["edge-index", "--normal", "1", "--offset", "19.6", "--fermi=-inf"],
+         "error: Fermi level -inf is not a finite number"),
+        (["verify-bec", "--normal", "1", "--offset", "19.6", "--disorder-strength", "nan",
+          "--seeds", "1"], "error: disorder strength nan is not a finite number"),
+    ], ids=["index_fermi", "edge_fermi", "bec_disorder"])
+    def test_non_finite_fermi_or_disorder_exits_1(self, tmp_path, capsys, argv, line):
+        """Before, a NaN Fermi level ended in a ValueError traceback from
+        `certify_gap`, and a NaN disorder strength read as a symmetry
+        violation."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "40",
+             "--out", str(model)], capsys)
+        assert run([argv[0], "--model-file", str(model), *argv[1:]], capsys) == \
+            (1, "", line + "\n")
 
     def test_one_site_chain_is_a_named_error(self, tmp_path, capsys):
         """A chain of one site has no bulk states once the boundary is

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import roelab as rl
-from roelab import bloch
+from roelab import bloch, operators
 from roelab.operators import OperatorError, SiteModule, decay_length, site_blocks
 from roelab.symmetry import SymmetrySpec
 from conftest import random_controlled
@@ -474,15 +474,15 @@ class TestSpectralLayer:
         H = _small_model("kane_mele", disorder)
         _, v = H.eigh()
         half = H.module.dim // 2
-        assert H.eigh_method == f"full diagonalization, spin_z sectors ({half}, {half})"
+        assert H.eigh_method == f"MRRR, spin_z sectors ({half}, {half})"
         assert np.iscomplexobj(v)
 
     @pytest.mark.parametrize("name, disorder, method", [
-        ("ssh", 0.0, "full diagonalization, real"),
-        ("kitaev", 0.3, "full diagonalization, real"),
-        ("layered3d", 0.3, "full diagonalization"),    # spin_z is mixed
-        ("qwz", 0.0, "full diagonalization"),
-    ])
+        ("ssh", 0.0, "divide and conquer, real"),
+        ("kitaev", 0.3, "divide and conquer, real"),
+        ("layered3d", 0.3, "MRRR"),    # spin_z is mixed
+        ("qwz", 0.0, "MRRR"),
+    ], ids=["ssh-0.0", "kitaev-0.3", "layered3d-0.3", "qwz-0.0"])
     def test_no_sector_split_without_a_conserved_label(self, name, disorder, method):
         H = _small_model(name, disorder)
         _, v = H.eigh()
@@ -500,7 +500,7 @@ class TestSpectralLayer:
         M = np.where(sector[:, None] == sector[None, :], A.matrix, 0.0)
         H = rl.ControlledOperator(mod, M, A.declared_propagation)
         w, v = H.eigh()
-        assert H.eigh_method == "full diagonalization, kept sectors (40, 20, 20)"
+        assert H.eigh_method == "divide and conquer, kept sectors (40, 20, 20)"
         assert np.all(np.diff(w) >= 0)
         assert np.abs(w - np.linalg.eigvalsh(M)).max() <= 1e-12
         assert np.abs(M @ v - v * w).max() <= 1e-12
@@ -510,13 +510,13 @@ class TestSpectralLayer:
         H = _small_model("kane_mele", 0.0)
         assert H.eigh_method is None
         solves = []
-        dense = np.linalg.eigh
+        solve = operators._solve
 
-        def counted(a):
+        def counted(a, mrrr):
             solves.append(a.shape)
-            return dense(a)
+            return solve(a, mrrr)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(operators, "_solve", counted)
         w, v = H.eigh()
         half = H.module.dim // 2
         assert solves == [(half, half), (half, half)]
@@ -528,4 +528,34 @@ class TestSpectralLayer:
         H = _small_model("kane_mele", 0.0)
         assert rl.certify_gap(H).method == H.eigh_method
         chain = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, rl.default_pointset("ssh", 40))[1]
-        assert rl.certify_gap(chain).method == "full diagonalization, real"
+        assert rl.certify_gap(chain).method == "divide and conquer, real"
+
+    @pytest.mark.parametrize("name", sorted(rl.MODELS))
+    def test_the_driver_follows_the_dimension(self, name):
+        """Divide and conquer on chains, where the banded matrix deflates;
+        MRRR on planes and lattices."""
+        H = _small_model(name, 0.0)
+        H.eigh()
+        want = "divide and conquer" if name in ("ssh", "kitaev") else "MRRR"
+        assert H.eigh_method.split(",")[0] == want
+
+    @pytest.mark.parametrize("name", ["qwz", "kane_mele"])
+    def test_accuracy_at_benchmark_size(self, name):
+        """The solves of the `qwz_plane` bulk (dim 968) and of one
+        `kane_mele_qsh` spin sector (476) against numpy's divide and conquer:
+        eigenvalues and residual to 1e-12, orthogonality and the occupied
+        projection at the Fermi level 0 to 1e-10."""
+        size, params = (22.0, {"m": 1.0}) if name == "qwz" else (14.0, {"lso": 0.06, "lv": 0.1})
+        H = rl.build_model(name, params, rl.default_pointset(name, size))[1]
+        if name == "kane_mele":
+            H = rl.restrict_orbitals(H, np.flatnonzero(H.module.labels["spin_z"] == 1))
+        w, v = H.eigh()
+        assert H.eigh_method == "MRRR" and len(w) == (968 if name == "qwz" else 476)
+        M = H.matrix
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() <= 1e-12
+        assert np.abs(M @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-10
+        w0, v0 = np.linalg.eigh(M)
+        P = v[:, w < 0] @ v[:, w < 0].conj().T
+        P0 = v0[:, w0 < 0] @ v0[:, w0 < 0].conj().T
+        assert np.abs(P - P0).max() <= 1e-10
