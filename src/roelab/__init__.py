@@ -22,7 +22,7 @@ from .models import AUX_CHIRAL, MODELS, build_model, default_pointset, stencil
 from .indices import (IndexReport, TraceEstimate, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, occupied_projection,
                       trace_per_unit_volume)
-from .bulkedge import (BECConfig, BECReport, BulkSystem, EdgeSystem, bulk_index,
-                       edge_index, make_bulk, make_edge, mv_boundary, verify_bec)
+from .bulkedge import (BECConfig, BECReport, BulkSystem, bulk_index, edge_index,
+                       make_bulk, make_edge, mv_boundary, verify_bec)
 
 __version__ = "0.1.0"

@@ -14,6 +14,8 @@ of the oracle tests, not a definition chase.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .models import Stencil, stencil
@@ -148,24 +150,14 @@ def winding_3d(h, chiral: np.ndarray, nk: int = 24) -> float:
 
 
 def dispersion_gap(h, fermi: float = 0.0, nk: int = 200, dim: int = 1) -> float:
-    """Minimum over the momentum grid of the distance from the spectrum to fermi."""
+    """Minimum over the momentum grid (nk points per axis, dim 1 to 3) of the
+    distance from the spectrum to fermi."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dispersion_gap needs dim 1, 2 or 3, not {dim}")
     ks = 2 * np.pi * np.arange(nk) / nk
     best = np.inf
-    if dim == 1:
-        for k in ks:
-            w = np.linalg.eigvalsh(h([k]))
-            best = min(best, np.abs(w - fermi).min())
-    elif dim == 2:
-        for k1 in ks:
-            for k2 in ks:
-                w = np.linalg.eigvalsh(h((k1, k2)))
-                best = min(best, np.abs(w - fermi).min())
-    else:
-        for k1 in ks:
-            for k2 in ks:
-                for k3 in ks:
-                    w = np.linalg.eigvalsh(h((k1, k2, k3)))
-                    best = min(best, np.abs(w - fermi).min())
+    for k in itertools.product(ks, repeat=dim):
+        best = min(best, np.abs(np.linalg.eigvalsh(h(k)) - fermi).min())
     return float(best)
 
 

@@ -71,16 +71,9 @@ def make_bulk(module: SiteModule, H: ControlledOperator, spec: SymmetrySpec,
     return BulkSystem(module=module, H=H, spec=spec, gap=cert)
 
 
-@dataclass(frozen=True)
-class EdgeSystem:
-    """Half-space compression of a bulk system."""
-
-    module: SiteModule
-    H_hat: ControlledOperator
-
-
-def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
-    """Compress the bulk by the plus half-space and verify the edge condition.
+def make_edge(bulk: BulkSystem, part: Partition) -> ControlledOperator:
+    """Compress the bulk by the plus half-space, verify the edge condition and
+    return the compressed Hamiltonian.
 
     The compressed Hamiltonian may have spectrum inside the parent gap, but
     only from states bound to the interface (or to the sample's outer
@@ -104,7 +97,7 @@ def make_edge(bulk: BulkSystem, part: Partition) -> EdgeSystem:
                 "in-gap edge spectrum is not interface-localized "
                 f"(worst boundary weight {weight.min():.3f} < 0.7); "
                 "interface thickness too small or bulk gap too tight for this sample")
-    return EdgeSystem(module=H_hat.module, H_hat=H_hat)
+    return H_hat
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +268,18 @@ def _winding(work: BulkSystem, windows) -> IndexReport:
 
 def _conductance(work: BulkSystem, part, cfg):
     """Edge conductance at both interval widths: (first report, their spread)."""
-    edge = make_edge(work, part)
+    H_hat = make_edge(work, part)
     windows = cfg.edge_windows or _default_windows(
-        Interface.of(edge.H_hat, part).half, box_bound(edge.module.pointset, EDGE_RESERVE))
+        Interface.of(H_hat, part).half, box_bound(H_hat.module.pointset, EDGE_RESERVE))
     fermi, eps = work.gap.fermi, work.gap.epsilon
-    first, second = (edge_conductance(edge.H_hat, part, (fermi - f * eps, fermi + f * eps),
+    first, second = (edge_conductance(H_hat, part, (fermi - f * eps, fermi + f * eps),
                                       windows, bulk_gap=work.gap)
                      for f in (DELTA_FRACTION, PLATEAU_FRACTION))
     return first, float(abs(first.raw - second.raw))
 
 
 def _kernel_count(work: BulkSystem, part, cfg):
-    return edge_fredholm(make_edge(work, part).H_hat, work.spec, part=part), None
+    return edge_fredholm(make_edge(work, part), work.spec, part=part), None
 
 
 def _itself(bulk: BulkSystem):

@@ -295,8 +295,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectrum(args) -> int:
     H, spec, meta = load_model(args.model_file)
-    if not H.hermitian:
-        raise OperatorError("spectrum of a non-Hermitian operator")
     w, _ = H.eigh()
     doc = {"model": meta, "dim": int(len(w)),
            "eigenvalues": [float(x) for x in w]}

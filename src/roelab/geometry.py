@@ -397,16 +397,23 @@ def partition_halfspace(ps: PointSet, normal, offset: float,
     The interface is the set of plus points within `thickness` of the cut
     plane (default: twice the packing diameter, which keeps the interface a
     relatively dense sample of the cut at the window scale).  A normal of the
-    wrong length and degenerate geometry - an empty side or interface - raise.
+    wrong length, a non-finite normal, offset or thickness and degenerate
+    geometry - an empty side or interface - raise.
     """
     normal = np.asarray(normal, dtype=float)
     if normal.shape != (ps.dim,):
         raise GeometryError(f"cut normal has shape {normal.shape}, not ({ps.dim},)")
+    if not np.isfinite(normal).all():
+        raise GeometryError(f"cut normal {normal.tolist()} is not finite")
     nn = np.linalg.norm(normal)
     if nn == 0:
         raise GeometryError("cut normal must be nonzero")
+    if not np.isfinite(offset):
+        raise GeometryError(f"cut offset {offset} is not a finite number")
     if thickness is None:
         thickness = 4 * 0.5 * min_spacing(ps)   # 2 x packing diameter
+    elif not np.isfinite(thickness):
+        raise GeometryError(f"interface thickness {thickness} is not a finite number")
     if thickness <= 0:
         raise GeometryError("interface thickness must be positive")
     normal, offset = normal / nn, offset / nn

@@ -35,6 +35,12 @@ from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgrou
                        verify_symmetry)
 
 
+INTEGER_SNAP_TOL = 0.1      # largest distance of a raw value from the integer it snaps to
+Z2_SNAP_TOL = 0.25          # largest distance of a raw value mod 2 from its class
+WIDTH_FAMILY = 8            # edge conductance: sub-intervals from 0.7 Delta to Delta
+KERNEL_TOL = 1e-6           # Fredholm count: kernel |E| below it, the next level above 10x
+
+
 class PairingError(ValueError):
     """Raised when an index formula's preconditions fail."""
 
@@ -81,25 +87,26 @@ class IndexReport:
                 "warnings": list(self.warnings)}
 
 
-def snap_integer(raw: float, tol: float = 0.1):
-    """Nearest integer within tol, else (None, warning)."""
+def snap_integer(raw: float):
+    """Nearest integer within INTEGER_SNAP_TOL, else (None, warning)."""
     k = int(np.rint(raw))
-    if abs(raw - k) <= tol:
+    if abs(raw - k) <= INTEGER_SNAP_TOL:
         return k, ()
     return None, (f"raw value {raw:.4f} is {abs(raw - k):.3f} from the nearest "
-                  f"integer (snap tolerance {tol})",)
+                  f"integer (snap tolerance {INTEGER_SNAP_TOL})",)
 
 
-def snap_z2(raw: float, tol: float = 0.25):
-    """Class of raw mod 2 in {0, 1}, within tol of the nearest representative."""
+def snap_z2(raw: float):
+    """Class of raw mod 2 in {0, 1}, within Z2_SNAP_TOL of the nearest
+    representative."""
     r = np.mod(raw, 2.0)
     dist0 = min(r, 2.0 - r)
     dist1 = abs(r - 1.0)
     cls = 0 if dist0 <= dist1 else 1
-    if min(dist0, dist1) <= tol:
+    if min(dist0, dist1) <= Z2_SNAP_TOL:
         return cls, ()
     return None, (f"raw value {raw:.4f} mod 2 is {min(dist0, dist1):.3f} from "
-                  f"{{0, 1}} (snap tolerance {tol})",)
+                  f"{{0, 1}} (snap tolerance {Z2_SNAP_TOL})",)
 
 
 def _report(values, formula: str, group: KGroupDescriptor, windows=(),
@@ -109,9 +116,8 @@ def _report(values, formula: str, group: KGroupDescriptor, windows=(),
     The raw value is the real part of the last value, whose imaginary part
     must stay within `imag_tol`; the error defaults to the two-window
     deviation.  It snaps in `group`: mod 2 when the group is Z2, else to an
-    integer, at the default tolerance of `snap_z2` (0.25) or `snap_integer`
-    (0.1).  A windowless pairing passes its single value and an explicit
-    error, and reports no values.
+    integer (`snap_z2`, `snap_integer`).  A windowless pairing passes its
+    single value and an explicit error, and reports no values.
     """
     last = values[-1]
     if abs(np.imag(last)) > imag_tol:
@@ -370,13 +376,12 @@ class Interface:
     half: float
 
     @classmethod
-    def of(cls, H_hat: ControlledOperator, part: Partition, direction=None) -> "Interface":
+    def of(cls, H_hat: ControlledOperator, part: Partition) -> "Interface":
         """The frame of H_hat, the compression of `part`, along the cut's edge
-        direction unless another is held fixed (None: the cut's)."""
+        direction (its normal rotated by +90 degrees)."""
         _check_compressed(H_hat, part)
         ps = H_hat.module.pointset
-        e = (part.edge_direction() if direction is None
-             else np.asarray(direction, dtype=float) / np.linalg.norm(direction))
+        e = part.edge_direction()
         coord = ps.coords @ e
         iface = coord[np.isin(ps.source_ids, part.interface_ids)]
         lo, hi = iface.min(), iface.max()
@@ -399,8 +404,7 @@ class Interface:
 
 
 def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
-                     edge_windows, bulk_gap: GapCertificate, width_family: int = 8,
-                     edge_direction=None) -> IndexReport:
+                     edge_windows, bulk_gap: GapCertificate) -> IndexReport:
     """Edge transport pairing -(2 pi / |Delta|) T^(P_Delta grad_edge H^).
 
     P_Delta is the spectral projection of the compressed Hamiltonian onto the
@@ -408,7 +412,7 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     unit edge length over the interface strip, and the 2 pi converts natural
     trace units to conductance quanta.  On a finite sample the edge spectrum
     is discrete, so a sharp interval boundary miscounts by up to one level;
-    the estimate is therefore averaged over `width_family` sub-intervals
+    the estimate is therefore averaged over WIDTH_FAMILY sub-intervals
     shrinking from Delta to 0.7 Delta, which cancels the level-quantization
     sawtooth while staying inside the declared interval.  Only the states
     inside Delta, the only ones counted, carry their current.
@@ -423,9 +427,7 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
                            f"({lo:.4f}, {hi:.4f}); the edge formula is gap-valid only")
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
-    # edge_direction overrides the orientation: measure along a held-fixed
-    # direction instead of the one the cut normal induces
-    frame = Interface.of(H_hat, part, edge_direction)
+    frame = Interface.of(H_hat, part)
     windows = frame.windows(edge_windows)
     w, v = H_hat.eigh()
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -434,7 +436,7 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     # per-state current within the strip, resolved per site then per window
     DHv = derivation_along(H_hat, frame.direction).matrix @ v
     site_state = (v.conj() * DHv).reshape(H_hat.module.n_sites, H_hat.m, -1).sum(axis=1)
-    halves = np.linspace(0.7 * half, half, max(width_family, 1))
+    halves = np.linspace(0.7 * half, half, WIDTH_FAMILY)
     per_window = []
     for state_vals in frame.sums(site_state, windows):
         ests = []
@@ -445,12 +447,11 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     return _report(per_window, "edge_conductance", kgroup_point("A", 2), windows=windows)
 
 
-def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition,
-                  theta: float = 1e-6) -> IndexReport:
+def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition) -> IndexReport:
     """Half-line index: chirality-weighted count of cut-bound zero modes.
 
-    Eigenvalues below theta in modulus are the kernel; the next one must
-    clear 10 theta (else the sample is too small to separate the kernel).
+    Eigenvalues below KERNEL_TOL in modulus are the kernel; the next one must
+    clear 10 KERNEL_TOL (else the sample is too small to separate the kernel).
     The count is Tr(P chi Q) with Q the kernel projection and chi the
     indicator of the quarter nearest the cut, which isolates the cut end
     from its partner mode at the sample's far end.
@@ -465,12 +466,12 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition
     if rep.violations.get("P", 0.0) > SYM_TOL:
         raise PairingError(f"chiral violation {rep.violations['P']:.2e} above {SYM_TOL}")
     w, v = H_hat.eigh()
-    near = np.abs(w) < theta
+    near = np.abs(w) < KERNEL_TOL
     rest = np.abs(w[~near])
-    if rest.size and rest.min() <= 10 * theta:
+    if rest.size and rest.min() <= 10 * KERNEL_TOL:
         raise PairingError(
-            f"no clean spectral separation at theta={theta}: next |E| = "
-            f"{rest.min():.2e} <= {10 * theta:.2e}; use a larger sample")
+            f"no clean spectral separation at kernel tolerance {KERNEL_TOL:g}: next "
+            f"|E| = {rest.min():.2e} <= {10 * KERNEL_TOL:.2e}; use a larger sample")
     proj = part.distance(ps.coords)
     chi = (proj <= proj.min() + 0.25 * (proj.max() - proj.min())).astype(float)
     # Tr(Q^* P chi Q) site by site: chi is constant on each site's orbital

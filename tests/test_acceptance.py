@@ -320,8 +320,8 @@ def test_criterion_9_non_straight_edge(square30):
         normal = [np.cos(th), np.sin(th)]
         part = rl.partition_halfspace(square30, normal,
                                       float(np.dot([14.6, 14.6], normal)))
-        edge = rl.make_edge(bulk, part)
-        rep = rl.edge_conductance(edge.H_hat, part, (-eps / 3, eps / 3),
+        H_hat = rl.make_edge(bulk, part)
+        rep = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3),
                                   (6, 9, 12), bulk_gap=bulk.gap)
         snaps.append(rep.snapped)
         raws.append(rep.raw)

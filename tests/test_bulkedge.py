@@ -42,14 +42,14 @@ class TestMakeEdge:
             np.tile([1.0, -1.0], 200)).astype(complex), 0.0)
         bulk = rl.make_bulk(mod, H, SymmetrySpec())
         part = rl.partition_halfspace(square20, [1, 0], 9.6)
-        edge = rl.make_edge(bulk, part)
-        assert edge.H_hat.module.n_sites == len(part.plus_ids)
+        H_hat = rl.make_edge(bulk, part)
+        assert H_hat.module.n_sites == len(part.plus_ids)
 
     def test_qwz_ingap_states_bound_to_interface(self, qwz26):
         bulk, part = qwz26
-        edge = rl.make_edge(bulk, part)
-        w, v = edge.H_hat.eigh()
-        ps = edge.module.pointset
+        H_hat = rl.make_edge(bulk, part)
+        w, v = H_hat.eigh()
+        ps = H_hat.module.pointset
         proj = ps.coords @ part.normal - part.offset
         d_out = np.minimum((ps.coords - ps.window[:, 0]).min(axis=1),
                            (ps.window[:, 1] - ps.coords).min(axis=1))
@@ -100,9 +100,9 @@ class TestMVBoundary:
         bm = rl.mv_boundary(s, part, edge_windows=(5, 7, 9))
         P = rl.occupied_projection(bulk.H, bulk.gap)
         cb = rl.chern_even(P, [6, 8, 10])
-        edge = rl.make_edge(bulk, part)
+        H_hat = rl.make_edge(bulk, part)
         eps = bulk.gap.epsilon
-        ce = rl.edge_conductance(edge.H_hat, part, (-eps / 3, eps / 3), (5, 7, 9),
+        ce = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3), (5, 7, 9),
                                  bulk_gap=bulk.gap)
         assert bm.winding.snapped == cb.snapped == ce.snapped == -1
         assert bm.U.matrix @ bm.U.matrix.conj().T == pytest.approx(
@@ -232,7 +232,7 @@ class TestVerifyBEC:
             def run(*args, **kwargs):
                 rep = pairing(*args, **kwargs)
                 raw = rep.raw + 0.15
-                snapped, warns = snap_integer(raw, kwargs.get("snap_tol", 0.1))
+                snapped, warns = snap_integer(raw)
                 values = rep.values[:-1] + (raw,) if rep.values else ()
                 return replace(rep, raw=raw, values=values, snapped=snapped,
                                warnings=warns)

@@ -652,6 +652,25 @@ class TestNamedErrors:
         assert run([argv[0], "--model-file", str(model), *argv[1:]], capsys) == \
             (1, "", line + "\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        (["verify-bec", "--normal", "1", "--offset", "19.6", "--truncation-radii", "nan"],
+         "error: truncation radius nan is not positive and finite"),
+        (["edge-index", "--normal", "1", "--offset", "nan"],
+         "error: cut offset nan is not a finite number"),
+        (["edge-index", "--normal", "nan", "--offset", "19.6"],
+         "error: cut normal [nan] is not finite"),
+        (["edge-index", "--normal", "1", "--offset", "19.6", "--thickness", "inf"],
+         "error: interface thickness inf is not a finite number"),
+    ], ids=["truncation_radius", "offset", "normal", "thickness"])
+    def test_non_finite_cut_or_radius_exits_1(self, tmp_path, capsys, argv, line):
+        """Before, a NaN truncation radius zeroed the operator and read as no
+        certified gap, and a NaN cut read as degenerate edge geometry."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "40",
+             "--out", str(model)], capsys)
+        assert run([argv[0], "--model-file", str(model), *argv[1:]], capsys) == \
+            (1, "", line + "\n")
+
     def test_one_site_chain_is_a_named_error(self, tmp_path, capsys):
         """A chain of one site has no bulk states once the boundary is
         filtered: index and verify-bec exit 1 with one `error:` line."""

@@ -146,6 +146,17 @@ class TestBlochReferences:
                                    chi, nk=20)
             assert got == pytest.approx(w, abs=0.08)
 
+    def test_dispersion_gap_grid(self):
+        """The minimum over the dim-fold momentum grid equals a literal
+        nested loop bit for bit; a dim outside 1..3 is refused."""
+        h = bloch.bloch_hamiltonian("qwz", {"m": 1.0})
+        ks = 2 * np.pi * np.arange(12) / 12
+        want = min(np.abs(np.linalg.eigvalsh(h((k1, k2)))).min() for k1 in ks for k2 in ks)
+        assert bloch.dispersion_gap(h, nk=12, dim=2) == want
+        for dim in (0, 4):
+            with pytest.raises(ValueError, match="needs dim 1, 2 or 3"):
+                bloch.dispersion_gap(h, nk=2, dim=dim)
+
     def test_kane_mele_reference_phases(self):
         assert bloch.kane_mele_z2_reference(1.0, 0.06, 0.1) == 1
         assert bloch.kane_mele_z2_reference(1.0, 0.06, 0.4) == 0

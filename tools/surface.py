@@ -1,0 +1,25 @@
+#!/usr/bin/env python3
+"""Print the two size figures of a package: its code lines and the keyword
+parameters with defaults of its functions.
+
+Code lines are the non-blank lines whose first character, after indentation,
+is not `#`.  Keyword parameters with defaults count the positional and the
+keyword-only defaults of every `def` (lambdas excluded).
+
+    python3 tools/surface.py [package directory, default src/roelab]
+"""
+
+import ast
+import pathlib
+import sys
+
+root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "src/roelab")
+lines = defaults = 0
+for path in sorted(root.glob("*.py")):
+    text = path.read_text()
+    lines += sum(1 for s in text.splitlines() if s.strip() and not s.lstrip().startswith("#"))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+print(f"{root}: {lines} lines (non-blank, non-#), "
+      f"{defaults} keyword parameters with defaults")
