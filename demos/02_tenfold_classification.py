@@ -8,7 +8,7 @@ Frobenius-Schur indicators.
 import numpy as np
 
 import roelab as rl
-from roelab.symmetry import CharacterTable, kgroup_finite_group, spec_from_label
+from roelab.symmetry import CharacterTable, kgroup_finite_group
 
 print("label | d=0   d=1   d=2   d=3")
 for label in rl.CARTAN_LABELS:
@@ -40,8 +40,7 @@ ct = CharacterTable.cyclic(4)
 print("C_4 Frobenius-Schur split (n+1, n0, n-1):", rl.frobenius_schur_split(ct))
 print("via character table:", kgroup_finite_group("AII", 2, ct))
 
-# Reflection refinement: the four sign cases.
-for cr, tr in ((1, 1), (-1, -1), (-1, 1), (1, -1)):
-    spec = spec_from_label("BDI", CR_sign=cr, TR_sign=tr)
-    print(f"BDI d=2 reflection CR{cr:+d} TR{tr:+d}:",
-          rl.kgroup_reflection(spec, 2))
+# Reflection refinement: the four sign cases (BDI has P = CT, so CR = PR TR).
+for pr, tr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+    print(f"BDI d=2 reflection PR{pr:+d} TR{tr:+d} (CR{pr * tr:+d}):",
+          rl.kgroup_reflection("BDI", 2, pr, tr))

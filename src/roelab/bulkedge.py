@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition
-from .indices import (IndexReport, Interface, PairingError, _box_windows, _report,
+from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows, _report,
                       box_bound, chern_even, chern_odd, edge_conductance, edge_fredholm,
                       occupied_projection, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
@@ -51,7 +51,6 @@ class BulkSystem:
     """Gapped, symmetry-verified Hamiltonian on a windowed point set;
     `make_bulk` is the constructor that verifies, and the routes trust it."""
 
-    module: SiteModule
     H: ControlledOperator
     spec: SymmetrySpec
     gap: GapCertificate
@@ -60,7 +59,9 @@ class BulkSystem:
 def make_bulk(module: SiteModule, H: ControlledOperator, spec: SymmetrySpec,
               fermi: float = 0.0) -> BulkSystem:
     """Certify the gap and the symmetry relations (to SYM_TOL), then package
-    the system."""
+    the system; `module` must be the one H acts on."""
+    if module is not H.module:
+        raise BulkEdgeError("make_bulk: the module is not the Hamiltonian's own (H.module)")
     rep = verify_symmetry(H, spec)
     if not rep.passed:
         raise BulkEdgeError(f"symmetry violations {rep.violations} exceed {SYM_TOL}")
@@ -68,7 +69,7 @@ def make_bulk(module: SiteModule, H: ControlledOperator, spec: SymmetrySpec,
     if not cert.gapped:
         raise BulkEdgeError(f"no certified spectral gap at fermi={fermi} "
                             f"(epsilon={cert.epsilon:.3g}, spacing={cert.level_spacing:.3g})")
-    return BulkSystem(module=module, H=H, spec=spec, gap=cert)
+    return BulkSystem(H=H, spec=spec, gap=cert)
 
 
 def make_edge(bulk: BulkSystem, part: Partition) -> ControlledOperator:
@@ -157,7 +158,8 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
 
 @dataclass
 class BECConfig:
-    """Windows of both sides (empty: derived from the sample) and the sweeps."""
+    """Windows of both sides (empty: derived from the sample) and the sweeps,
+    whose settings are checked here, before any solve."""
 
     windows: tuple = ()
     edge_windows: tuple = ()
@@ -165,14 +167,21 @@ class BECConfig:
     disorder_seeds: tuple = ()
     truncation_radii: tuple = ()
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BECConfig":
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    def __post_init__(self):
+        for R in self.truncation_radii:
+            if not 0 < R < np.inf:
+                raise BulkEdgeError(f"truncation radius {R} is not positive and finite")
+        if not np.isfinite(strength := self.disorder_strength):
+            raise BulkEdgeError(f"disorder strength {strength} is not a finite number")
+        for seed in self.disorder_seeds:
+            if not isinstance(seed, (int, np.integer)):
+                raise BulkEdgeError(f"disorder seed {seed!r} is not an integer")
 
     @classmethod
     def of(cls, config: "BECConfig | dict | None") -> "BECConfig":
         """A config as given, or read from a dict (None: the defaults)."""
-        return config if isinstance(config, cls) else cls.from_dict(config or {})
+        return config if isinstance(config, cls) else cls(**{
+            k: tuple(v) if isinstance(v, list) else v for k, v in (config or {}).items()})
 
 
 @dataclass(frozen=True)
@@ -238,7 +247,7 @@ def _spin_up(bulk: BulkSystem) -> BulkSystem:
     cert = certify_gap(H_up, fermi=bulk.gap.fermi)
     if not cert.gapped:
         raise PairingError("spin-up sector is not gapped at the Fermi level")
-    return BulkSystem(H_up.module, H_up, SymmetrySpec(), cert)
+    return BulkSystem(H_up, SymmetrySpec(), cert)
 
 
 def _chiral_refinement(bulk: BulkSystem) -> BulkSystem:
@@ -279,7 +288,16 @@ def _conductance(work: BulkSystem, part, cfg):
 
 
 def _kernel_count(work: BulkSystem, part, cfg):
-    return edge_fredholm(make_edge(work, part), work.spec, part=part), None
+    """The half-line kernel count; an in-gap level (the band `make_edge` checks)
+    outside the kernel is a split end pair, which would count as nothing."""
+    H_hat = make_edge(work, part)
+    w = H_hat.eigh()[0]
+    split = w[(np.abs(w - work.gap.fermi) < 0.9 * work.gap.epsilon) & (np.abs(w) >= KERNEL_TOL)]
+    if split.size:
+        raise PairingError(f"in-gap edge level E = {split[np.argmin(np.abs(split))]:.2e} is "
+                           f"not in the kernel (|E| < {KERNEL_TOL:g}): the end modes split "
+                           "on this half chain; use a larger sample")
+    return edge_fredholm(H_hat, work.spec, part=part), None
 
 
 def _itself(bulk: BulkSystem):
@@ -311,7 +329,7 @@ class _OnRoute:
                        windows=rep.windows, error=rep.error)
 
     def bulk_report(self, cfg: BECConfig) -> IndexReport:
-        ps, reach = self.work.module.pointset, self.work.H.declared_propagation
+        ps, reach = self.work.H.module.pointset, self.work.H.declared_propagation
         windows = _box_windows(ps, cfg.windows or _default_windows(
             box_bound(ps, reach), box_bound(ps, BULK_RESERVE)), reach)
         return self._snap(self.route.bulk(self.work, windows), self.route.formulas[0])
@@ -323,7 +341,7 @@ class _OnRoute:
 
 
 def _on_route(bulk: BulkSystem) -> _OnRoute:
-    label, d = classify(bulk.spec), bulk.module.pointset.dim
+    label, d = classify(bulk.spec), bulk.H.module.pointset.dim
     if (label, d) not in ROUTES:
         raise BulkEdgeError(f"unsupported class/dimension ({label}, d={d}); "
                             f"supported: {sorted(ROUTES)}")
@@ -355,15 +373,15 @@ def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
     """Sweep points: (entry keys, perturbed Hamiltonian) per disorder seed,
     then per truncation radius."""
     conserve = ()
-    if label == "AII" and "spin_z" in bulk.module.labels:
-        conserve = (bulk.module.labels["spin_z"],)   # spin-resolved route needs it
+    if label == "AII" and "spin_z" in bulk.H.module.labels:
+        conserve = (bulk.H.module.labels["spin_z"],)   # spin-resolved route needs it
     for seed in cfg.disorder_seeds:
         M = bulk.H.matrix.copy()
         M[site_blocks(len(M), bulk.H.m)] += disorder_blocks(
-            bulk.spec, bulk.H.m, bulk.module.n_sites, cfg.disorder_strength, seed,
+            bulk.spec, bulk.H.m, bulk.H.module.n_sites, cfg.disorder_strength, seed,
             conserve=conserve)
         yield ({"kind": "disorder", "seed": int(seed), "strength": cfg.disorder_strength},
-               ControlledOperator(bulk.module, M, bulk.H.declared_propagation,
+               ControlledOperator(bulk.H.module, M, bulk.H.declared_propagation,
                                   hermitian=True))
     for R in cfg.truncation_radii:
         yield {"kind": "truncation", "radius": float(R)}, truncate(bulk.H, float(R))
@@ -401,7 +419,7 @@ def verify_bec(bulk: BulkSystem, part: Partition,
                        f"{PLATEAU_TOL:.4g}")
     sweeps = []
     for keys, H in _perturbations(bulk, label, cfg):
-        point = make_bulk(bulk.module, H, bulk.spec, fermi=bulk.gap.fermi)
+        point = make_bulk(H.module, H, bulk.spec, fermi=bulk.gap.fermi)
         b, e, _ = _certify(point, part, cfg)
         why = _mismatch(b, e)
         sweeps.append({**keys, "bulk_raw": b.raw, "edge_raw": e.raw,
@@ -410,6 +428,6 @@ def verify_bec(bulk: BulkSystem, part: Partition,
         where = (f"seed {keys['seed']}" if keys["kind"] == "disorder"
                  else f"radius {keys['radius']:g}")
         reasons.extend(f"{keys['kind']} {where}: {w}" for w in why)
-    return BECReport(label=label, dim=bulk.module.pointset.dim, bulk=bulk_rep,
+    return BECReport(label=label, dim=bulk.H.module.pointset.dim, bulk=bulk_rep,
                      edge=edge_rep, passed=not reasons, plateau_deviation=plateau,
                      sweeps=tuple(sweeps), reasons=tuple(reasons))

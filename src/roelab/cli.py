@@ -33,8 +33,7 @@ from .models import (MODELS, RECIPE, ModelError, build_model, default_pointset, 
                      resolve_params)
 from .operators import ControlledOperator, OperatorError
 from .symmetry import (CARTAN_LABELS, SymmetryError, SymmetrySpec, classify,
-                       kgroup_point, kgroup_reflection, kgroup_rotation,
-                       spec_from_label)
+                       kgroup_point, kgroup_reflection, kgroup_rotation)
 
 USER_ERRORS = (GeometryError, SymmetryError, OperatorError, PairingError,
                ModelError, BulkEdgeError)
@@ -159,12 +158,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_kgroup(args) -> int:
+    if not args.reflection and (args.pr_sign, args.tr_sign) != (None, None):
+        raise argparse.ArgumentTypeError("--pr-sign and --tr-sign go with --reflection")
     if args.rotation is not None:
         desc = kgroup_rotation(args.label, args.d, args.rotation)
     elif args.reflection:
-        spec = spec_from_label(args.label, CR_sign=args.cr_sign,
-                               TR_sign=args.tr_sign, PR_sign=args.pr_sign)
-        desc = kgroup_reflection(spec, args.d)
+        desc = kgroup_reflection(args.label, args.d, args.pr_sign, args.tr_sign)
     else:
         desc = kgroup_point(args.label, args.d)
     if args.json:
@@ -232,13 +231,13 @@ def cmd_edge_index(args) -> int:
 
 
 def cmd_verify_bec(args) -> int:
-    bulk, part, meta = _bulk_and_cut(args)
     cfg = BECConfig(
         windows=_numbers(args.windows, float),
         edge_windows=_numbers(args.edge_windows, float),
         disorder_strength=args.disorder_strength,
         disorder_seeds=_numbers(args.seeds, int),
         truncation_radii=_numbers(args.truncation_radii, float))
+    bulk, part, meta = _bulk_and_cut(args)
     rep = verify_bec(bulk, part, cfg)
     doc = rep.to_json()
     doc["model"] = meta
@@ -258,6 +257,10 @@ def _sweep_point(cfg: dict, ps: PointSet, params: dict, row: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    name, jobs = ("--jobs", args.jobs) if args.jobs is not None else \
+        ("ROELAB_JOBS", os.environ.get("ROELAB_JOBS", "1"))
+    if not (jobs.isdecimal() and int(jobs) > 0):
+        raise argparse.ArgumentTypeError(f"{name} {jobs!r} is not a positive integer")
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -275,12 +278,11 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    jobs = args.jobs or int(os.environ.get("ROELAB_JOBS", "1"))
     points = [(p, {"model": model, "seed": s, **varied}) for p, varied in runs
               for s in cfg.get("seeds", [RECIPE["seed"]])]
     rows = []
     if points:
-        with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
             futs = [pool.submit(_sweep_point, cfg, ps, p, row) for p, row in points]
             rows = [f.result() for f in futs]
     fields = ["model", "seed", *([vary] if vary else []), "raw", "snapped", "error"]
@@ -362,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kgroup", help="classifying group lookup")
     k.add_argument("--label", required=True, choices=CARTAN_LABELS)
     k.add_argument("--d", type=int, required=True)
-    k.add_argument("--rotation", type=int, default=None, metavar="K",
-                   help="refine by a k-fold rotation symmetry")
-    k.add_argument("--reflection", action="store_true",
-                   help="refine by a reflection (requires sign flags)")
-    k.add_argument("--cr-sign", type=_sign, default=None)
-    k.add_argument("--tr-sign", type=_sign, default=None)
-    k.add_argument("--pr-sign", type=_sign, default=None)
+    point_group = k.add_mutually_exclusive_group()
+    point_group.add_argument("--rotation", type=int, default=None, metavar="K",
+                             help="refine by a k-fold rotation symmetry")
+    point_group.add_argument("--reflection", action="store_true",
+                             help="refine by a reflection (--pr-sign, --tr-sign)")
+    k.add_argument("--pr-sign", type=_sign, default=None, help="PR = sign RP")
+    k.add_argument("--tr-sign", type=_sign, default=None, help="TR = sign RT; with T only")
     k.add_argument("--json", action="store_true")
     k.add_argument("--out", default=None)
     k.set_defaults(func=cmd_kgroup)
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="batch sweep from a JSON config")
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--jobs", type=int, default=None)
+    s.add_argument("--jobs", default=None, help="worker threads (default: ROELAB_JOBS, else 1)")
     s.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("spectrum", parents=[files], help="eigenvalues of a model file")

@@ -31,6 +31,12 @@ class GeometryError(ValueError):
     """Raised for degenerate or inconsistent geometric input."""
 
 
+def refuse_unknown_keys(doc: dict, known: tuple, what: str, error: type):
+    """Raise `error` naming the first key of the decoded `doc` not in `known`."""
+    if extra := sorted(set(doc) - set(known)):
+        raise error(f"unknown {what} key {extra[0]!r}; known: {', '.join(known)}")
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite sample of a discrete subset of R^d.
@@ -105,6 +111,9 @@ class PointSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PointSet":
+        # "kind" is `generate`'s key: the "points" generator passes its spec here
+        refuse_unknown_keys(doc, ("dim", "window", "points", "density", "kind"), "point-set",
+                            GeometryError)
         pts = sorted(doc["points"], key=lambda row: row[0])
         ids = [row[0] for row in pts]
         if ids != list(range(len(ids))):

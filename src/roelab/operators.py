@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .geometry import Partition, PointSet
+from .geometry import Partition, PointSet, refuse_unknown_keys
 
 ZERO_BLOCK_TOL = 1e-14   # below double-precision noise, a block counts as zero
 
@@ -109,6 +109,8 @@ class SiteModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SiteModule":
+        refuse_unknown_keys(doc, ("pointset", "orbitals_per_site", "grading", "labels"),
+                            "module", OperatorError)
         m, labels = doc["orbitals_per_site"], doc.get("labels", {})
         if type(m) is not int or m < 1:
             raise OperatorError(f"orbitals_per_site {m!r} is not a positive integer")
@@ -270,6 +272,8 @@ class ControlledOperator:
         `hermitian` flag are checked against the module and the matrix; every
         entry must be finite, and the declared propagation (default: the
         blocks' reach, `propagation`) finite and no smaller than that reach."""
+        refuse_unknown_keys(doc, ("module", "hermitian", "propagation", "blocks"), "operator",
+                            OperatorError)
         hermitian = doc["hermitian"]
         if type(hermitian) is not bool:
             raise OperatorError(f"hermitian {hermitian!r} is not true or false")

@@ -2,10 +2,9 @@
 
 Concrete side: a `SymmetrySpec` records which of time-reversal T, particle-hole
 C and chiral P are present, the signs T^2, C^2 and the unitary parts (an
-antiunitary operator is "unitary part followed by complex conjugation"), plus
-optional signs for how a spatial reflection commutes with them.  `RELATIONS`
-is the one table of how each acts: antiunitarily or not, commuting or
-anticommuting with H.  `verify_symmetry`, the disorder projection of
+antiunitary operator is "unitary part followed by complex conjugation").
+`RELATIONS` is the one table of how each acts: antiunitarily or not, commuting
+or anticommuting with H.  `verify_symmetry`, the disorder projection of
 `roelab.models` and the chirality check of the odd pairing apply its on-site
 unitaries (and a point-group element's on-site block) site by site, without
 forming the n*m x n*m unitary.
@@ -27,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import refuse_unknown_keys
 from .operators import ControlledOperator, onsite
 
 CARTAN_LABELS = ("A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI")
@@ -82,10 +82,6 @@ class KGroupDescriptor:
     def __str__(self):
         return self.render()
 
-    def __add__(self, other: "KGroupDescriptor") -> "KGroupDescriptor":
-        return KGroupDescriptor(self.summands + other.summands,
-                                provenance=self.provenance or other.provenance)
-
 
 def _real_at(degree: int) -> str:
     return _KR[degree % 8]
@@ -120,23 +116,20 @@ def classify(spec: "SymmetrySpec") -> str:
     return "A"
 
 
-def spec_from_label(label: str, CR_sign: int | None = None,
-                    TR_sign: int | None = None,
-                    PR_sign: int | None = None) -> "SymmetrySpec":
-    """Minimal abstract spec (flags and signs only) realizing a Cartan label."""
+def spec_from_label(label: str) -> "SymmetrySpec":
+    """Minimal abstract spec (flags and squares only) realizing a Cartan label."""
     if label not in CARTAN_LABELS:
         raise SymmetryError(f"unknown Cartan label {label!r}")
-    kw = {"CR_sign": CR_sign, "TR_sign": TR_sign, "PR_sign_explicit": PR_sign}
     if label == "A":
-        return SymmetrySpec(**kw)
+        return SymmetrySpec()
     if label == "AIII":
-        return SymmetrySpec(has_P=True, **kw)
+        return SymmetrySpec(has_P=True)
     if label in ("AI", "AII"):
-        return SymmetrySpec(has_T=True, T_sq=1 if label == "AI" else -1, **kw)
+        return SymmetrySpec(has_T=True, T_sq=1 if label == "AI" else -1)
     if label in ("D", "C"):
-        return SymmetrySpec(has_C=True, C_sq=1 if label == "D" else -1, **kw)
+        return SymmetrySpec(has_C=True, C_sq=1 if label == "D" else -1)
     signs = {"BDI": (1, 1), "DIII": (-1, 1), "CI": (1, -1), "CII": (-1, -1)}[label]
-    return SymmetrySpec(has_T=True, has_C=True, T_sq=signs[0], C_sq=signs[1], **kw)
+    return SymmetrySpec(has_T=True, has_C=True, T_sq=signs[0], C_sq=signs[1])
 
 
 def _degree(label: str, d: int) -> int:
@@ -174,29 +167,36 @@ def kgroup_rotation(label: str, d: int, k: int) -> KGroupDescriptor:
     return KGroupDescriptor(summands, provenance=prov)
 
 
-def kgroup_reflection(spec: "SymmetrySpec", d: int) -> KGroupDescriptor:
+def kgroup_reflection(label: str, d: int, PR_sign: int,
+                      TR_sign: int | None = None) -> KGroupDescriptor:
     """Refinement for a reflection R of one coordinate axis, chiral classes.
 
-    The four sign cases (how R commutes with P and T) shift the evaluation
-    degree or split/complexify the group:
+    The signs say whether R commutes (+1) or anticommutes (-1) with P and,
+    for a class with T, with T; a class with both T and C has P = CT, so its
+    C sign is CR = PR * TR.  The four sign cases shift the evaluation degree
+    or split/complexify the group:
 
       PR = +RP, TR = +RT  ->  class group at degree (d-1)
       PR = +RP, TR = -RT  ->  class group at degree (d+1)
       PR = -RP, TPR = +RPT -> class group at degree d, squared
       PR = -RP, TPR = -RPT -> complex K-group at degree d
 
-    Requires a chiral spec (P present) with the reflection signs set.
+    A class without T reads as TR = +RT and takes no TR sign.
     """
-    label = classify(spec)
     deg = _degree(label, d)
+    spec = spec_from_label(label)
     if not spec.has_P:
-        raise SymmetryError("reflection table requires a chiral spec (P present)")
-    if spec.PR_sign is None:
-        raise SymmetryError("reflection signs missing (PR undetermined)")
-    if spec.has_T and spec.TR_sign is None:
-        raise SymmetryError("reflection signs missing (TR undetermined)")
-    tr = spec.TR_sign if spec.has_T else 1
-    if spec.PR_sign == 1:
+        raise SymmetryError("reflection table requires a chiral class (P present), "
+                            f"not {label}")
+    if PR_sign not in (1, -1):
+        raise SymmetryError(f"PR sign {PR_sign!r} is not +1 or -1")
+    if not spec.has_T and TR_sign is not None:
+        raise SymmetryError(f"class {label} has no T, so it takes no TR sign")
+    if spec.has_T and TR_sign not in (1, -1):
+        raise SymmetryError(f"class {label} has T, so it needs a TR sign of +1 or -1, "
+                            f"not {TR_sign!r}")
+    tr = TR_sign or 1
+    if PR_sign == 1:
         # degree d - 1 when TR = +RT (or without T), d + 1 when TR = -RT
         s = _group_at(label, deg + tr)
         return KGroupDescriptor((s,), provenance=f"reflection case PR=+ ({label}, d={d})")
@@ -361,9 +361,7 @@ class SymmetrySpec:
 
     T, C and P act as the `RELATIONS` table says, an antiunitary as (unitary
     part) o (complex conjugation).  When both T and C are present P is
-    derived as their product.  Reflection signs record whether a declared
-    spatial reflection commutes (+1) or anticommutes (-1) with each
-    operator; they only matter for the reflection classification.
+    derived as their product.
     """
 
     has_T: bool = False
@@ -374,9 +372,6 @@ class SymmetrySpec:
     T_unitary: np.ndarray | None = None
     C_unitary: np.ndarray | None = None
     P_unitary: np.ndarray | None = None
-    CR_sign: int | None = None
-    TR_sign: int | None = None
-    PR_sign_explicit: int | None = None
     action: object | None = None      # optional geometry.GroupAction
 
     def __post_init__(self):
@@ -406,14 +401,6 @@ class SymmetrySpec:
                 if getattr(self, r.present) and getattr(self, r.unitary) is not None]
 
     @property
-    def PR_sign(self) -> int | None:
-        if self.PR_sign_explicit is not None:
-            return self.PR_sign_explicit
-        if self.CR_sign is not None and self.TR_sign is not None:
-            return self.CR_sign * self.TR_sign
-        return None
-
-    @property
     def TP_sign(self) -> int:
         """Sign in TP = (sign) PT; follows from P = CT and the squares."""
         if not (self.has_T and self.has_C):
@@ -437,26 +424,28 @@ class SymmetrySpec:
         rels = RELATIONS.values()
         return {**{r.present: getattr(self, r.present) for r in rels},
                 **{r.square: getattr(self, r.square) for r in rels if r.square},
-                **{r.unitary: enc(getattr(self, r.unitary)) for r in rels},
-                "CR_sign": self.CR_sign, "TR_sign": self.TR_sign,
-                "PR_sign": self.PR_sign_explicit}
+                **{r.unitary: enc(getattr(self, r.unitary)) for r in rels}}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SymmetrySpec":
         dec = lambda M: None if M is None else np.array(
             [[complex(v[0], v[1]) for v in row] for row in M])
         rels = RELATIONS.values()
+        legacy = ("CR_sign", "TR_sign", "PR_sign")      # older files hold them, null
+        refuse_unknown_keys(doc, (*cls().to_json(), *legacy), "symmetry", SymmetryError)
         for r in rels:
             if type(doc.get(r.present, False)) is not bool:
                 raise SymmetryError(f"{r.present} {doc[r.present]!r} is not true or false")
-        for key in [r.square for r in rels if r.square] + ["CR_sign", "TR_sign", "PR_sign"]:
+        for key in [r.square for r in rels if r.square]:
             if (v := doc.get(key)) is not None and (type(v) is not int or v not in (1, -1)):
                 raise SymmetryError(f"{key} {v!r} is not +1, -1 or null")
+        for key in legacy:
+            if doc.get(key) is not None:
+                raise SymmetryError(f"{key} {doc[key]!r} is not null: reflection signs are "
+                                    "arguments of kgroup_reflection, not symmetry data")
         return cls(**{r.present: doc.get(r.present, False) for r in rels},
                    **{r.square: doc.get(r.square) for r in rels if r.square},
-                   **{r.unitary: dec(doc.get(r.unitary)) for r in rels},
-                   CR_sign=doc.get("CR_sign"), TR_sign=doc.get("TR_sign"),
-                   PR_sign_explicit=doc.get("PR_sign"))
+                   **{r.unitary: dec(doc.get(r.unitary)) for r in rels})
 
 
 @dataclass(frozen=True)

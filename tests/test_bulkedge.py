@@ -34,6 +34,32 @@ class TestMakeBulk:
         with pytest.raises(BulkEdgeError, match="symmetry"):
             rl.make_bulk(H.module, Hb, spec)
 
+    def test_rejects_a_module_that_is_not_the_hamiltonians(self, chain200):
+        """The sample has one owner, H: an equal but separate module is
+        refused."""
+        mod, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+        other = SiteModule(chain200, 2, grading=mod.grading, labels=mod.labels)
+        with pytest.raises(BulkEdgeError, match="not the Hamiltonian's own"):
+            rl.make_bulk(other, H, spec)
+
+
+class TestBECConfig:
+    @pytest.mark.parametrize("doc, message", [
+        ({"truncation_radii": [1.5, float("nan")]}, "truncation radius nan is not positive"),
+        ({"truncation_radii": (0,)}, "truncation radius 0 is not positive"),
+        ({"disorder_strength": float("-inf")}, "disorder strength -inf is not a finite"),
+        ({"disorder_seeds": [1, 1.5]}, "disorder seed 1.5 is not an integer"),
+    ])
+    def test_sweep_settings_refused_on_construction(self, doc, message):
+        with pytest.raises(BulkEdgeError, match=message):
+            bulkedge.BECConfig.of(doc)
+
+    def test_dict_lists_become_tuples(self):
+        cfg = bulkedge.BECConfig.of({"windows": [4, 6], "disorder_seeds": [np.int64(3)]})
+        assert cfg == bulkedge.BECConfig(windows=(4, 6), disorder_seeds=(3,))
+        assert bulkedge.BECConfig.of(cfg) is cfg and bulkedge.BECConfig.of(None) == \
+            bulkedge.BECConfig()
+
 
 class TestMakeEdge:
     def test_diagonal_trivial(self, square20):
@@ -67,11 +93,11 @@ class TestMakeEdge:
 
     def test_quotient_gap_failure_detected(self, square20):
         """A metallic bulk puts in-gap weight in the interior: rejected."""
-        mod, H, spec = rl.build_model("harper", {"flux": 0.0}, square20)
+        _, H, spec = rl.build_model("harper", {"flux": 0.0}, square20)
         assert not rl.certify_gap(H).gapped
         fake = rl.GapCertificate(epsilon=0.4, lower_spectrum_max=-0.4,
                                  upper_spectrum_min=0.4, fermi=0.0, gapped=True)
-        bulk = rl.BulkSystem(mod, H, spec, fake)
+        bulk = rl.BulkSystem(H, spec, fake)
         part = rl.partition_halfspace(square20, [1, 0], 9.6)
         with pytest.raises(BulkEdgeError, match="interface"):
             rl.make_edge(bulk, part)
@@ -171,10 +197,10 @@ class TestVerifyBEC:
         bulk, part = qwz26
         rng = np.random.default_rng(1)
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        W = np.kron(np.eye(bulk.module.n_sites), np.linalg.qr(A)[0])
-        Hc = rl.ControlledOperator(bulk.module, W @ bulk.H.matrix @ W.conj().T,
+        W = np.kron(np.eye(bulk.H.module.n_sites), np.linalg.qr(A)[0])
+        Hc = rl.ControlledOperator(bulk.H.module, W @ bulk.H.matrix @ W.conj().T,
                                    bulk.H.declared_propagation)
-        bc = rl.make_bulk(bulk.module, Hc, bulk.spec)
+        bc = rl.make_bulk(bulk.H.module, Hc, bulk.spec)
         rep = rl.verify_bec(bc, part, {"windows": (6, 8, 10),
                                        "edge_windows": (5, 7, 9)})
         assert rep.passed and rep.bulk.snapped == -1
@@ -182,7 +208,7 @@ class TestVerifyBEC:
     def test_relation_grading_sum_invariance(self, qwz26):
         """Direct sum with a grading (an index-zero system) changes nothing."""
         bulk, part = qwz26
-        g = rl.grading_operator(SiteModule(bulk.module.pointset, 2,
+        g = rl.grading_operator(SiteModule(bulk.H.module.pointset, 2,
                                            grading=np.array([1, -1])))
         Hg = rl.direct_sum(bulk.H, g)
         bg = rl.make_bulk(Hg.module, Hg, bulk.spec)

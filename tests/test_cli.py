@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import roelab as rl
-from roelab import bulkedge
+from roelab import bulkedge, operators
 from roelab.cli import load_model, main
 
 
@@ -32,8 +32,32 @@ class TestClassifyKgroup:
 
     def test_kgroup_reflection_flags(self, capsys):
         code, out, _ = run(["kgroup", "--label", "BDI", "--d", "1", "--reflection",
-                            "--cr-sign", "-1", "--tr-sign", "1"], capsys)
+                            "--pr-sign", "-1", "--tr-sign", "1"], capsys)
         assert code == 0 and out.strip() == "Z^2"
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--label", "BDI", "--reflection", "--cr-sign", "1", "--tr-sign", "1",
+          "--pr-sign", "-1"], "usage error: unrecognized arguments: --cr-sign 1"),
+        (["--label", "AIII", "--reflection", "--cr-sign", "1", "--tr-sign", "-1"],
+         "usage error: unrecognized arguments: --cr-sign 1"),
+        (["--label", "AIII", "--reflection", "--pr-sign", "1", "--tr-sign", "-1"],
+         "error: class AIII has no T, so it takes no TR sign"),
+        (["--label", "BDI", "--reflection", "--pr-sign", "1"],
+         "error: class BDI has T, so it needs a TR sign of +1 or -1, not None"),
+        (["--label", "BDI", "--reflection", "--tr-sign", "1"],
+         "error: PR sign None is not +1 or -1"),
+        (["--label", "BDI", "--pr-sign", "-1", "--tr-sign", "1"],
+         "usage error: --pr-sign and --tr-sign go with --reflection"),
+        (["--label", "A", "--rotation", "3", "--reflection", "--pr-sign", "1"],
+         "usage error: argument --reflection: not allowed with argument --rotation"),
+    ], ids=["cr_sign_bdi", "cr_sign_aiii", "tr_sign_without_T", "tr_sign_missing",
+            "pr_sign_missing", "signs_without_reflection", "rotation_and_reflection"])
+    def test_kgroup_contradictory_signs_are_one_line(self, capsys, flags, line):
+        """Before, an explicit PR sign silently won over CR * TR (BDI printed
+        Z^2 where CR * TR = +1 gives Z2), and AIII took a TR sign it has no T
+        for; a sign is now given once and only where the class has it."""
+        code, out, err = run(["kgroup", "--d", "1", *flags], capsys)
+        assert (code, out, err) == (2 if line.startswith("usage") else 1, "", line + "\n")
 
     def test_bad_sign(self, capsys):
         code, _, err = run(["classify", "--T", "2"], capsys)
@@ -385,6 +409,11 @@ def _break_model(kind, path):
         parent[kind.split("_")[1]] = None if kind == "null_symmetry" else [1]
     elif kind == "unknown_key":
         doc["operater"] = doc["operator"]
+    elif kind.startswith("bogus_in_"):
+        parent = {"symmetry": doc["symmetry"], "operator": doc["operator"],
+                  "module": doc["operator"]["module"],
+                  "pointset": doc["operator"]["module"]["pointset"]}[kind[9:]]
+        parent["bogus"] = 1
     elif kind in ("dim_bool", "dim_mismatch"):
         doc["operator"]["module"]["pointset"]["dim"] = True if kind == "dim_bool" else 2
     elif kind in ("density_string", "density_negative", "density_nan"):
@@ -416,7 +445,9 @@ class TestMalformedModelFile:
                                       "unknown_key", "dim_bool", "dim_mismatch",
                                       "density_string", "density_negative",
                                       "density_nan", "CR_sign_two", "TR_sign_string",
-                                      "PR_sign_bool", "T_sq_float"])
+                                      "PR_sign_bool", "T_sq_float", "bogus_in_symmetry",
+                                      "bogus_in_operator", "bogus_in_module",
+                                      "bogus_in_pointset"])
     def test_named_error_not_traceback(self, tmp_path, capsys, kind):
         model = tmp_path / "ssh.json"
         run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
@@ -425,6 +456,50 @@ class TestMalformedModelFile:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, line", [
+        ("CR_sign_two", "error: CR_sign 2 is not null: reflection signs are arguments of "
+         "kgroup_reflection, not symmetry data"),
+        ("bogus_in_symmetry", "error: unknown symmetry key 'bogus'; known: has_T, has_C, "
+         "has_P, T_sq, C_sq, T_unitary, C_unitary, P_unitary, CR_sign, TR_sign, PR_sign"),
+        ("bogus_in_operator", "error: unknown operator key 'bogus'; known: module, "
+         "hermitian, propagation, blocks"),
+        ("bogus_in_module", "error: unknown module key 'bogus'; known: pointset, "
+         "orbitals_per_site, grading, labels"),
+        ("bogus_in_pointset", "error: unknown point-set key 'bogus'; known: dim, window, "
+         "points, density, kind"),
+    ])
+    def test_nested_keys_are_declared(self, tmp_path, capsys, kind, line):
+        """Every decoder refuses a key it does not declare, so a misspelt
+        nested key is not silently ignored; a reflection sign is refused by
+        name."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--n", "6", "--out", str(model)], capsys)
+        assert run(["spectrum", "--model-file", str(_break_model(kind, model))], capsys) == \
+            (1, "", line + "\n")
+
+    def test_file_with_null_reflection_signs_reads_the_same(self, tmp_path, capsys):
+        """A model file written while specs carried reflection signs holds
+        null under CR_sign, TR_sign and PR_sign; it loads, and verify-bec
+        reports the same as on the file without them.  New files carry no
+        sign keys."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "40",
+             "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        assert not {"CR_sign", "TR_sign", "PR_sign"} & set(doc["symmetry"])
+        old = tmp_path / "old.json"
+        doc["symmetry"].update(CR_sign=None, TR_sign=None, PR_sign=None)
+        old.write_text(json.dumps(doc))
+        reports = []
+        for path in (model, old):
+            out = tmp_path / f"{path.stem}.out.json"
+            assert run(["verify-bec", "--model-file", str(path), "--normal", "1",
+                        "--offset", "19.6", "--seeds", "1", "--truncation-radii", "1.5",
+                        "--out", str(out)], capsys)[0] == 0
+            reports.append({k: v for k, v in json.loads(out.read_text()).items()
+                            if k != "generated_at"})
+        assert reports[0] == reports[1]
 
     def test_model_block_keys_are_optional(self, tmp_path, capsys):
         """A file whose `model` block holds only a name and parameters, or
@@ -511,6 +586,30 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--config", str(cfg), "--out", str(out)], capsys)[0] == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+
+    @pytest.mark.parametrize("env, flags, line", [
+        ("x", [], "usage error: ROELAB_JOBS 'x' is not a positive integer"),
+        ("0", [], "usage error: ROELAB_JOBS '0' is not a positive integer"),
+        ("2", ["--jobs", "0"], "usage error: --jobs '0' is not a positive integer"),
+        (None, ["--jobs", "-1"], "usage error: --jobs '-1' is not a positive integer"),
+        (None, ["--jobs", "1.5"], "usage error: --jobs '1.5' is not a positive integer"),
+    ], ids=["env_x", "env_0", "flag_0", "flag_negative", "flag_fraction"])
+    def test_jobs_not_a_positive_integer_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                env, flags, line):
+        """Before, ROELAB_JOBS=x ended in a ValueError traceback and --jobs 0
+        fell back to the environment."""
+        if env is None:
+            monkeypatch.delenv("ROELAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("ROELAB_JOBS", env)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ssh", "size": 40, "windows": [5, 10],
+                                   "seeds": [0]}))
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out), *flags], capsys) == \
+            (2, "", line + "\n")
+        assert not out.exists()
 
 
 class TestSpectrum:
@@ -670,6 +769,49 @@ class TestNamedErrors:
              "--out", str(model)], capsys)
         assert run([argv[0], "--model-file", str(model), *argv[1:]], capsys) == \
             (1, "", line + "\n")
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--truncation-radii", "nan"], "error: truncation radius nan is not positive and finite"),
+        (["--truncation-radii", "2,-1"], "error: truncation radius -1.0 is not positive and "
+         "finite"),
+        (["--disorder-strength", "inf"], "error: disorder strength inf is not a finite number"),
+    ], ids=["nan_radius", "negative_radius", "inf_strength"])
+    def test_sweep_settings_are_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         flags, line):
+        """Before, the clean point and both disorder seeds were certified (6
+        eigensolves) before `truncate` refused the radius."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "40",
+             "--out", str(model)], capsys)
+        solves, solve = [], operators._solve
+        monkeypatch.setattr(operators, "_solve", lambda *a: solves.append(1) or solve(*a))
+        argv = ["verify-bec", "--model-file", str(model), "--normal", "1", "--offset", "19.6",
+                "--seeds", "1,2"]
+        assert run([*argv, *flags], capsys) == (1, "", line + "\n")
+        assert solves == []
+        assert run(argv, capsys)[0] == 0 and len(solves) == 6
+
+    @pytest.mark.parametrize("n, level", [(30, "-2.29e-05"), (32, "-1.14e-05")])
+    def test_split_end_pair_is_refused(self, tmp_path, capsys, n, level):
+        """A 15- or 16-cell half chain splits its end modes above the kernel
+        tolerance.  Before, edge-index read that as raw 0.0, snapped 0 with no
+        warning, and verify-bec failed with `bulk 1 != edge 0`."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", str(n),
+             "--out", str(model)], capsys)
+        line = (f"error: in-gap edge level E = {level} is not in the kernel (|E| < 1e-06): "
+                "the end modes split on this half chain; use a larger sample\n")
+        for command in ("edge-index", "verify-bec"):
+            assert run([command, "--model-file", str(model), "--normal", "1", "--offset",
+                        str(n / 2 - 0.4)], capsys) == (1, "", line), command
+
+    def test_separated_end_modes_still_count(self, tmp_path, capsys):
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "60",
+             "--out", str(model)], capsys)
+        code, out, err = run(["verify-bec", "--model-file", str(model), "--normal", "1",
+                              "--offset", "29.6"], capsys)
+        assert (code, err) == (0, "") and out.endswith("bulk 1 vs edge 1: PASS\n")
 
     def test_one_site_chain_is_a_named_error(self, tmp_path, capsys):
         """A chain of one site has no bulk states once the boundary is

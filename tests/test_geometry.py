@@ -75,6 +75,11 @@ class TestGenerate:
         back = PointSet.loads(ps.dumps())
         assert np.allclose(back.coords, ps.coords)
         assert np.allclose(back.window, ps.window)
+        # the "points" generator passes its own `kind` key to the decoder
+        listed = rl.generate({"kind": "points", **ps.to_json()})
+        assert np.array_equal(listed.coords, ps.coords)
+        with pytest.raises(GeometryError, match="unknown point-set key 'seed'"):
+            rl.generate({"kind": "points", "seed": 3, **ps.to_json()})
 
 
 class TestCertifyDelone:

@@ -68,7 +68,7 @@ class TestKGroupPoint:
     @pytest.mark.parametrize("lookup", [
         lambda label, d: rl.kgroup_point(label, d),
         lambda label, d: rl.kgroup_rotation(label, d, 3),
-        lambda label, d: rl.kgroup_reflection(spec_from_label(label, PR_sign=1), d),
+        lambda label, d: rl.kgroup_reflection(label, d, 1),
         lambda label, d: kgroup_finite_group(label, d, CharacterTable.cyclic(3)),
     ], ids=["point", "rotation", "reflection", "finite_group"])
     def test_every_lookup_checks_label_and_d(self, lookup):
@@ -114,43 +114,37 @@ class TestKGroupReflection:
         # fully commuting reflection: the class group one dimension down
         for label in ("BDI", "DIII", "CI", "CII"):
             for d in (1, 2, 3):
-                spec = spec_from_label(label, CR_sign=1, TR_sign=1)
-                got = rl.kgroup_reflection(spec, d)
+                got = rl.kgroup_reflection(label, d, 1, 1)
                 assert str(got) == str(rl.kgroup_point(label, d - 1))
 
     def test_tr_anticommuting_shifts_by_two(self):
-        spec = spec_from_label("DIII", CR_sign=-1, TR_sign=-1)  # PR=+, TR=-
-        assert spec.PR_sign == 1
-        got = rl.kgroup_reflection(spec, 2)
+        got = rl.kgroup_reflection("DIII", 2, 1, -1)  # PR=+, TR=-
         assert str(got) == str(rl.kgroup_point("DIII", 3))  # degree d+1
 
     def test_pr_anticommuting_squares(self):
         # PR=-RP with TRP=RPT: group at degree d, squared
-        spec = spec_from_label("BDI", CR_sign=-1, TR_sign=1)
-        assert spec.PR_sign == -1 and spec.TR_sign * spec.TP_sign == 1
-        got = rl.kgroup_reflection(spec, 1)
+        assert spec_from_label("BDI").TP_sign == 1     # TR * TP = +1
+        got = rl.kgroup_reflection("BDI", 1, -1, 1)
         assert str(got) == "Z^2"
 
     def test_pr_anticommuting_complex(self):
         # PR=-RP with TRP=-RPT: the complex K-group of matching degree
-        spec = spec_from_label("BDI", CR_sign=1, TR_sign=-1)
-        assert spec.PR_sign == -1 and spec.TR_sign * spec.TP_sign == -1
-        got = rl.kgroup_reflection(spec, 1)
+        assert spec_from_label("BDI").TP_sign == 1     # TR * TP = -1
+        got = rl.kgroup_reflection("BDI", 1, -1, -1)
         assert str(got) == "Z"
-        got = rl.kgroup_reflection(spec, 2)
+        got = rl.kgroup_reflection("BDI", 2, -1, -1)
         assert str(got) == "0"
 
     def test_chiral_only_class(self):
-        spec = spec_from_label("AIII", PR_sign=1)
         # complex class group evaluated one row down the point table
-        assert str(rl.kgroup_reflection(spec, 1)) == str(rl.kgroup_point("AIII", 0))
-        assert str(rl.kgroup_reflection(spec, 2)) == str(rl.kgroup_point("AIII", 1))
+        assert str(rl.kgroup_reflection("AIII", 1, 1)) == str(rl.kgroup_point("AIII", 0))
+        assert str(rl.kgroup_reflection("AIII", 2, 1)) == str(rl.kgroup_point("AIII", 1))
 
     def test_signs_missing(self):
         with pytest.raises(SymmetryError):
-            rl.kgroup_reflection(spec_from_label("BDI"), 2)
+            rl.kgroup_reflection("BDI", 2, None)
         with pytest.raises(SymmetryError):
-            rl.kgroup_reflection(spec_from_label("AII", TR_sign=1), 2)
+            rl.kgroup_reflection("AII", 2, 1, 1)
 
 
 class TestFrobeniusSchur:
@@ -366,6 +360,6 @@ class TestRelationTable:
         assert np.array_equal(rot.P_unitary, W @ spec.P_unitary @ W.conj().T)
         doc = spec.to_json()
         assert list(doc) == ["has_T", "has_C", "has_P", "T_sq", "C_sq", "T_unitary",
-                             "C_unitary", "P_unitary", "CR_sign", "TR_sign", "PR_sign"]
+                             "C_unitary", "P_unitary"]
         back = SymmetrySpec.from_json(doc)
         assert back.to_json() == doc
