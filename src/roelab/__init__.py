@@ -16,8 +16,8 @@ from .operators import (ControlledOperator, GapCertificate, SiteModule,
                         onsite, propagation, restrict_orbitals, truncate)
 from .symmetry import (CARTAN_LABELS, CharacterTable, KGroupDescriptor,
                        SymmetrySpec, classify, frobenius_schur_split,
-                       kgroup_finite_group, kgroup_point, kgroup_reflection,
-                       kgroup_rotation, verify_symmetry)
+                       group_violation, kgroup_finite_group, kgroup_point,
+                       kgroup_reflection, kgroup_rotation, verify_symmetry)
 from .models import AUX_CHIRAL, MODELS, build_model, default_pointset, stencil
 from .indices import (IndexReport, TraceEstimate, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, occupied_projection,

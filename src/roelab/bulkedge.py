@@ -176,6 +176,9 @@ class BECConfig:
         for seed in self.disorder_seeds:
             if not isinstance(seed, (int, np.integer)):
                 raise BulkEdgeError(f"disorder seed {seed!r} is not an integer")
+        if bool(strength) != bool(self.disorder_seeds):
+            raise BulkEdgeError(f"disorder strength {strength} without disorder seeds" if strength
+                                else "disorder seeds without a disorder strength")
 
     @classmethod
     def of(cls, config: "BECConfig | dict | None") -> "BECConfig":

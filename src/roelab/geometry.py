@@ -323,16 +323,18 @@ def ammann_beenker(window) -> PointSet:
     return PointSet(2, pts[order], w)
 
 
+# kind -> (builder, required keys, optional keys); every descriptor has "kind"
 _GENERATORS = {
-    "chain": lambda spec: square_lattice(spec["window"], dim=1),
-    "square": lambda spec: square_lattice(spec["window"], dim=2),
-    "cubic": lambda spec: square_lattice(spec["window"], dim=3),
-    "honeycomb": lambda spec: triangular_lattice(spec["window"]),
-    "perturbed": lambda spec: perturbed_lattice(
+    "chain": (lambda spec: square_lattice(spec["window"], dim=1), ("window",), ()),
+    "square": (lambda spec: square_lattice(spec["window"], dim=2), ("window",), ()),
+    "cubic": (lambda spec: square_lattice(spec["window"], dim=3), ("window",), ()),
+    "honeycomb": (lambda spec: triangular_lattice(spec["window"]), ("window",), ()),
+    "perturbed": (lambda spec: perturbed_lattice(
         spec["window"], spec["jitter"], spec.get("seed", 0), dim=spec.get("dim", 2)),
-    "fibonacci": lambda spec: fibonacci_chain(spec["window"]),
-    "ammann_beenker": lambda spec: ammann_beenker(spec["window"]),
-    "points": lambda spec: PointSet.from_json(spec),
+        ("window", "jitter"), ("seed", "dim")),
+    "fibonacci": (lambda spec: fibonacci_chain(spec["window"]), ("window",), ()),
+    "ammann_beenker": (lambda spec: ammann_beenker(spec["window"]), ("window",), ()),
+    "points": (PointSet.from_json, ("dim", "window", "points"), ("density",)),
 }
 
 
@@ -341,14 +343,19 @@ def generate(spec: dict) -> PointSet:
 
     `spec["kind"]` selects the generator: square / cubic lattice, merged
     honeycomb, perturbed lattice (jitter < half minimum spacing), Fibonacci or
-    Ammann-Beenker cut-and-project, or an explicit point list.  Deterministic
-    given `spec["seed"]`.
+    Ammann-Beenker cut-and-project, or an explicit point list.  A key the
+    generator does not declare, or a missing required one, is refused.
+    Deterministic given `spec["seed"]`.
     """
     kind = spec.get("kind")
     if kind not in _GENERATORS:
         raise GeometryError(f"unknown generator kind {kind!r}; "
                             f"known: {sorted(k for k in _GENERATORS)}")
-    return _GENERATORS[kind](spec)
+    build, required, optional = _GENERATORS[kind]
+    refuse_unknown_keys(spec, ("kind", *required, *optional), "point-set", GeometryError)
+    if missing := [k for k in required if k not in spec]:
+        raise GeometryError(f"{kind} generator needs the key {missing[0]!r}")
+    return build(spec)
 
 
 # ---------------------------------------------------------------------------

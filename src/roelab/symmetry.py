@@ -1,23 +1,24 @@
 """CT-type symmetry bookkeeping and the symbolic K-group classification layer.
 
-Concrete side: a `SymmetrySpec` records which of time-reversal T, particle-hole
-C and chiral P are present, the signs T^2, C^2 and the unitary parts (an
-antiunitary operator is "unitary part followed by complex conjugation").
-`RELATIONS` is the one table of how each acts: antiunitarily or not, commuting
-or anticommuting with H.  `verify_symmetry`, the disorder projection of
-`roelab.models` and the chirality check of the odd pairing apply its on-site
-unitaries (and a point-group element's on-site block) site by site, without
-forming the n*m x n*m unitary.
+Concrete side: a `SymmetrySpec` holds CT data only: which of time-reversal
+T, particle-hole C and chiral P are present, the signs T^2, C^2 and the
+unitary parts (an antiunitary operator is "unitary part followed by complex
+conjugation").  `RELATIONS` is the one table of how each acts: antiunitarily
+or not, commuting or anticommuting with H.  `verify_symmetry`, the disorder
+projection of `roelab.models` and the chirality check of the odd pairing apply
+its on-site unitaries site by site, without forming the n*m x n*m unitary.
+`group_violation` checks a point group (`geometry.GroupAction`) the same way:
+an element's on-site block, then its site permutation.
 
 Symbolic side: the Cartan label of a spec, and the classifying groups - the
 point-symmetry table over the four physical dimensions, the cyclic-rotation
 refinement via the real/complex/quaternionic split of group characters
 (Frobenius-Schur indicators), and the four-case reflection refinement.
 
-Degree bookkeeping is the one canonical convention used throughout: each
-Cartan label L carries a degree j(L); the classifying group of a d-dimensional
-system is the real K-group at degree (j - d) mod 8 for the eight real labels
-and the complex K-group at (j - d) mod 2 for A and AIII.
+`LABELS` is the one table of the ten Cartan labels: the squares of T and C,
+whether P is present, and the degree j(L).  The classifying group of a
+d-dimensional system is the real K-group at degree (j - d) mod 8 for the eight
+real labels and the complex K-group at (j - d) mod 2 for A and AIII.
 """
 
 from __future__ import annotations
@@ -29,16 +30,17 @@ import numpy as np
 from .geometry import refuse_unknown_keys
 from .operators import ControlledOperator, onsite
 
-CARTAN_LABELS = ("A", "AIII", "AI", "BDI", "D", "DIII", "AII", "CII", "C", "CI")
+# label -> (T^2, C^2, P present, degree j(L)); None where T or C is absent
+LABELS = {
+    "A": (None, None, False, 0), "AIII": (None, None, True, 1),
+    "AI": (1, None, False, 0), "BDI": (1, 1, True, 1), "D": (None, 1, False, 2),
+    "DIII": (-1, 1, True, 3), "AII": (-1, None, False, 4), "CII": (-1, -1, True, 5),
+    "C": (None, -1, False, 6), "CI": (1, -1, True, 7),
+}
+CARTAN_LABELS = tuple(LABELS)
 COMPLEX_LABELS = ("A", "AIII")
 # a sample certified in a symmetry class satisfies its relations to this
 SYM_TOL = 1e-8
-
-# degree j(L): the real (or complex) K-theory degree attached to each label
-LABEL_DEGREE = {
-    "A": 0, "AIII": 1,
-    "AI": 0, "BDI": 1, "D": 2, "DIII": 3, "AII": 4, "CII": 5, "C": 6, "CI": 7,
-}
 
 # KR_j(R) for j = 0..7 and K_j(C) for j = 0..1, as summand names
 _KR = ("Z", "Z2", "Z2", "0", "Z", "0", "0", "0")
@@ -67,7 +69,7 @@ class KGroupDescriptor:
                 raise SymmetryError(f"unknown summand {s!r}")
         object.__setattr__(self, "summands", clean)
 
-    def render(self) -> str:
+    def __str__(self):
         if not self.summands:
             return "0"
         parts = []
@@ -78,9 +80,6 @@ class KGroupDescriptor:
             elif k > 1:
                 parts.append(f"{name}^{k}")
         return " + ".join(parts)
-
-    def __str__(self):
-        return self.render()
 
 
 def _real_at(degree: int) -> str:
@@ -103,42 +102,32 @@ def _group_at(label: str, degree: int) -> str:
 # ---------------------------------------------------------------------------
 
 def classify(spec: "SymmetrySpec") -> str:
-    """Cartan label from the presence and squares of T, C, P."""
-    if spec.has_T and spec.has_C:
-        return {(1, 1): "BDI", (-1, 1): "DIII",
-                (1, -1): "CI", (-1, -1): "CII"}[(spec.T_sq, spec.C_sq)]
-    if spec.has_T:
-        return "AI" if spec.T_sq == 1 else "AII"
-    if spec.has_C:
-        return "D" if spec.C_sq == 1 else "C"
-    if spec.has_P:
-        return "AIII"
-    return "A"
+    """Cartan label from the presence and squares of T, C, P.  P counts only
+    beside both T and C or beside neither: T with P alone reads AI or AII."""
+    T = spec.T_sq if spec.has_T else None
+    C = spec.C_sq if spec.has_C else None
+    P = bool(spec.has_P) and (T is None) == (C is None)
+    return next(label for label, row in LABELS.items() if row[:3] == (T, C, P))
+
+
+def _row(label: str) -> tuple:
+    if label not in LABELS:
+        raise SymmetryError(f"unknown Cartan label {label!r}")
+    return LABELS[label]
 
 
 def spec_from_label(label: str) -> "SymmetrySpec":
     """Minimal abstract spec (flags and squares only) realizing a Cartan label."""
-    if label not in CARTAN_LABELS:
-        raise SymmetryError(f"unknown Cartan label {label!r}")
-    if label == "A":
-        return SymmetrySpec()
-    if label == "AIII":
-        return SymmetrySpec(has_P=True)
-    if label in ("AI", "AII"):
-        return SymmetrySpec(has_T=True, T_sq=1 if label == "AI" else -1)
-    if label in ("D", "C"):
-        return SymmetrySpec(has_C=True, C_sq=1 if label == "D" else -1)
-    signs = {"BDI": (1, 1), "DIII": (-1, 1), "CI": (1, -1), "CII": (-1, -1)}[label]
-    return SymmetrySpec(has_T=True, has_C=True, T_sq=signs[0], C_sq=signs[1])
+    T, C, P, _ = _row(label)
+    return SymmetrySpec(has_T=T is not None, has_C=C is not None, has_P=P, T_sq=T, C_sq=C)
 
 
 def _degree(label: str, d: int) -> int:
     """Homological degree j(label) - d of a Cartan label in d = 0..3."""
-    if label not in CARTAN_LABELS:
-        raise SymmetryError(f"unknown Cartan label {label!r}")
+    j = _row(label)[3]
     if d not in (0, 1, 2, 3):
         raise SymmetryError("d must be 0..3")
-    return LABEL_DEGREE[label] - d
+    return j - d
 
 
 def kgroup_point(label: str, d: int) -> KGroupDescriptor:
@@ -240,14 +229,6 @@ class CharacterTable:
         gram = (chars * sizes) @ chars.conj().T / self.order
         if not np.allclose(gram, np.eye(len(sizes)), atol=1e-9):
             raise SymmetryError("characters fail row orthogonality at 1e-9")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CharacterTable":
-        sizes = [c["size"] for c in doc["classes"]]
-        sq = [c["square_class"] for c in doc["classes"]]
-        chars = np.array([[complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                           for v in row] for row in doc["chars"]])
-        return cls(order=int(doc["order"]), class_sizes=sizes, square_class=sq, chars=chars)
 
     @classmethod
     def cyclic(cls, k: int) -> "CharacterTable":
@@ -372,7 +353,6 @@ class SymmetrySpec:
     T_unitary: np.ndarray | None = None
     C_unitary: np.ndarray | None = None
     P_unitary: np.ndarray | None = None
-    action: object | None = None      # optional geometry.GroupAction
 
     def __post_init__(self):
         for r in RELATIONS.values():
@@ -465,30 +445,32 @@ class SymmetryReport:
 
 
 def verify_symmetry(H, spec: SymmetrySpec) -> SymmetryReport:
-    """Check the symmetry relations of a controlled operator.
+    """Check the CT relations of `spec` (`RELATIONS`) on a controlled operator.
 
-    Each relation of `spec` (`RELATIONS`) and each point-group element
-    U_g H U_g^-1 = H.  A violation is the max absolute entry of the distance
-    from H to its symmetrized part, 0.5 max|H - sign U H' U^*| for a
-    relation.  The unitaries act site-wise (`operators.onsite`), and a group
-    element as its on-site block followed by its site permutation; the
-    n*m x n*m unitary is never formed.
+    A violation is the max absolute entry of the distance from H to its
+    symmetrized part, 0.5 max|H - sign U H' U^*|.  The unitaries act
+    site-wise (`operators.onsite`); the n*m x n*m unitary is never formed.
     """
     if not isinstance(H, ControlledOperator):
         raise SymmetryError("verify_symmetry expects a ControlledOperator")
     if not H.hermitian:
         raise SymmetryError("verify_symmetry expects a Hermitian operator")
-    out = {r.name: r.defect(U, H).max() for r, U in spec.relations()}
-    act = spec.action
-    if act is not None:
-        n, m = H.module.n_sites, H.m
-        M4 = H.matrix.reshape(n, m, n, m)
-        blocks = [np.eye(m)] * act.order if act.onsite_blocks is None else act.onsite_blocks
-        # block (perm x, perm y) of U_g M U_g^* is blk M(x, y) blk^*; compare it
-        # with M(perm x, perm y).  Truncated elements are checked only on full
-        # matches.
-        out["group"] = max([0.0] + [
-            0.5 * np.abs(M4[perm][:, :, perm].reshape(n * m, n * m)
-                         - onsite(_block(blk, m), H.matrix)).max()
-            for perm, blk in zip(act.site_permutation, blocks) if (perm >= 0).all()])
-    return SymmetryReport(violations=out)
+    return SymmetryReport(violations={r.name: r.defect(U, H).max()
+                                      for r, U in spec.relations()})
+
+
+def group_violation(H: ControlledOperator, action) -> float:
+    """Largest 0.5 max|H - U_g H U_g^-1| over the elements g of a point group
+    (`geometry.GroupAction`), each its on-site block, then its site
+    permutation.  An element with a -1 in its permutation is skipped; with
+    none left the violation is 0.0."""
+    n, m = H.module.n_sites, H.m
+    M4 = H.matrix.reshape(n, m, n, m)
+    blocks = action.onsite_blocks
+    blocks = [np.eye(m)] * action.order if blocks is None else blocks
+    # block (perm x, perm y) of U_g M U_g^* is blk M(x, y) blk^*; compare it
+    # with M(perm x, perm y)
+    return max([0.0] + [
+        0.5 * np.abs(M4[perm][:, :, perm].reshape(n * m, n * m)
+                     - onsite(_block(blk, m), H.matrix)).max()
+        for perm, blk in zip(action.site_permutation, blocks) if (perm >= 0).all()])

@@ -16,6 +16,27 @@ TENFOLD = {
     (True, -1, True, -1, True): ("CII", 5),
 }
 
+# classify's verdict on all 32 (has_T, T_sq, has_C, C_sq, has_P), squares set
+# even where T or C is absent: P counts only beside both T and C or neither
+CLASSIFY_ALL = {
+    (False, 1, False, 1, False): "A", (False, 1, False, 1, True): "AIII",
+    (False, 1, False, -1, False): "A", (False, 1, False, -1, True): "AIII",
+    (False, 1, True, 1, False): "D", (False, 1, True, 1, True): "D",
+    (False, 1, True, -1, False): "C", (False, 1, True, -1, True): "C",
+    (False, -1, False, 1, False): "A", (False, -1, False, 1, True): "AIII",
+    (False, -1, False, -1, False): "A", (False, -1, False, -1, True): "AIII",
+    (False, -1, True, 1, False): "D", (False, -1, True, 1, True): "D",
+    (False, -1, True, -1, False): "C", (False, -1, True, -1, True): "C",
+    (True, 1, False, 1, False): "AI", (True, 1, False, 1, True): "AI",
+    (True, 1, False, -1, False): "AI", (True, 1, False, -1, True): "AI",
+    (True, 1, True, 1, False): "BDI", (True, 1, True, 1, True): "BDI",
+    (True, 1, True, -1, False): "CI", (True, 1, True, -1, True): "CI",
+    (True, -1, False, 1, False): "AII", (True, -1, False, 1, True): "AII",
+    (True, -1, False, -1, False): "AII", (True, -1, False, -1, True): "AII",
+    (True, -1, True, 1, False): "DIII", (True, -1, True, 1, True): "DIII",
+    (True, -1, True, -1, False): "CII", (True, -1, True, -1, True): "CII",
+}
+
 # classifying group per (label, dimension), all 40 entries
 POINT_GROUPS = {
     "A":    ["Z", "0", "Z", "0"],

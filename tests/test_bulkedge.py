@@ -49,14 +49,18 @@ class TestBECConfig:
         ({"truncation_radii": (0,)}, "truncation radius 0 is not positive"),
         ({"disorder_strength": float("-inf")}, "disorder strength -inf is not a finite"),
         ({"disorder_seeds": [1, 1.5]}, "disorder seed 1.5 is not an integer"),
+        ({"disorder_strength": 0.3}, "disorder strength 0.3 without disorder seeds"),
+        ({"disorder_seeds": [1, 2]}, "disorder seeds without a disorder strength"),
     ])
     def test_sweep_settings_refused_on_construction(self, doc, message):
         with pytest.raises(BulkEdgeError, match=message):
             bulkedge.BECConfig.of(doc)
 
     def test_dict_lists_become_tuples(self):
-        cfg = bulkedge.BECConfig.of({"windows": [4, 6], "disorder_seeds": [np.int64(3)]})
-        assert cfg == bulkedge.BECConfig(windows=(4, 6), disorder_seeds=(3,))
+        cfg = bulkedge.BECConfig.of({"windows": [4, 6], "disorder_strength": 0.1,
+                                     "disorder_seeds": [np.int64(3)]})
+        assert cfg == bulkedge.BECConfig(windows=(4, 6), disorder_strength=0.1,
+                                         disorder_seeds=(3,))
         assert bulkedge.BECConfig.of(cfg) is cfg and bulkedge.BECConfig.of(None) == \
             bulkedge.BECConfig()
 

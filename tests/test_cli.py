@@ -495,7 +495,8 @@ class TestMalformedModelFile:
         for path in (model, old):
             out = tmp_path / f"{path.stem}.out.json"
             assert run(["verify-bec", "--model-file", str(path), "--normal", "1",
-                        "--offset", "19.6", "--seeds", "1", "--truncation-radii", "1.5",
+                        "--offset", "19.6", "--seeds", "1", "--disorder-strength", "0.1",
+                        "--truncation-radii", "1.5",
                         "--out", str(out)], capsys)[0] == 0
             reports.append({k: v for k, v in json.loads(out.read_text()).items()
                             if k != "generated_at"})
@@ -786,10 +787,26 @@ class TestNamedErrors:
         solves, solve = [], operators._solve
         monkeypatch.setattr(operators, "_solve", lambda *a: solves.append(1) or solve(*a))
         argv = ["verify-bec", "--model-file", str(model), "--normal", "1", "--offset", "19.6",
-                "--seeds", "1,2"]
+                "--seeds", "1,2", "--disorder-strength", "0.1"]
         assert run([*argv, *flags], capsys) == (1, "", line + "\n")
         assert solves == []
         assert run(argv, capsys)[0] == 0 and len(solves) == 6
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--disorder-strength", "0.3"], "error: disorder strength 0.3 without disorder seeds"),
+        (["--seeds", "1,2"], "error: disorder seeds without a disorder strength"),
+    ], ids=["strength_alone", "seeds_alone"])
+    def test_half_a_disorder_sweep_is_refused(self, tmp_path, capsys, monkeypatch, flags, line):
+        """Before, a strength alone ran no sweep and exited 0, and seeds alone
+        certified the clean system once per seed as a `disorder` entry."""
+        model = tmp_path / "ssh.json"
+        run(["build", "--model", "ssh", "--t1", "0.5", "--t2", "1.0", "--n", "40",
+             "--out", str(model)], capsys)
+        solves, solve = [], operators._solve
+        monkeypatch.setattr(operators, "_solve", lambda *a: solves.append(1) or solve(*a))
+        assert run(["verify-bec", "--model-file", str(model), "--normal", "1", "--offset",
+                    "19.6", *flags], capsys) == (1, "", line + "\n")
+        assert solves == []
 
     @pytest.mark.parametrize("n, level", [(30, "-2.29e-05"), (32, "-1.14e-05")])
     def test_split_end_pair_is_refused(self, tmp_path, capsys, n, level):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import roelab as rl
-from roelab.geometry import (GOLDEN, GeometryError, PointSet, fibonacci_chain,
+from roelab.geometry import (_GENERATORS, GOLDEN, GeometryError, PointSet, fibonacci_chain,
                              min_spacing)
 
 
@@ -80,6 +80,34 @@ class TestGenerate:
         assert np.array_equal(listed.coords, ps.coords)
         with pytest.raises(GeometryError, match="unknown point-set key 'seed'"):
             rl.generate({"kind": "points", "seed": 3, **ps.to_json()})
+
+    # one valid descriptor of every generator kind, with its optional keys
+    DESCRIPTORS = {
+        "chain": {"window": [[0, 4]]},
+        "square": {"window": [[0, 4], [0, 4]]},
+        "cubic": {"window": [[0, 2], [0, 2], [0, 2]]},
+        "honeycomb": {"window": [[0, 4], [0, 4]]},
+        "perturbed": {"window": [[0, 4], [0, 4]], "jitter": 0.2, "seed": 7, "dim": 2},
+        "fibonacci": {"window": [[0, 10]]},
+        "ammann_beenker": {"window": [[0, 4], [0, 4]]},
+        "points": {"dim": 1, "window": [[0, 2]], "points": [[0, 0.5], [1, 1.5]],
+                   "density": 1.0},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(_GENERATORS))
+    def test_declared_keys(self, kind):
+        """A key the generator does not declare, such as a misspelt seed, is
+        refused; a missing required key is named.  Before, the first was
+        dropped silently and the second was a bare KeyError."""
+        spec = {"kind": kind, **self.DESCRIPTORS[kind]}
+        assert rl.generate(spec).n > 0
+        with pytest.raises(GeometryError, match="unknown point-set key 'sede'"):
+            rl.generate({**spec, "sede": 1})
+        _, required, optional = _GENERATORS[kind]
+        assert set(spec) == {"kind", *required, *optional}
+        for key in required:
+            with pytest.raises(GeometryError, match=f"{kind} generator needs the key '{key}'"):
+                rl.generate({k: v for k, v in spec.items() if k != key})
 
 
 class TestCertifyDelone:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from roelab.models import _random_hermitian, disorder_blocks, symmetrize_block
 from roelab.operators import onsite
 from roelab.symmetry import (CharacterTable, SymmetryError, SymmetrySpec,
                              kgroup_finite_group, spec_from_label)
-from tables import POINT_GROUPS, TENFOLD
+from tables import CLASSIFY_ALL, POINT_GROUPS, TENFOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -22,6 +24,12 @@ class TestClassify:
     def test_all_ten_rows(self):
         for key, (label, _) in TENFOLD.items():
             assert rl.classify(spec_of(key)) == label
+
+    def test_all_flag_combinations(self):
+        """Every presence/square combination, including T with P but no C."""
+        assert len(CLASSIFY_ALL) == 32
+        for key, label in CLASSIFY_ALL.items():
+            assert rl.classify(spec_of(key)) == label, key
 
     def test_examples(self):
         assert rl.classify(SymmetrySpec()) == "A"
@@ -184,13 +192,6 @@ class TestFrobeniusSchur:
         with pytest.raises(SymmetryError):
             rl.frobenius_schur_split(ct)
 
-    def test_json_loading(self):
-        doc = {"order": 2, "classes": [{"size": 1, "square_class": 0},
-                                       {"size": 1, "square_class": 0}],
-               "chars": [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]}
-        ct = CharacterTable.from_json(doc)
-        assert rl.frobenius_schur_split(ct) == (2, 0, 0)
-
 
 class TestVerifySymmetry:
     def test_real_symmetric_has_exact_T(self, chain200):
@@ -227,9 +228,7 @@ class TestVerifySymmetry:
         # rotation-invariant onsite potential: radius-dependent
         r = np.linalg.norm(square16.coords - square16.coords.mean(axis=0), axis=1)
         H = rl.ControlledOperator(mod, np.diag(r).astype(complex), 0.0)
-        spec = SymmetrySpec(action=act)
-        rep = rl.verify_symmetry(H, spec)
-        assert rep.violations["group"] < 1e-12
+        assert rl.group_violation(H, act) < 1e-12
 
     def test_dimension_mismatch(self, chain200):
         mod = rl.SiteModule(chain200, 2)
@@ -284,7 +283,7 @@ class TestVerifySymmetryMatchesDense:
             for x in range(n):
                 U[perm[x] * m:(perm[x] + 1) * m, x * m:(x + 1) * m] = blk
             worst = max(worst, 0.5 * np.abs(M - U @ M @ U.conj().T).max())
-        got = rl.verify_symmetry(H, SymmetrySpec(action=act)).violations["group"]
+        got = rl.group_violation(H, act)
         assert worst > 0.1 and abs(got - worst) < 1e-12
 
 
@@ -363,3 +362,25 @@ class TestRelationTable:
                              "C_unitary", "P_unitary"]
         back = SymmetrySpec.from_json(doc)
         assert back.to_json() == doc
+
+
+JSON_SPECS = {**{label: spec_from_label(label) for label in rl.CARTAN_LABELS},
+              **{name: rl.stencil(name).spec for name in rl.MODELS},
+              # T and C given, P derived as their product
+              "TCP": TestRelationTable._spec(np.random.default_rng(23))}
+
+
+@pytest.mark.parametrize("name", list(JSON_SPECS))
+def test_spec_json_round_trip(name):
+    """Every field of a spec is written and read back unchanged."""
+    spec = JSON_SPECS[name]
+    doc = spec.to_json()
+    names = [f.name for f in dataclasses.fields(SymmetrySpec)]
+    assert set(names) <= set(doc)
+    back = SymmetrySpec.from_json(doc)
+    for field in names:
+        want, got = getattr(spec, field), getattr(back, field)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field
+        else:
+            assert type(got) is type(want) and got == want, field

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the three size figures of a package: its code lines, the keyword
 parameters with defaults of its functions and the fields of its dataclasses.
+One line per module follows the summary with that module's code lines.
 
 Code lines are the non-blank lines whose first character, after indentation,
 is not `#`.  Keyword parameters with defaults count the positional and the
@@ -23,14 +24,18 @@ def is_dataclass(node) -> bool:
 
 
 root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "src/roelab")
-lines = defaults = fields = 0
+defaults = fields = 0
+per_module = {}
 for path in sorted(root.glob("*.py")):
     text = path.read_text()
-    lines += sum(1 for s in text.splitlines() if s.strip() and not s.lstrip().startswith("#"))
+    per_module[path.stem] = sum(1 for s in text.splitlines()
+                                if s.strip() and not s.lstrip().startswith("#"))
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
         if is_dataclass(node):
             fields += sum(isinstance(s, ast.AnnAssign) for s in node.body)
-print(f"{root}: {lines} lines (non-blank, non-#), "
+print(f"{root}: {sum(per_module.values())} lines (non-blank, non-#), "
       f"{defaults} keyword parameters with defaults, {fields} dataclass fields")
+for module, lines in per_module.items():
+    print(f"{module}: {lines}")
