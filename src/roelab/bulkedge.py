@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition
-from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows, _report,
-                      box_bound, chern_even, chern_odd, edge_conductance, edge_fredholm,
-                      occupied_projection, spin_sectors)
+from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows,
+                      _odd_pairing, _report, box_bound, chern_even, chern_odd,
+                      edge_conductance, edge_fredholm, occupied_projection, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
                         compress, decay_fit, derivation_along, flatten, involution_defect,
                         site_blocks, spectral_function, truncate)
@@ -275,7 +275,18 @@ def _chern(work: BulkSystem, windows) -> IndexReport:
 
 
 def _winding(work: BulkSystem, windows) -> IndexReport:
-    return chern_odd(flatten(work.H, work.gap), work.spec, windows)
+    """The winding of sgn(H - fermi): of its (minus, plus) block V W^* over the
+    non-kernel singular values when H has chiral factors, P is their label's
+    diagonal and fermi is 0, else through `flatten` and `chern_odd`."""
+    H, f = work.H, work.H.spectrum.chiral
+    if f is None or work.gap.fermi != 0 or not np.array_equal(
+            work.spec.P_unitary, np.diag(H.module.labels[f.label])):
+        return chern_odd(flatten(H, work.gap), work.spec, windows)
+    keep = ~f.kernel
+    U = f.Vh[keep].conj().T @ f.W[:, keep].conj().T
+    if np.abs(U @ (U.conj().T @ U) - U).max() > 1e-6:
+        raise PairingError("operator is not flattened (s^2 != 1)")
+    return _odd_pairing(U, f.plus, f.minus, H.module, windows)
 
 
 def _conductance(work: BulkSystem, part, cfg):

@@ -12,6 +12,7 @@ All generators are deterministic; anything random takes an explicit seed.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +119,17 @@ class PointSet:
         ids = [row[0] for row in pts]
         if ids != list(range(len(ids))):
             raise GeometryError("point ids must be unique and dense in [0, N)")
-        coords = np.array([row[1:] for row in pts], dtype=float)
+        try:
+            coords = np.array([row[1:] for row in pts], dtype=float)
+        except (TypeError, ValueError):
+            raise GeometryError("point coordinates are not rows of numbers") from None
         dim, density = doc["dim"], doc.get("density")
         if type(dim) is not int or not 1 <= dim <= 3:
             raise GeometryError(f"dim {dim!r} is not 1, 2 or 3")
         if density is not None and (type(density) not in (int, float)
                                     or not 0 < density < np.inf):
             raise GeometryError(f"density {density!r} is not null or a finite positive number")
-        return cls(dim, coords, np.asarray(doc["window"], dtype=float), density=density)
+        return cls(dim, coords, _window_array(doc["window"], dim), density=density)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
@@ -203,11 +207,16 @@ class GroupAction:
 # ---------------------------------------------------------------------------
 
 def _window_array(window, dim) -> np.ndarray:
-    w = np.asarray(window, dtype=float)
+    try:
+        w = np.asarray(window, dtype=float)
+    except (TypeError, ValueError):
+        raise GeometryError(f"window {window!r} is not an array of numbers") from None
     if w.shape != (dim, 2):
         raise GeometryError(f"window must be shape ({dim}, 2)")
     if not (w[:, 1] > w[:, 0]).all():
         raise GeometryError("window must have positive extent")
+    if not np.isfinite(w).all():
+        raise GeometryError(f"window {w.tolist()} is not finite")
     return w
 
 
@@ -243,11 +252,17 @@ def triangular_lattice(window) -> PointSet:
 def perturbed_lattice(window, jitter: float, seed: int, dim=2) -> PointSet:
     """Square/cubic lattice with iid uniform jitter of max norm `jitter`.
 
-    Rejected when jitter >= half the minimum clean spacing, since the
-    uniform-discreteness bound 2r > 0 could then fail.
+    Rejected when jitter is negative or at least half the minimum clean
+    spacing, since the uniform-discreteness bound 2r > 0 could then fail.
     """
+    if isinstance(jitter, bool) or not isinstance(jitter, numbers.Real) or not jitter >= 0:
+        raise GeometryError(f"jitter {jitter!r} is not a number at least 0")
     if jitter >= 0.5:
         raise GeometryError("jitter >= half the minimum spacing breaks uniform discreteness")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise GeometryError(f"seed {seed!r} is not an integer at least 0")
+    if type(dim) is not int or not 1 <= dim <= 3:
+        raise GeometryError(f"dim {dim!r} is not 1, 2 or 3")
     base = square_lattice(window, dim=dim)
     rng = np.random.default_rng(seed)
     disp = rng.uniform(-1, 1, size=base.coords.shape)

@@ -279,7 +279,9 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
     index obstruction and not a data error.  The margin (15% of the sample
     extent) and tolerance (1e-4) are set so that samples longer than roughly
     thirty decay lengths pass cleanly while genuine chirality breaking
-    (orders of magnitude larger) is caught.  s^2 = 1 must hold to 1e-6.
+    (orders of magnitude larger) is caught.  s^2 = 1 must hold to 1e-6.  The
+    class-AIII route reads the block V W^* off the chiral factors of an ssh
+    solve instead (`operators.ChiralFactors`, which says why kitaev has none).
     """
     M = s.matrix
     if involution_defect(M) > 1e-6:
@@ -303,19 +305,30 @@ def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows) -> IndexReport
 
     d = 1: i T(U* grad_1 U); d = 3: the full six-term alternating sum with
     prefactor i (i pi)^((d-1)/2) / d!!, where U is the chiral off-diagonal
-    block of the flattened operator.  Only the diagonal the trace reads is
-    formed: entrywise for d = 1, and for d = 3 on the rows W of the largest
-    window, from the products F_a[W] F_b of F_j = U* grad_j U.  The imaginary
-    part must vanish to 1e-6.
+    block of the flattened operator (`chiral_unitary`), paired by
+    `_odd_pairing`, which the class-AIII chain route runs on the block of the
+    chiral factors of its solve (`operators.ChiralFactors`: ssh, not kitaev).
     """
     ps = s.module.pointset
-    d = ps.dim
-    if d not in (1, 3):
+    if ps.dim not in (1, 3):
         raise PairingError("odd pairing implemented for d = 1 and d = 3")
     windows = _box_windows(ps, windows, 0.0)
     U, ip, im = chiral_unitary(s, spec)
-    half = len(ip) // s.module.n_sites
-    xs = [s.module.position_along(e) for e in np.eye(d)]
+    return _odd_pairing(U, ip, im, s.module, windows)
+
+
+def _odd_pairing(U: np.ndarray, ip, im, module, windows) -> IndexReport:
+    """`chern_odd` on U, the block of a flattened chiral operator from the
+    plus rows `ip` to the minus rows `im` of `module`, over checked windows.
+
+    Only the diagonal the trace reads is formed: entrywise for d = 1, and for
+    d = 3 on the rows W of the largest window, from the products F_a[W] F_b
+    of F_j = U* grad_j U.  The imaginary part must vanish to 1e-6.
+    """
+    ps = module.pointset
+    d = ps.dim
+    half = len(ip) // module.n_sites
+    xs = [module.position_along(e) for e in np.eye(d)]
     grads = [1j * (xs[j][im][:, None] - xs[j][ip][None, :]) * U for j in range(d)]
     W = _window_rows(ps, windows, half)
     if d == 1:

@@ -269,25 +269,28 @@ def _random_hermitian(rng, m: int) -> np.ndarray:
 
 def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
                      conserve=()) -> np.ndarray:
-    """Project an on-site Hermitian block onto the symmetry commutant.
+    """Project an on-site Hermitian block, or an (n, m, m) stack of them,
+    onto the symmetry commutant.
 
-    Averages B with its image under each relation of `spec`, then of each
-    conserved diagonal label L (a commuting relation), so adding the result
-    to a symmetric Hamiltonian preserves every relation exactly.
+    Averages B with its image sign U B' U^* under each relation of `spec`,
+    then of each conserved diagonal label L (a commuting relation), so adding
+    the result to a symmetric Hamiltonian preserves every relation exactly.
     """
     for r, U in spec.relations() + [(CONSERVED, np.diag(np.asarray(lab, dtype=complex)))
                                     for lab in conserve]:
-        B = (B + r.image(U, B)) / 2
+        B = (B + r.sign * (np.matmul(U, B.conj() if r.antiunitary else B) @ U.conj().T)) / 2
     return B
 
 
 def disorder_blocks(spec: SymmetrySpec, m: int, n_sites: int, strength: float,
-                    seed: int, conserve=()) -> list[np.ndarray]:
+                    seed: int, conserve=()) -> np.ndarray:
+    """(n_sites, m, m) stack of symmetrized on-site disorder blocks: one
+    random Hermitian block per site, drawn in site order, times `strength`."""
     if not math.isfinite(strength):
         raise ModelError(f"disorder strength {strength} is not a finite number")
     rng = np.random.default_rng(seed)
-    return [strength * symmetrize_block(_random_hermitian(rng, m), spec, conserve)
-            for _ in range(n_sites)]
+    blocks = np.array([_random_hermitian(rng, m) for _ in range(n_sites)]).reshape(n_sites, m, m)
+    return strength * symmetrize_block(blocks, spec, conserve)
 
 
 # ---------------------------------------------------------------------------

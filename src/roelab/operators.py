@@ -14,16 +14,17 @@ unitary.
 
 Every eigendecomposition goes through `ControlledOperator.eigh`, which solves
 in the cheapest arithmetic the matrix allows exactly: one sector at a time
-when a module label (e.g. spin_z) has no matrix entry between its sectors,
-and in real arithmetic when the matrix has no imaginary part.  The LAPACK
-driver follows the dimension d of the point set: divide and conquer (numpy's
-?heevd) on chains, whose banded matrices deflate, and MRRR (scipy's ?heevr)
-on planes and lattices, where little deflates and MRRR is faster (Demmel,
-Marques, Parlett and Voemel, SIAM J. Sci. Comput. 30, 1508 (2008)).  The
-results equal the dense complex solve to roundoff (eigenvectors up to phases
-and rotations inside degenerate eigenspaces): the tests hold eigenvalues and
-the residual max|Hv - vw| to 1e-12, the orthogonality max|V*V - 1| and the
-occupied projection to 1e-10.
+when a module label (e.g. spin_z) has no matrix entry between its sectors, by
+one SVD of the half-size block of a chiral matrix (`ChiralFactors`: ssh, not
+kitaev), and in real arithmetic when the matrix has no imaginary part.  The
+eigensolver follows the dimension d of the point set: divide and conquer
+(numpy's ?heevd) on chains, whose banded matrices deflate, and MRRR (scipy's
+?heevr) on planes and lattices, where little deflates and MRRR is faster
+(Demmel, Marques, Parlett and Voemel, SIAM J. Sci. Comput. 30, 1508 (2008)).
+The results equal the dense complex solve to roundoff (eigenvectors up to
+phases and rotations inside degenerate eigenspaces): the tests hold
+eigenvalues and the residual max|Hv - vw| to 1e-12, the orthogonality
+max|V*V - 1| and the occupied projection to 1e-10.
 
 Operators are immutable; all operations return new values.
 """
@@ -205,27 +206,30 @@ class ControlledOperator:
         exact structure of the matrix: when the off-sector entries of a
         module label (the first such label, e.g. spin_z on kane_mele) are all
         exactly zero, each sector is solved on its own and its eigenvectors
-        fill their rows of v; when the matrix has no imaginary part, the
-        solve runs in real arithmetic and v is real.  Every solve uses
-        LAPACK's divide and conquer on a chain (d = 1), where the banded
-        matrix deflates, and MRRR on a plane or lattice (d >= 2), where it is
-        faster.  Either way w, and v up to phases and rotations inside
-        degenerate eigenspaces, equal the dense complex solve to roundoff
-        (to the bounds in the module docstring); `eigh_method` names what
-        ran, e.g. "MRRR, spin_z sectors (476, 476)" or "divide and conquer,
-        real".
+        fill their rows of v; else, on a chiral matrix (e.g. ssh), one SVD of
+        the half-size block gives every pair (`ChiralFactors` says which
+        matrices, the kernel rule and why kitaev is not one); a real matrix
+        is solved in real arithmetic.  The driver and the accuracy are in the
+        module docstring.  `eigh_method` names what ran, e.g. "MRRR, spin_z
+        sectors (476, 476)", "SVD, real, sublattice chiral (250, 250)" or
+        "divide and conquer, real"; `spectrum` is the cached record.
         """
         if not self.hermitian:
             raise OperatorError("eigh on a non-Hermitian operator")
         if not self._eig_cache:
             self._eig_cache.append(_spectrum(self.matrix, self.module))
-        w, v, _ = self._eig_cache[0]
-        return w, v
+        return self._eig_cache[0].w, self._eig_cache[0].v
+
+    @property
+    def spectrum(self) -> "Spectrum":
+        """The record of the cached eigendecomposition, solved by `eigh`."""
+        self.eigh()
+        return self._eig_cache[0]
 
     @property
     def eigh_method(self) -> str | None:
         """How the cached eigendecomposition was solved (None before `eigh`)."""
-        return self._eig_cache[0][2] if self._eig_cache else None
+        return self._eig_cache[0].method if self._eig_cache else None
 
     # -- construction / serialization ----------------------------------------
 
@@ -323,29 +327,86 @@ def _sectors(M: np.ndarray, module: SiteModule):
     return None
 
 
-def _solve(A: np.ndarray, mrrr: bool):
-    """(w, v) of the Hermitian A by MRRR or by divide and conquer: the one
-    LAPACK call of `_spectrum`."""
-    if mrrr:
+@dataclass(frozen=True)
+class ChiralFactors:
+    """The SVD D = W diag(s) Vh of the block D = H[plus, minus] of a chiral H.
+
+    The split applies to the first +-1 module label with as many +1 as -1
+    orbitals (rows plus and minus) whose same-sign blocks of H are exactly
+    zero: ssh's sublattice, not haldane's or a kane_mele sector's, which hop
+    within a sublattice, nor kitaev, whose chiral unitary sigma_x no label
+    diagonalizes (in its eigenbasis the disorder draws would change).  The
+    pairs -s_k, s_k have the eigenvectors (W_k, -+V_k) / sqrt 2, V = Vh^*; a
+    kernel pair, s_k at most n eps s_max (n = len(s)), keeps the chiral
+    (W_k, 0) and (0, V_k) that LAPACK's eigensolvers give a chain's end modes.
+    """
+
+    label: str
+    plus: np.ndarray
+    minus: np.ndarray
+    W: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.s <= len(self.s) * np.finfo(float).eps * self.s.max(initial=0.0)
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """One solve of `ControlledOperator.eigh` and its chiral factors, if any."""
+
+    w: np.ndarray
+    v: np.ndarray
+    method: str
+    chiral: ChiralFactors | None = None
+
+
+def _solve(A: np.ndarray, driver: str):
+    """(w, v) of the Hermitian A by MRRR or divide and conquer, or (W, s, Vh)
+    of A by numpy's SVD: the one LAPACK call of `_spectrum`."""
+    if driver == "MRRR":
         return scipy.linalg.eigh(A, driver="evr", check_finite=False)
-    return np.linalg.eigh(A)
+    return (np.linalg.svd if driver == "SVD" else np.linalg.eigh)(A)
 
 
-def _spectrum(M: np.ndarray, module: SiteModule):
-    """(w, v, method) of the Hermitian matrix M; see `ControlledOperator.eigh`."""
+def _chiral(A: np.ndarray, module: SiteModule) -> ChiralFactors | None:
+    """The `ChiralFactors` of A on the first +-1 module label with as many +1
+    as -1 orbitals whose two same-sign blocks of A are exactly zero, else None."""
+    for name, lab in module.labels.items():
+        lab = np.asarray(lab)
+        if np.isin(lab, (-1, 1)).all() and 2 * (lab == 1).sum() == len(lab):
+            plus, minus = (module.orbital_index(np.flatnonzero(lab == v)) for v in (1, -1))
+            if not (A[np.ix_(plus, plus)].any() or A[np.ix_(minus, minus)].any()):
+                return ChiralFactors(name, plus, minus, *_solve(A[np.ix_(plus, minus)], "SVD"))
+    return None
+
+
+def _spectrum(M: np.ndarray, module: SiteModule) -> Spectrum:
+    """The `Spectrum` of the Hermitian matrix M; see `ControlledOperator.eigh`."""
     real = not M.imag.any()
     A = M.real if real else M
-    mrrr = module.pointset.dim >= 2
-    method = ("MRRR" if mrrr else "divide and conquer") + (", real" if real else "")
+    driver = "MRRR" if module.pointset.dim >= 2 else "divide and conquer"
+    method = driver + (", real" if real else "")
     split = _sectors(A, module)
     if split is None:
-        w, v = _solve(A, mrrr)
-        return w, v, method
+        f = _chiral(A, module)
+        if f is None:
+            return Spectrum(*_solve(A, driver), method)
+        # the columns of -s (s descending), then of s ascending (`ChiralFactors`)
+        n, W, V = len(f.s), f.W, f.Vh.conj().T
+        a, b = np.where(f.kernel, 1.0, np.sqrt(0.5)), np.where(f.kernel, 0.0, np.sqrt(0.5))
+        v = np.zeros(A.shape, dtype=W.dtype)
+        v[f.plus, :n], v[f.minus, :n] = W * a, V * -b
+        v[f.plus, n:], v[f.minus, n:] = (W * b)[:, ::-1], (V * a)[:, ::-1]
+        return Spectrum(np.concatenate([-f.s, f.s[::-1]]), v,
+                        f"SVD{', real' if real else ''}, {f.label} chiral ({n}, {n})", f)
     name, index = split
     # allocated before the sector solves: their temporaries then reuse freed
     # heap, which keeps the peak resident memory below the dense solve's
     v = np.zeros(A.shape, dtype=A.dtype)
-    parts = [_solve(A[np.ix_(idx, idx)], mrrr) for idx in index]
+    parts = [_solve(A[np.ix_(idx, idx)], driver) for idx in index]
     w = np.concatenate([p[0] for p in parts])
     order = np.argsort(w, kind="stable")
     column = np.empty_like(order)
@@ -355,7 +416,7 @@ def _spectrum(M: np.ndarray, module: SiteModule):
     for idx, (ws, vs) in zip(index, parts):
         v[np.ix_(idx, column[start:start + len(ws)])] = vs
         start += len(ws)
-    return w[order], v, f"{method}, {name} sectors {tuple(len(i) for i in index)}"
+    return Spectrum(w[order], v, f"{method}, {name} sectors {tuple(len(i) for i in index)}")
 
 
 def onsite(A, M: np.ndarray, B=None) -> np.ndarray:
@@ -427,10 +488,9 @@ class GapCertificate:
     the Fermi level to zero; bulk eigenvalues are those of states not pinned
     to the open sample boundary (eigenvectors with more than half their weight
     within the boundary margin are excluded, since boundary modes are edge
-    physics, not bulk).  method names the solve `ControlledOperator.eigh`
-    ran: the LAPACK driver (divide and conquer on a chain, MRRR on a plane or
-    lattice), real arithmetic and the sector split, e.g.
-    "MRRR, spin_z sectors (476, 476)" or "divide and conquer, real".
+    physics, not bulk).  method is the `eigh_method` of the solve, e.g.
+    "MRRR, spin_z sectors (476, 476)" or "SVD, real, sublattice chiral
+    (250, 250)" (see `ControlledOperator.eigh`).
     """
 
     epsilon: float

@@ -307,15 +307,11 @@ class Relation:
     sign: int
     square: str | None
 
-    def image(self, U, X: np.ndarray) -> np.ndarray:
-        """sign * U X' U^*, site by site (`operators.onsite`), in a new buffer."""
-        Y = onsite(U, X.conj() if self.antiunitary else X)
-        return np.negative(Y, out=Y) if self.sign < 0 else Y
-
     def defect(self, U, H: ControlledOperator) -> np.ndarray:
-        """Entrywise 0.5 |H - image of H|, formed in the buffer `image` returns."""
-        Y = self.image(_block(U, H.m), H.matrix)
-        return 0.5 * np.abs(np.subtract(H.matrix, Y, out=Y))
+        """Entrywise 0.5 |H - sign U H' U^*|, U H' U^* formed site by site
+        (`operators.onsite`) in the buffer the difference then reuses."""
+        Y = onsite(_block(U, H.m), H.matrix.conj() if self.antiunitary else H.matrix)
+        return 0.5 * np.abs((np.subtract if self.sign > 0 else np.add)(H.matrix, Y, out=Y))
 
 
 # the one table of CT relations: T commutes antiunitarily, C anticommutes

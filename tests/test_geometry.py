@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,38 @@ class TestGenerate:
         for key in required:
             with pytest.raises(GeometryError, match=f"{kind} generator needs the key '{key}'"):
                 rl.generate({k: v for k, v in spec.items() if k != key})
+
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "x", "seed 'x' is not an integer at least 0"),
+        ("seed", -1, "seed -1 is not an integer at least 0"),
+        ("seed", 1.5, "seed 1.5 is not an integer at least 0"),
+        ("seed", True, "seed True is not an integer at least 0"),
+        ("window", "ab", "window 'ab' is not an array of numbers"),
+        ("window", [[0, 4], [0, np.inf]], "window [[0.0, 4.0], [0.0, inf]] is not finite"),
+        ("window", [[0, 4], [4, 4]], "window must have positive extent"),
+        ("jitter", -0.2, "jitter -0.2 is not a number at least 0"),
+        ("jitter", "0.2", "jitter '0.2' is not a number at least 0"),
+        ("jitter", np.nan, "jitter nan is not a number at least 0"),
+        ("dim", "x", "dim 'x' is not 1, 2 or 3"),
+    ])
+    def test_perturbed_values_are_checked(self, key, value, message):
+        """Each value of a perturbed descriptor is checked: a string seed was
+        numpy's bare TypeError, a string window a bare ValueError, and a
+        negative jitter was accepted."""
+        spec = {"kind": "perturbed", **self.DESCRIPTORS["perturbed"], key: value}
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            rl.generate(spec)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window", "ab", "window 'ab' is not an array of numbers"),
+        ("window", [[0, np.inf]], "window [[0.0, inf]] is not finite"),
+        ("points", [[0, "a"], [1, 1.5]], "point coordinates are not rows of numbers"),
+    ])
+    def test_listed_points_values_are_checked(self, key, value, message):
+        spec = {"kind": "points", **self.DESCRIPTORS["points"], key: value}
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            rl.generate(spec)
 
 
 class TestCertifyDelone:

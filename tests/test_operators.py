@@ -478,7 +478,7 @@ class TestSpectralLayer:
         assert np.iscomplexobj(v)
 
     @pytest.mark.parametrize("name, disorder, method", [
-        ("ssh", 0.0, "divide and conquer, real"),
+        ("ssh", 0.0, "SVD, real, sublattice chiral (6, 6)"),
         ("kitaev", 0.3, "divide and conquer, real"),
         ("layered3d", 0.3, "MRRR"),    # spin_z is mixed
         ("qwz", 0.0, "MRRR"),
@@ -487,7 +487,7 @@ class TestSpectralLayer:
         H = _small_model(name, disorder)
         _, v = H.eigh()
         assert H.eigh_method == method
-        assert np.isrealobj(v) == method.endswith("real")
+        assert np.isrealobj(v) == ("real" in method.split(", "))
 
     def test_first_conserved_label_of_several_values(self):
         """Three sectors of the second label; orbitals 1 and 3 share one and
@@ -528,15 +528,15 @@ class TestSpectralLayer:
         H = _small_model("kane_mele", 0.0)
         assert rl.certify_gap(H).method == H.eigh_method
         chain = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, rl.default_pointset("ssh", 40))[1]
-        assert rl.certify_gap(chain).method == "divide and conquer, real"
+        assert rl.certify_gap(chain).method == "SVD, real, sublattice chiral (40, 40)"
 
     @pytest.mark.parametrize("name", sorted(rl.MODELS))
     def test_the_driver_follows_the_dimension(self, name):
         """Divide and conquer on chains, where the banded matrix deflates;
-        MRRR on planes and lattices."""
+        MRRR on planes and lattices; the SVD of the chiral split on ssh."""
         H = _small_model(name, 0.0)
         H.eigh()
-        want = "divide and conquer" if name in ("ssh", "kitaev") else "MRRR"
+        want = {"ssh": "SVD", "kitaev": "divide and conquer"}.get(name, "MRRR")
         assert H.eigh_method.split(",")[0] == want
 
     @pytest.mark.parametrize("name", ["qwz", "kane_mele"])
@@ -559,3 +559,88 @@ class TestSpectralLayer:
         P = v[:, w < 0] @ v[:, w < 0].conj().T
         P0 = v0[:, w0 < 0] @ v0[:, w0 < 0].conj().T
         assert np.abs(P - P0).max() <= 1e-10
+
+
+def _ssh250(disorder):
+    ps = rl.generate({"kind": "chain", "window": [[0, 250]]})
+    return rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, ps, disorder=disorder, seed=3)
+
+
+class TestChiralSolve:
+    """A chiral operator (same-sign blocks of a +-1 label exactly zero) is
+    solved by one SVD of its half-size block (`operators.ChiralFactors`)."""
+
+    @pytest.mark.parametrize("disorder", [0.0, 0.25])
+    def test_matches_the_dense_solve(self, disorder):
+        _, H, _ = _ssh250(disorder)
+        w, v = H.eigh()
+        M = H.matrix
+        assert H.eigh_method == ("SVD, real" if disorder == 0 else "SVD") + \
+            ", sublattice chiral (250, 250)"
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() <= 1e-12
+        assert np.abs(M @ v - v * w).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(len(w))).max() <= 1e-10
+
+    @pytest.mark.parametrize("disorder", [0.0, 0.25])
+    def test_kernel_columns_are_chiral(self, disorder):
+        """The two end modes (t2 > t1) are the kernel; each of their columns
+        has zero weight on one sublattice, the other columns equal weight on
+        both."""
+        _, H, _ = _ssh250(disorder)
+        w, v = H.eigh()
+        f = H.spectrum.chiral
+        assert f.label == "sublattice" and f.kernel.sum() == 1
+        kernel = np.abs(w) < 1e-10
+        assert kernel.sum() == 2
+        on_plus, on_minus = ((np.abs(v[rows]) ** 2).sum(axis=0) for rows in (f.plus, f.minus))
+        assert on_plus[kernel].min() == 0.0 and on_minus[kernel].min() == 0.0
+        assert np.abs(on_plus[~kernel] - 0.5).max() <= 1e-12
+
+    @pytest.mark.parametrize("disorder", [0.0, 0.25])
+    def test_route_equals_chern_odd_of_the_flattening(self, disorder, monkeypatch):
+        """The class-AIII route pairs V W^* of the factors without a
+        flattening; chern_odd on the flattened H gives the same raw."""
+        from roelab import bulkedge
+        _, H, spec = _ssh250(disorder)
+        bulk = rl.make_bulk(H.module, H, spec)
+        windows = (40.0, 60.0, 80.0)
+        want = rl.chern_odd(rl.flatten(H, bulk.gap), spec, windows)
+
+        def refused(*args):
+            raise AssertionError("the chiral route flattened H")
+
+        monkeypatch.setattr(bulkedge, "flatten", refused)
+        got = rl.bulk_index(bulk, {"windows": windows})
+        assert abs(got.raw - want.raw) <= 1e-12 and got.snapped == 1
+        assert np.abs(np.array(got.values) - np.array(want.values)).max() <= 1e-12
+
+    def test_split_not_taken(self):
+        """haldane and a kane_mele sector hop within a sublattice; one
+        same-sign entry of 1e-300 is not an exact zero."""
+        haldane = _small_model("haldane", 0.0)
+        km = _small_model("kane_mele", 0.0)
+        sector = rl.restrict_orbitals(km, np.flatnonzero(km.module.labels["spin_z"] == 1))
+        _, H, _ = _ssh250(0.0)
+        M = H.matrix.copy()
+        M[0, 0] = 1e-300
+        tiny = rl.ControlledOperator(H.module, M, H.declared_propagation)
+        for op, method in ((haldane, "MRRR"), (sector, "MRRR"),
+                           (tiny, "divide and conquer, real")):
+            op.eigh()
+            assert op.eigh_method == method and op.spectrum.chiral is None
+
+    def test_second_call_returns_the_cache(self, monkeypatch):
+        _, H, _ = _ssh250(0.25)
+        solves = []
+        solve = operators._solve
+
+        def counted(a, driver):
+            solves.append((a.shape, driver))
+            return solve(a, driver)
+
+        monkeypatch.setattr(operators, "_solve", counted)
+        w, v = H.eigh()
+        assert solves == [((250, 250), "SVD")]
+        w2, v2 = H.eigh()
+        assert w2 is w and v2 is v and H.spectrum is H._eig_cache[0]
+        assert len(solves) == 1 and len(H._eig_cache) == 1

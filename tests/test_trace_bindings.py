@@ -45,7 +45,17 @@ def test_every_layer_binds_and_the_chain_route_is_traced(chain200):
         rep = rl.verify_bec(bulk, part, {"windows": (40, 60, 80)})
     assert rep.passed
     names = {sp.name for sp in tr.spans}
-    for name in ("bulkedge.make_bulk", "indices.chern_odd", "indices.edge_fredholm"):
+    for name in ("bulkedge.make_bulk", "indices.edge_fredholm"):
+        assert name in names, f"no span for {name}"
+    # the class-AIII route pairs the chiral factors of the ssh solve: no
+    # flattening; the class-D route (kitaev) still flattens and runs chern_odd
+    assert not names & {"operators.flatten", "indices.chern_odd"}
+    _, H, spec = rl.build_model("kitaev", {"mu": 1.0}, chain200)
+    with tracer.Tracer() as tr:
+        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part, {"windows": (40, 60, 80)})
+    assert rep.passed
+    names = {sp.name for sp in tr.spans}
+    for name in ("operators.flatten", "indices.chern_odd", "indices.edge_fredholm"):
         assert name in names, f"no span for {name}"
 
 
