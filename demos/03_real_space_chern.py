@@ -3,8 +3,10 @@
 
 The windowed pairing 2 pi i T(P [grad_1 P, grad_2 P]) needs no Brillouin
 zone, so it survives disorder and aperiodicity; on a clean sample it must
-reproduce the plaquette invariant of the Bloch symbol.  The local marker map
-written at the end shows the quantized plateau and its boundary breakdown.
+reproduce the plaquette invariant of the Bloch symbol.  `chern_even` reads
+it off the occupied eigenvectors V (P = V V^*) of the solve; the local
+marker map written at the end forms the same integrand from the full n x n
+products of P and shows the quantized plateau and its boundary breakdown.
 """
 import csv
 
@@ -20,8 +22,7 @@ print("mass  windowed-pairing  snapped  plaquette-ref")
 for m in (-3.0, -1.0, 1.0, 3.0):
     _, H, _ = rl.build_model("qwz", {"m": m}, ps)
     cert = rl.certify_gap(H)
-    P = rl.occupied_projection(H, cert)
-    rep = rl.chern_even(P, [6, 8, 10])
+    rep = rl.chern_even(H, cert, [6, 8, 10])
     ref = bloch.fhs_chern(bloch.bloch_hamiltonian("qwz", {"m": m}), 1, nk=24)
     print(f"{m:+.1f}  {rep.raw:+16.6f}  {str(rep.snapped):>7}  {ref:+13.3f}")
 
@@ -30,10 +31,10 @@ print("\ndisorder sweep at half the gap (m = 1):")
 for seed in range(5):
     _, H, _ = rl.build_model("qwz", {"m": 1.0}, ps, disorder=0.5, seed=seed)
     cert = rl.certify_gap(H)
-    rep = rl.chern_even(rl.occupied_projection(H, cert), [6, 8, 10])
+    rep = rl.chern_even(H, cert, [6, 8, 10])
     print(f"  seed {seed}: raw {rep.raw:+.5f} -> {rep.snapped}")
 
-# Local marker map: the integrand of the pairing, site by site.
+# Local marker map: the integrand of the pairing, site by site, from P itself.
 _, H, _ = rl.build_model("qwz", {"m": 1.0}, ps)
 P = rl.occupied_projection(H, rl.certify_gap(H))
 A = P.matrix @ (derivation(P, 0).matrix @ derivation(P, 1).matrix

@@ -39,11 +39,12 @@ for lv in (0.1, 0.4):
     print(f"spin Hall lv={lv}: spin pairing {rep.raw:+.4f} -> Z2:{rep.snapped} "
           f"(reference {ref})")
 
-# No lattice needed: the same pairing on a jittered sample.
+# No lattice needed: the same pairing on a jittered sample, read off the
+# eigenvectors below the certified Fermi level.
 jps = rl.generate({"kind": "perturbed", "window": [[0, 24], [0, 24]],
                    "jitter": 0.15, "seed": 3})
 mod, H, spec = rl.build_model("qwz", {"m": 1.0}, jps)
 cert = rl.certify_gap(H)
-rep = rl.chern_even(rl.occupied_projection(H, cert), [5, 7, 9])
+rep = rl.chern_even(H, cert, [5, 7, 9])
 print(f"jittered sample: gap eps {cert.epsilon:.3f}, "
       f"pairing {rep.raw:+.4f} -> {rep.snapped}")

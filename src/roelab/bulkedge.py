@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import Partition
 from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows,
                       _odd_pairing, _report, box_bound, chern_even, chern_odd,
-                      edge_conductance, edge_fredholm, occupied_projection, spin_sectors)
+                      edge_conductance, edge_fredholm, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
                         compress, decay_fit, derivation_along, flatten, involution_defect,
                         site_blocks, spectral_function, truncate)
@@ -271,7 +271,7 @@ def _chiral_refinement(bulk: BulkSystem) -> BulkSystem:
 
 
 def _chern(work: BulkSystem, windows) -> IndexReport:
-    return chern_even(occupied_projection(work.H, work.gap), windows)
+    return chern_even(work.H, work.gap, windows)
 
 
 def _winding(work: BulkSystem, windows) -> IndexReport:

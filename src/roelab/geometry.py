@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,10 @@ class PointSet:
         # "kind" is `generate`'s key: the "points" generator passes its spec here
         refuse_unknown_keys(doc, ("dim", "window", "points", "density", "kind"), "point-set",
                             GeometryError)
-        pts = sorted(doc["points"], key=lambda row: row[0])
+        rows = doc["points"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) and r for r in rows):
+            raise GeometryError(f"points {reprlib.repr(rows)} is not a list of rows [id, x, ...]")
+        pts = sorted(rows, key=lambda row: row[0])
         ids = [row[0] for row in pts]
         if ids != list(range(len(ids))):
             raise GeometryError("point ids must be unique and dense in [0, N)")

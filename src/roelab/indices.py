@@ -11,8 +11,11 @@ the interface).  Every report carries the raw windowed value, the
 snapped integer (or mod-2 class), the classifying group, and a two-window
 error estimate; the non-constructive limit over windows is replaced by the
 largest window with the deviation from the previous one as the error bar.
-The spin-resolved mod-2 invariant is the Chern pairing of a spin sector
-(`spin_sectors`), run on the class-AII route of `roelab.bulkedge`.
+The even pairing reads the occupied eigenvectors of the solve, never the
+Fermi projection, in the factor form of the local Chern marker (Bianco and
+Resta, Phys. Rev. B 84, 241106(R), 2011).  The spin-resolved mod-2 invariant
+is the Chern pairing of a spin sector (`spin_sectors`), run on the class-AII
+route of `roelab.bulkedge`.
 
 Orientation conventions are fixed once and used everywhere: the plane pairing
 orders the derivations as (grad_1, grad_2); the edge direction of a cut is
@@ -29,8 +32,8 @@ import numpy as np
 
 from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
-                        derivation, derivation_along, involution_defect, onsite,
-                        restrict_orbitals, spectral_function)
+                        derivation_along, involution_defect, onsite, restrict_orbitals,
+                        spectral_function)
 from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
 
@@ -211,36 +214,34 @@ def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
 # bulk pairings
 # ---------------------------------------------------------------------------
 
-def chern_even(P: ControlledOperator, windows) -> IndexReport:
-    """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of a projection.
+def chern_even(H: ControlledOperator, cert: GapCertificate, windows) -> IndexReport:
+    """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of P = V V^*, V the
+    eigenvectors of `H.eigh()` with w < cert.fermi, orthonormal to 1e-8.
 
-    P must be a projection to 1e-8 (P^2 = P = P* on the whole matrix).  Only
-    the diagonal the trace reads is formed: that of P [D_1, D_2], D_j = grad_j
-    P, on the orbitals W of the largest window, from the products P[W] D_1
-    and P[W] D_2.  The raw value is the real part at the largest window; the
-    imaginary part must vanish to 1e-8 (diagnostic that P is a genuine
-    projection far from the boundary).
+    With x_j measured from the window centre, the diagonal of P [grad_1 P,
+    grad_2 P] on the orbitals W of the largest window is d - d^*, where
+    d = diag(V_W B V_W^*) and B = V^* x_1 x_2 V - (V^* x_1 V)(V^* x_2 V): the
+    local Chern marker of Bianco and Resta, Phys. Rev. B 84, 241106(R) (2011).
+    The raw value is the real part at the largest window; the imaginary part
+    must vanish to 1e-8.
     """
-    ps = P.module.pointset
+    ps = H.module.pointset
     if ps.dim != 2:
         raise PairingError("chern_even is the d = 2 pairing")
+    if not cert.gapped:
+        raise OperatorError("chern_even requires a certified gap")
     windows = _box_windows(ps, windows, 0.0)
-    M = P.matrix
-    R = M @ M
-    R -= M                                   # P^2 - P, then P* - P, in one buffer
-    defect = np.abs(R).max()
-    np.conjugate(M.T, out=R)
-    R -= M
-    if max(defect, np.abs(R).max()) > 1e-8:
-        raise PairingError("input is not a projection (P^2 = P = P* fails)")
-    del R
-    D1 = derivation(P, 0).matrix
-    D2 = derivation(P, 1).matrix
-    W = _window_rows(ps, windows, P.m)
-    PW = M[W]
-    diag = (np.einsum("ij,ji->i", PW @ D1, D2[:, W])
-            - np.einsum("ij,ji->i", PW @ D2, D1[:, W]))
-    vals = tuple(2j * np.pi * v for v in _volume_trace(diag, ps, windows, P.m))
+    w, v = H.eigh()
+    V = v[:, w < cert.fermi]
+    Vc = V.conj().T
+    if np.abs(Vc @ V - np.eye(len(Vc))).max(initial=0.0) > 1e-8:
+        raise PairingError("occupied eigenvectors are not orthonormal (max |V*V - 1| > 1e-8)")
+    c = ps.window.mean(axis=1)
+    X1V, X2V = ((H.module.position_along(e) - c @ e)[:, None] * V for e in np.eye(2))
+    B = X1V.conj().T @ X2V - (Vc @ X1V) @ (Vc @ X2V)
+    VW = V[_window_rows(ps, windows, H.m)]
+    d = np.einsum("ij,ij->i", VW @ B, VW.conj())
+    vals = tuple(2j * np.pi * t for t in _volume_trace(d - d.conj(), ps, windows, H.m))
     return _report(vals, "chern_even", kgroup_point("A", 2), windows=windows,
                    imag_tol=1e-8)
 

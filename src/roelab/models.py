@@ -260,13 +260,6 @@ def default_pointset(name: str, size: float, params: dict | None = None) -> Poin
 # disorder
 # ---------------------------------------------------------------------------
 
-def _random_hermitian(rng, m: int) -> np.ndarray:
-    d = rng.uniform(-1, 1, size=m)
-    off = rng.uniform(-1, 1, size=(m, m)) + 1j * rng.uniform(-1, 1, size=(m, m))
-    B = np.triu(off, 1) / 2
-    return np.diag(d) + B + B.conj().T
-
-
 def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
                      conserve=()) -> np.ndarray:
     """Project an on-site Hermitian block, or an (n, m, m) stack of them,
@@ -284,12 +277,14 @@ def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
 
 def disorder_blocks(spec: SymmetrySpec, m: int, n_sites: int, strength: float,
                     seed: int, conserve=()) -> np.ndarray:
-    """(n_sites, m, m) stack of symmetrized on-site disorder blocks: one
-    random Hermitian block per site, drawn in site order, times `strength`."""
+    """(n_sites, m, m) stack of symmetrized on-site disorder blocks, times
+    `strength`: one uniform draw gives each site, in site order, its m real
+    diagonal entries, then the real and imaginary m x m off-diagonal parts."""
     if not math.isfinite(strength):
         raise ModelError(f"disorder strength {strength} is not a finite number")
-    rng = np.random.default_rng(seed)
-    blocks = np.array([_random_hermitian(rng, m) for _ in range(n_sites)]).reshape(n_sites, m, m)
+    draw = np.random.default_rng(seed).uniform(-1, 1, size=(n_sites, m + 2 * m * m))
+    B = np.triu((draw[:, m:m + m * m] + 1j * draw[:, m + m * m:]).reshape(n_sites, m, m), 1) / 2
+    blocks = draw[:, :m, None] * np.eye(m) + B + B.conj().transpose(0, 2, 1)
     return strength * symmetrize_block(blocks, spec, conserve)
 
 

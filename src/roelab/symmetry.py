@@ -136,26 +136,6 @@ def kgroup_point(label: str, d: int) -> KGroupDescriptor:
     return KGroupDescriptor((s,), provenance=f"point table ({label}, d={d})")
 
 
-def kgroup_rotation(label: str, d: int, k: int) -> KGroupDescriptor:
-    """Refinement for a C_k rotation symmetry, from the character split of Z/k.
-
-    The group algebra of Z/k splits into one real character (two for even k)
-    plus (k-1)/2 resp. (k-2)/2 conjugate pairs, so a complex class contributes
-    k complex summands while a real class contributes one or two real summands
-    plus complex pairs, all evaluated at the degree of (label, d).
-    """
-    deg = _degree(label, d)
-    if k < 2:
-        raise SymmetryError("rotation order k must be >= 2")
-    prov = f"rotation C_{k} ({label}, d={d})"
-    if label in COMPLEX_LABELS:
-        return KGroupDescriptor((_complex_at(deg),) * k, provenance=prov)
-    n_real = 1 if k % 2 else 2
-    n_cplx = (k - n_real) // 2
-    summands = (_real_at(deg),) * n_real + (_complex_at(deg),) * n_cplx
-    return KGroupDescriptor(summands, provenance=prov)
-
-
 def kgroup_reflection(label: str, d: int, PR_sign: int,
                       TR_sign: int | None = None) -> KGroupDescriptor:
     """Refinement for a reflection R of one coordinate axis, chiral classes.
@@ -276,6 +256,17 @@ def kgroup_finite_group(label: str, d: int, ct: CharacterTable) -> KGroupDescrip
                 + (_complex_at(deg),) * (n0 // 2)
                 + (_real_at(deg + 4),) * nm1)
     return KGroupDescriptor(summands, provenance=f"finite group ({label}, d={d})")
+
+
+def kgroup_rotation(label: str, d: int, k: int) -> KGroupDescriptor:
+    """Refinement for a C_k rotation symmetry: `kgroup_finite_group` on the
+    character table of Z/k, whose irreducibles are one real character (two
+    for even k) and (k-1)/2 resp. (k-2)/2 conjugate pairs.  The table is
+    k x k, so k is held to 2..1000."""
+    if not 2 <= k <= 1000:
+        raise SymmetryError(f"rotation order k = {k} is not in 2..1000")
+    return replace(kgroup_finite_group(label, d, CharacterTable.cyclic(k)),
+                   provenance=f"rotation C_{k} ({label}, d={d})")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_criterion_2_even_chern_oracle(square30):
     for m in (-3.0, -1.0, 1.0, 3.0):
         _, H, _ = rl.build_model("qwz", {"m": m}, square30)
         cert = rl.certify_gap(H)
-        rep = rl.chern_even(rl.occupied_projection(H, cert), [8, 10, 12])
+        rep = rl.chern_even(H, cert, [8, 10, 12])
         oracle = bloch.fhs_chern(bloch.bloch_hamiltonian("qwz", {"m": m}), 1, nk=24)
         rows.append((m, rep.raw, rep.snapped, int(round(oracle))))
     elapsed = time.time() - t0
@@ -190,7 +190,7 @@ def test_criterion_6_truncation_phase_invariance():
     ps = rl.generate({"kind": "square", "window": [[0, 18], [0, 18]]})
     _, H, _ = rl.build_model("qwz", {"m": 1.0, "cutoff": 4, "decay": 2.5}, ps)
     cert = rl.certify_gap(H)
-    base = rl.chern_even(rl.occupied_projection(H, cert), [4, 5, 6]).snapped
+    base = rl.chern_even(H, cert, [4, 5, 6]).snapped
     R0 = None
     for R in np.arange(1.2, 5.0, 0.4):
         if (H - rl.truncate(H, float(R))).norm() < cert.epsilon / 2:
@@ -203,7 +203,7 @@ def test_criterion_6_truncation_phase_invariance():
         HR = rl.truncate(H, float(R))
         cR = rl.certify_gap(HR)
         ok = ok and cR.gapped and cR.epsilon > 0
-        snaps.append(rl.chern_even(rl.occupied_projection(HR, cR), [4, 5, 6]).snapped)
+        snaps.append(rl.chern_even(HR, cR, [4, 5, 6]).snapped)
     ok = ok and all(s == base for s in snaps)
     assert_report("criterion 6: truncation phase-invariance", ok,
                   f"R0={R0}, snapped {snaps} vs clean {base}")

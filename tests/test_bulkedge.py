@@ -128,8 +128,7 @@ class TestMVBoundary:
         bulk, part = qwz26
         s = rl.flatten(bulk.H, bulk.gap)
         bm = rl.mv_boundary(s, part, edge_windows=(5, 7, 9))
-        P = rl.occupied_projection(bulk.H, bulk.gap)
-        cb = rl.chern_even(P, [6, 8, 10])
+        cb = rl.chern_even(bulk.H, bulk.gap, [6, 8, 10])
         H_hat = rl.make_edge(bulk, part)
         eps = bulk.gap.epsilon
         ce = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3), (5, 7, 9),

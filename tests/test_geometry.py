@@ -137,6 +137,8 @@ class TestGenerate:
         ("window", "ab", "window 'ab' is not an array of numbers"),
         ("window", [[0, np.inf]], "window [[0.0, inf]] is not finite"),
         ("points", [[0, "a"], [1, 1.5]], "point coordinates are not rows of numbers"),
+        ("points", [1, 2], "points [1, 2] is not a list of rows [id, x, ...]"),
+        ("points", None, "points None is not a list of rows [id, x, ...]"),
     ])
     def test_listed_points_values_are_checked(self, key, value, message):
         spec = {"kind": "points", **self.DESCRIPTORS["points"], key: value}

@@ -85,31 +85,37 @@ class TestTracePerUnitVolume:
 
 class TestChernEven:
     def test_trivial_projections(self, square20):
+        """H = +1 and H = -1: an empty and a full occupied factor."""
         mod = SiteModule(square20, 2)
-        zero = rl.ControlledOperator(mod, np.zeros((800, 800), dtype=complex), 0.0)
-        one = rl.identity(mod)
-        for P in (zero, one):
-            rep = rl.chern_even(P, [4, 6])
-            assert rep.raw == 0.0 and rep.snapped == 0
+        for sign in (1, -1):
+            H = rl.ControlledOperator(mod, sign * np.eye(800, dtype=complex), 0.0)
+            rep = rl.chern_even(H, rl.certify_gap(H), [4, 6])
+            assert abs(rep.raw) < 1e-12 and rep.snapped == 0
 
-    def test_non_projection_rejected(self, square20):
-        mod = SiteModule(square20, 2)
-        A = rl.ControlledOperator(mod, 0.5 * np.eye(800, dtype=complex), 0.0)
-        with pytest.raises(PairingError):
-            rl.chern_even(A, [4, 6])
+    def test_non_projection_rejected(self, qwz20, monkeypatch):
+        """Occupied columns that are not orthonormal, scaled by 1/sqrt(2) (P/2,
+        no projection) or sheared by 1e-6 (V V^* a projection to 1e-6 only), are
+        refused by name."""
+        mod, H, spec = qwz20
+        cert = rl.certify_gap(H)
+        w, v = H.eigh()
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((len(w), len(w))) + 1j * rng.standard_normal((len(w), len(w)))
+        for bad in (v / np.sqrt(2), v + 1e-6 * A @ v):
+            monkeypatch.setattr(type(H), "eigh", lambda self, bad=bad: (w, bad))
+            with pytest.raises(PairingError, match="not orthonormal"):
+                rl.chern_even(H, cert, [5, 6, 7])
 
     def test_qwz_matches_momentum_reference(self, qwz20):
         mod, H, spec = qwz20
-        P = rl.occupied_projection(H, rl.certify_gap(H))
-        rep = rl.chern_even(P, [5, 6, 7])
+        rep = rl.chern_even(H, rl.certify_gap(H), [5, 6, 7])
         oracle = bloch.fhs_chern(bloch.bloch_hamiltonian("qwz", {"m": 1.0}), 1, nk=24)
         assert rep.snapped == round(oracle) == -1
         assert abs(rep.raw - rep.snapped) < 0.05
 
     def test_trivial_phase(self, square20):
         mod, H, spec = rl.build_model("qwz", {"m": 3.0}, square20)
-        P = rl.occupied_projection(H, rl.certify_gap(H))
-        rep = rl.chern_even(P, [5, 6, 7])
+        rep = rl.chern_even(H, rl.certify_gap(H), [5, 6, 7])
         assert rep.snapped == 0 and abs(rep.raw) < 0.05
 
     def test_onsite_conjugation_invariance(self, qwz20):
@@ -121,20 +127,18 @@ class TestChernEven:
         Wfull = np.kron(np.eye(mod.n_sites), W)
         Hc = rl.ControlledOperator(mod, Wfull @ H.matrix @ Wfull.conj().T,
                                    H.declared_propagation)
-        a = rl.chern_even(rl.occupied_projection(H, rl.certify_gap(H)), [5, 6, 7])
-        b = rl.chern_even(rl.occupied_projection(Hc, rl.certify_gap(Hc)), [5, 6, 7])
+        a = rl.chern_even(H, rl.certify_gap(H), [5, 6, 7])
+        b = rl.chern_even(Hc, rl.certify_gap(Hc), [5, 6, 7])
         assert a.raw == pytest.approx(b.raw, abs=1e-10)
 
     def test_additivity_on_orbital_sectors(self, square20):
         _, H1, _ = rl.build_model("qwz", {"m": 1.0}, square20)
         _, H2, _ = rl.build_model("qwz", {"m": -1.0}, square20)
         D = rl.direct_sum(H1, H2)
-        P = rl.occupied_projection(D, rl.certify_gap(D))
-        rep = rl.chern_even(P, [5, 6, 7])
+        rep = rl.chern_even(D, rl.certify_gap(D), [5, 6, 7])
         assert rep.snapped == 0  # (-1) + (+1)
         D2 = rl.direct_sum(H1, H1)
-        P2 = rl.occupied_projection(D2, rl.certify_gap(D2))
-        assert rl.chern_even(P2, [5, 6, 7]).snapped == -2
+        assert rl.chern_even(D2, rl.certify_gap(D2), [5, 6, 7]).snapped == -2
 
 
 class TestChernOdd:
@@ -204,8 +208,7 @@ class TestKaneMele:
         _, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": 0.1}, ps)
         H_up, H_dn, mixing = spin_sectors(H)
         assert mixing < 1e-12
-        up = rl.chern_even(rl.occupied_projection(H_up, rl.certify_gap(H_up)),
-                           [4, 5, 6])
+        up = rl.chern_even(H_up, rl.certify_gap(H_up), [4, 5, 6])
         rep = self._spin_pairing(H, spec, (4, 5, 6))
         assert rep.z2 and rep.snapped == abs(up.snapped) % 2 == 1
         assert rep.raw == pytest.approx(up.raw)
@@ -255,8 +258,7 @@ class TestEdgeConductance:
 
     def test_matches_bulk_chern(self, qwz26_edge):
         bulk, part, H_hat = qwz26_edge
-        P = rl.occupied_projection(bulk.H, bulk.gap)
-        cb = rl.chern_even(P, [6, 8, 10])
+        cb = rl.chern_even(bulk.H, bulk.gap, [6, 8, 10])
         eps = bulk.gap.epsilon
         rep = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3),
                                   (5, 7, 9), bulk_gap=bulk.gap)
@@ -394,7 +396,7 @@ class TestStability:
         """Relation (2): perturbations under eps/2 never move the snapped index."""
         mod, H, spec = qwz20
         cert = rl.certify_gap(H)
-        base = rl.chern_even(rl.occupied_projection(H, cert), [5, 6, 7]).snapped
+        base = rl.chern_even(H, cert, [5, 6, 7]).snapped
         from roelab.models import disorder_blocks
         for seed in range(4):
             blocks = disorder_blocks(spec, 2, mod.n_sites, 0.45 * cert.epsilon, seed)
@@ -404,7 +406,7 @@ class TestStability:
             assert (Hp - H).norm() < cert.epsilon / 2 * 2.5
             cert_p = rl.certify_gap(Hp)
             assert cert_p.gapped
-            got = rl.chern_even(rl.occupied_projection(Hp, cert_p), [5, 6, 7]).snapped
+            got = rl.chern_even(Hp, cert_p, [5, 6, 7]).snapped
             assert got == base
 
     def test_truncation_stability(self):
@@ -412,7 +414,7 @@ class TestStability:
         ps = rl.generate({"kind": "square", "window": [[0, 18], [0, 18]]})
         _, H, spec = rl.build_model("qwz", {"m": 1.0, "cutoff": 4, "decay": 2.5}, ps)
         cert = rl.certify_gap(H)
-        base = rl.chern_even(rl.occupied_projection(H, cert), [4, 5, 6]).snapped
+        base = rl.chern_even(H, cert, [4, 5, 6]).snapped
         R0 = None
         for R in (1.5, 2.1, 2.9, 3.7, 4.2):
             if (H - rl.truncate(H, R)).norm() < cert.epsilon / 2:
@@ -424,7 +426,7 @@ class TestStability:
             HR = rl.truncate(H, R)
             cR = rl.certify_gap(HR)
             assert cR.gapped
-            got = rl.chern_even(rl.occupied_projection(HR, cR), [4, 5, 6]).snapped
+            got = rl.chern_even(HR, cR, [4, 5, 6]).snapped
             assert got == base
 
 
@@ -489,10 +491,10 @@ def _edge_conductance_full(H_hat, part, interval, windows, e=None):
     return out
 
 
-def _plane_projection(name, params, disorder):
+def _plane_system(name, params, disorder):
     ps = rl.default_pointset(name, 12.0, params)
     _, H, _ = rl.build_model(name, params, ps, disorder=disorder, seed=1)
-    return rl.occupied_projection(H, rl.certify_gap(H))
+    return H, rl.certify_gap(H)
 
 
 class TestWindowDiagonalMatchesFullProducts:
@@ -501,9 +503,9 @@ class TestWindowDiagonalMatchesFullProducts:
                                               ("harper", {"fermi": -1.5})],
                              ids=["qwz", "haldane", "harper"])
     def test_chern_even(self, name, params, disorder):
-        P = _plane_projection(name, params, disorder)
-        rep = rl.chern_even(P, [2, 3, 4])
-        want = _chern_even_full(P, [2, 3, 4])
+        H, cert = _plane_system(name, params, disorder)
+        rep = rl.chern_even(H, cert, [2, 3, 4])
+        want = _chern_even_full(rl.occupied_projection(H, cert), [2, 3, 4])
         assert abs(round(rep.raw)) == 1
         assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
 
@@ -538,27 +540,3 @@ class TestWindowDiagonalMatchesFullProducts:
         want = _edge_conductance_full(H_hat, part, interval, (2, 3, 4))
         assert abs(rep.raw) > 0.5
         assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
-
-
-class TestProjectionCheck:
-    """chern_even's P^2 = P = P* check keeps rejecting near-projections."""
-
-    @pytest.mark.parametrize("kind", ["half", "hermitian", "non_hermitian", "oblique"])
-    def test_rejected(self, kind):
-        P = _plane_projection("qwz", {"m": 1.0}, 0.0)
-        M, n = P.matrix, P.module.dim
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if kind == "half":
-            bad = 0.5 * M
-        elif kind == "hermitian":
-            bad = M + 1e-6 * (A + A.conj().T) / 2
-        elif kind == "non_hermitian":
-            bad = M + 1e-6 * A
-        else:      # idempotent to roundoff, but not self-adjoint
-            S = np.eye(n) + 1e-3 * A
-            bad = S @ M @ np.linalg.inv(S)
-            assert np.abs(bad @ bad - bad).max() < 1e-10
-        op = rl.ControlledOperator(P.module, bad, P.declared_propagation, hermitian=False)
-        with pytest.raises(PairingError, match="not a projection"):
-            rl.chern_even(op, [2, 3, 4])

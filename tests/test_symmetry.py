@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 import roelab as rl
-from roelab.models import _random_hermitian, disorder_blocks, symmetrize_block
+from roelab.models import disorder_blocks, symmetrize_block
 from roelab.operators import onsite
-from roelab.symmetry import (CharacterTable, SymmetryError, SymmetrySpec,
-                             kgroup_finite_group, spec_from_label)
+from roelab.symmetry import (CARTAN_LABELS, LABELS, CharacterTable, KGroupDescriptor,
+                             SymmetryError, SymmetrySpec, kgroup_finite_group,
+                             spec_from_label)
 from tables import CLASSIFY_ALL, POINT_GROUPS, TENFOLD
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1, -1]).astype(complex)
+
+
+def _random_hermitian(rng, m):
+    """One site's disorder block, drawn on its own: m diagonal entries, then
+    the real and imaginary parts of the m x m off-diagonal draw."""
+    d = rng.uniform(-1, 1, size=m)
+    off = rng.uniform(-1, 1, size=(m, m)) + 1j * rng.uniform(-1, 1, size=(m, m))
+    B = np.triu(off, 1) / 2
+    return np.diag(d) + B + B.conj().T
 
 
 def spec_of(key):
@@ -106,15 +116,30 @@ class TestKGroupRotation:
     def test_real_class_k4(self):
         assert str(rl.kgroup_rotation("AII", 2, 4)) == "Z + Z2^2"
 
-    @pytest.mark.parametrize("label", ["A", "AIII", "AI", "AII", "D", "DIII"])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("label", CARTAN_LABELS)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_agrees_with_character_split(self, label, k):
-        """Dual route: the closed form must match the Frobenius-Schur split
-        of the actual cyclic character table."""
+        """The rotation group is the Frobenius-Schur split of the cyclic
+        character table, and that split is the closed form of Z/k: one real
+        character (two for even k) and (k-1)/2 resp. (k-2)/2 conjugate pairs,
+        each pair one complex summand at the degree of (label, d)."""
         ct = CharacterTable.cyclic(k)
         for d in range(4):
-            assert str(rl.kgroup_rotation(label, d, k)) == \
-                str(kgroup_finite_group(label, d, ct))
+            point = rl.kgroup_point(label, d).summands
+            cplx = ("Z",) if (LABELS[label][3] - d) % 2 == 0 else ()
+            n_real = 2 - k % 2
+            want = (point * k if label in ("A", "AIII")
+                    else point * n_real + cplx * ((k - n_real) // 2))
+            got = rl.kgroup_rotation(label, d, k)
+            assert got.summands == KGroupDescriptor(want).summands
+            assert got.summands == kgroup_finite_group(label, d, ct).summands
+            assert got.provenance == f"rotation C_{k} ({label}, d={d})"
+
+    @pytest.mark.parametrize("k", [0, 1, 1001])
+    def test_order_out_of_range(self, k):
+        """The k x k character table bounds the order before any is formed."""
+        with pytest.raises(SymmetryError, match=f"rotation order k = {k} is not in 2..1000"):
+            rl.kgroup_rotation("AII", 2, k)
 
 
 class TestKGroupReflection:

@@ -68,9 +68,10 @@ def test_the_plane_route_is_traced():
         rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part)
     assert rep.bulk.snapped == rep.edge.snapped == -1
     names = {sp.name for sp in tr.spans}
-    for name in ("indices.occupied_projection", "indices.chern_even",
-                 "indices.edge_conductance", "bulkedge.make_edge"):
+    for name in ("indices.chern_even", "indices.edge_conductance", "bulkedge.make_edge"):
         assert name in names, f"no span for {name}"
+    # the class-A route pairs the occupied eigenvectors: no n x n projection
+    assert "indices.occupied_projection" not in names
 
 
 def test_the_spin_route_is_traced():
