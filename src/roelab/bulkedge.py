@@ -1,9 +1,9 @@
 """Half-space boundary map and the bulk-edge certification pipeline.
 
 A gapped bulk system on a windowed point set is cut by a half-space
-projection; the compression of the flattened Hamiltonian realizes the
-boundary map at the operator level, and its pairing along the interface must
-reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
+projection; the exponential map of the compressed Fermi projection realizes
+the boundary map at the operator level, and its pairing along the interface
+must reproduce the bulk pairing.  `verify_bec` runs both sides for the supported
 (class, dimension) combinations and certifies their equality, optionally
 sweeping symmetric disorder seeds and truncation radii to exercise the
 stability of both snapped values; `bulk_index` and `edge_index` run one side
@@ -19,18 +19,18 @@ and gap checks exclude states pinned to the sample boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Partition
+from .geometry import Partition, refuse_unknown_keys
 from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows,
-                      _odd_pairing, _report, box_bound, chern_even, chern_odd,
+                      _occupied, _odd_pairing, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
-from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        compress, decay_fit, derivation_along, flatten, involution_defect,
-                        site_blocks, spectral_function, truncate)
+from .operators import (ControlledOperator, GapCertificate, OperatorError, SiteModule,
+                        certify_gap, compress, decay_fit, derivation_along, flatten,
+                        site_blocks, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
@@ -107,30 +107,35 @@ def make_edge(bulk: BulkSystem, part: Partition) -> ControlledOperator:
 
 @dataclass(frozen=True)
 class BoundaryMap:
-    """Compressed symmetry and its interface unitary representative."""
+    """Interface unitary U = exp(-2 pi i chi P chi), its winding and its decay."""
 
-    s_hat: ControlledOperator
     U: ControlledOperator
     winding: IndexReport | None
     off_interface_deviation: float
     decay_xi: float
 
 
-def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> BoundaryMap:
-    """Operator-level boundary map of a flattened bulk symmetry.
-
-    s_hat = chi s chi is the half-space compression; U = -exp(i pi s_hat) is
-    unitary, equals the identity away from the interface (s_hat^2 = 1 there),
-    and for a plane system its winding per unit interface length is the edge
-    pairing of the boundary class.  s must be flat (s^2 = 1) to 1e-8.
-    """
-    if involution_defect(s.matrix) > 1e-8 or not s.hermitian:
-        raise BulkEdgeError("boundary map expects a self-adjoint unitary (flattened) input")
-    s_hat = compress(s, part)
-    U = ControlledOperator(s_hat.module,
-                           spectral_function(s_hat, lambda w: -np.exp(1j * np.pi * w)),
-                           s_hat.declared_propagation, hermitian=False)
-    ps = s_hat.module.pointset
+def mv_boundary(H: ControlledOperator, cert: GapCertificate, part: Partition,
+                edge_windows=None) -> BoundaryMap:
+    """Boundary map of a gapped H with Fermi projection P: on the plus half-space
+    chi, U = exp(-2 pi i chi P chi) = -exp(i pi chi s chi), s = 1 - 2P, is the
+    exponential map of K-theory (Prodan and Schulz-Baldes, Springer 2016).  With
+    A = chi V (V from `indices._occupied`) and A^*A = Q diag(mu) Q^*, U = 1 +
+    (AQ) diag(g(mu)) (AQ)^*, g(mu) = expm1(-2 pi i mu) / mu, g(0) = -2 pi i.  U
+    is the identity away from the interface; in a plane its winding per unit
+    interface length is the edge pairing of the boundary class."""
+    if part.plus_ids.max(initial=-1) >= H.module.n_sites:
+        raise OperatorError("partition does not match the operator's point set")
+    V = _occupied(H, cert)
+    A = V.reshape(H.module.n_sites, H.m, -1)[part.plus_ids].reshape(-1, V.shape[1])
+    mu, Q = np.linalg.eigh(A.conj().T @ A)
+    g = np.divide(np.expm1(-2j * np.pi * mu), mu, out=np.full(len(mu), -2j * np.pi),
+                  where=mu != 0)
+    AQ = A @ Q
+    U = ControlledOperator(H.module.restrict_sites(part.plus_ids),
+                           np.eye(len(A)) + (AQ * g) @ AQ.conj().T,
+                           H.module.pointset.diameter, hermitian=False)
+    ps = U.module.pointset
     proj = part.distance(ps.coords)
     dev_blocks = np.abs(U.matrix - np.eye(U.module.dim)).reshape(
         ps.n, U.m, ps.n, U.m).max(axis=(1, 3))
@@ -147,7 +152,7 @@ def mv_boundary(s: ControlledOperator, part: Partition, edge_windows=None) -> Bo
         traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
         winding = _report(tuple(1j * v for v in frame.sums(traces, windows)),
                           "mv_boundary_winding", kgroup_point("A", 2), windows=windows)
-    return BoundaryMap(s_hat=s_hat, U=U, winding=winding,
+    return BoundaryMap(U=U, winding=winding,
                        off_interface_deviation=off_dev,
                        decay_xi=fit[0] if fit else np.inf)
 
@@ -182,9 +187,11 @@ class BECConfig:
 
     @classmethod
     def of(cls, config: "BECConfig | dict | None") -> "BECConfig":
-        """A config as given, or read from a dict (None: the defaults)."""
-        return config if isinstance(config, cls) else cls(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in (config or {}).items()})
+        """A config as given, or read from a dict of its fields (None: the defaults)."""
+        if isinstance(config, cls):
+            return config
+        refuse_unknown_keys(config or {}, [f.name for f in fields(cls)], "config", BulkEdgeError)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in (config or {}).items()})
 
 
 @dataclass(frozen=True)

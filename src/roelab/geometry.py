@@ -119,6 +119,8 @@ class PointSet:
         rows = doc["points"]
         if not isinstance(rows, list) or not all(isinstance(r, list) and r for r in rows):
             raise GeometryError(f"points {reprlib.repr(rows)} is not a list of rows [id, x, ...]")
+        if bad := [row[0] for row in rows if type(row[0]) is not int]:
+            raise GeometryError(f"point id {reprlib.repr(bad[0])} is not an integer")
         pts = sorted(rows, key=lambda row: row[0])
         ids = [row[0] for row in pts]
         if ids != list(range(len(ids))):

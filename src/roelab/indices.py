@@ -32,8 +32,7 @@ import numpy as np
 
 from .geometry import Partition
 from .operators import (ControlledOperator, OperatorError, GapCertificate,
-                        derivation_along, involution_defect, onsite, restrict_orbitals,
-                        spectral_function)
+                        derivation_along, onsite, restrict_orbitals)
 from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
 
@@ -214,9 +213,19 @@ def _volume_trace(diag: np.ndarray, ps, windows, k: int) -> tuple:
 # bulk pairings
 # ---------------------------------------------------------------------------
 
+def _occupied(H: ControlledOperator, cert: GapCertificate) -> np.ndarray:
+    """Columns V of `H.eigh()` with w < cert.fermi, for a certified gap, orthonormal to 1e-8."""
+    if not cert.gapped:
+        raise OperatorError("the occupied eigenvectors require a certified gap")
+    w, v = H.eigh()
+    V = v[:, w < cert.fermi]
+    if np.abs(V.conj().T @ V - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
+        raise PairingError("occupied eigenvectors are not orthonormal (max |V*V - 1| > 1e-8)")
+    return V
+
+
 def chern_even(H: ControlledOperator, cert: GapCertificate, windows) -> IndexReport:
-    """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of P = V V^*, V the
-    eigenvectors of `H.eigh()` with w < cert.fermi, orthonormal to 1e-8.
+    """Plane Chern pairing 2 pi i T(P [grad_1 P, grad_2 P]) of P = V V^*, V = `_occupied(H, cert)`.
 
     With x_j measured from the window centre, the diagonal of P [grad_1 P,
     grad_2 P] on the orbitals W of the largest window is d - d^*, where
@@ -228,14 +237,9 @@ def chern_even(H: ControlledOperator, cert: GapCertificate, windows) -> IndexRep
     ps = H.module.pointset
     if ps.dim != 2:
         raise PairingError("chern_even is the d = 2 pairing")
-    if not cert.gapped:
-        raise OperatorError("chern_even requires a certified gap")
     windows = _box_windows(ps, windows, 0.0)
-    w, v = H.eigh()
-    V = v[:, w < cert.fermi]
+    V = _occupied(H, cert)
     Vc = V.conj().T
-    if np.abs(Vc @ V - np.eye(len(Vc))).max(initial=0.0) > 1e-8:
-        raise PairingError("occupied eigenvectors are not orthonormal (max |V*V - 1| > 1e-8)")
     c = ps.window.mean(axis=1)
     X1V, X2V = ((H.module.position_along(e) - c @ e)[:, None] * V for e in np.eye(2))
     B = X1V.conj().T @ X2V - (Vc @ X1V) @ (Vc @ X2V)
@@ -248,11 +252,9 @@ def chern_even(H: ControlledOperator, cert: GapCertificate, windows) -> IndexRep
 
 def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     """Spectral projection below the certified gap, (1 - sgn(H - fermi)) / 2,
-    formed as V_occ V_occ^* from the occupied eigenvectors alone."""
-    if not cert.gapped:
-        raise OperatorError("occupied projection requires a certified gap")
-    M = spectral_function(H, lambda w: 0.5 * (1 - np.sign(w - cert.fermi)))
-    return ControlledOperator(H.module, M, H.module.pointset.diameter, hermitian=True)
+    formed as V V^* from the occupied eigenvectors V (`_occupied`)."""
+    V = _occupied(H, cert)
+    return ControlledOperator(H.module, V @ V.conj().T, H.module.pointset.diameter)
 
 
 def _chiral_split(spec: SymmetrySpec):
@@ -285,7 +287,9 @@ def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
     solve instead (`operators.ChiralFactors`, which says why kitaev has none).
     """
     M = s.matrix
-    if involution_defect(M) > 1e-6:
+    R = M @ M
+    R.flat[::len(R) + 1] -= 1
+    if np.abs(R).max() > 1e-6:
         raise PairingError("operator is not flattened (s^2 != 1)")
     ps = s.module.pointset
     V, plus, minus = _chiral_split(spec)

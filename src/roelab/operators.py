@@ -563,24 +563,6 @@ def certify_gap(H: ControlledOperator, fermi: float = 0.0) -> GapCertificate:
                           method=H.eigh_method, level_spacing=spacing)
 
 
-def spectral_function(H: ControlledOperator, f) -> np.ndarray:
-    """V f(w) V^* from the cached eigendecomposition of H, leaving out the
-    eigenvectors f weights 0 (a projection costs n^2 times its rank)."""
-    w, v = H.eigh()
-    fw = f(w)
-    keep = fw != 0
-    if not keep.all():
-        v, fw = v[:, keep], fw[keep]
-    return (v * fw) @ v.conj().T
-
-
-def involution_defect(M: np.ndarray) -> float:
-    """max |M^2 - 1|, with 1 subtracted on the product's diagonal in place."""
-    R = M @ M
-    R.flat[::len(R) + 1] -= 1
-    return float(np.abs(R).max())
-
-
 def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     """Spectral flattening sgn(H - fermi), a self-adjoint unitary.
 
@@ -591,7 +573,8 @@ def flatten(H: ControlledOperator, cert: GapCertificate) -> ControlledOperator:
     """
     if not cert.gapped:
         raise OperatorError("flatten requires a certified gap")
-    s = spectral_function(H, lambda w: np.sign(w - cert.fermi))
+    w, v = H.eigh()
+    s = (v * np.sign(w - cert.fermi)) @ v.conj().T
     s = 0.5 * (s + s.conj().T)
     return ControlledOperator(H.module, s, H.module.pointset.diameter, hermitian=True)
 

@@ -6,8 +6,8 @@ import pytest
 import roelab as rl
 from roelab import bulkedge
 from roelab.bulkedge import BulkEdgeError
-from roelab.indices import snap_integer
-from roelab.operators import SiteModule
+from roelab.indices import Interface, PairingError, snap_integer
+from roelab.operators import OperatorError, SiteModule
 from roelab.symmetry import SymmetrySpec
 
 
@@ -51,6 +51,8 @@ class TestBECConfig:
         ({"disorder_seeds": [1, 1.5]}, "disorder seed 1.5 is not an integer"),
         ({"disorder_strength": 0.3}, "disorder strength 0.3 without disorder seeds"),
         ({"disorder_seeds": [1, 2]}, "disorder seeds without a disorder strength"),
+        ({"window": (5, 8)}, "unknown config key 'window'; known: windows, edge_windows"),
+        ({"seeds": [1]}, "unknown config key 'seeds'"),
     ])
     def test_sweep_settings_refused_on_construction(self, doc, message):
         with pytest.raises(BulkEdgeError, match=message):
@@ -107,27 +109,49 @@ class TestMakeEdge:
             rl.make_edge(bulk, part)
 
 
+def _mv_unitary_full(H, cert, part):
+    """-exp(i pi s_hat) from an eigendecomposition of the compression s_hat
+    of the flattening s = sgn(H - fermi)."""
+    w, v = np.linalg.eigh(rl.compress(rl.flatten(H, cert), part).matrix)
+    return (v * -np.exp(1j * np.pi * w)) @ v.conj().T
+
+
+def _winding_full(U, part, windows):
+    """The interface winding of U from the full product U^* i[x_edge, U]."""
+    frame = Interface.of(U, part)
+    DU = rl.derivation_along(U, frame.direction).matrix
+    traces = np.diag(U.matrix.conj().T @ DU).reshape(-1, U.m).sum(axis=1)
+    return [float(np.real(1j * v)) for v in frame.sums(traces, windows)]
+
+
 class TestMVBoundary:
     def test_pure_grading_is_trivial(self, square20):
         mod = SiteModule(square20, 2, grading=np.array([1, -1]))
         g = rl.grading_operator(mod)
         part = rl.partition_halfspace(square20, [1, 0], 9.6)
-        bm = rl.mv_boundary(g, part, edge_windows=(4, 6, 8))
-        assert np.allclose(bm.s_hat.matrix @ bm.s_hat.matrix,
-                           np.eye(bm.s_hat.module.dim))
+        bm = rl.mv_boundary(g, rl.certify_gap(g), part, edge_windows=(4, 6, 8))
         assert np.abs(bm.U.matrix - np.eye(bm.U.module.dim)).max() < 1e-12
         assert bm.winding.snapped == 0
         assert bm.off_interface_deviation < 1e-12
 
-    def test_non_symmetry_rejected(self, qwz26):
+    def test_non_orthonormal_factor_rejected(self, qwz26, monkeypatch):
+        """Occupied columns scaled by 1/sqrt(2) are refused by name."""
         bulk, part = qwz26
-        with pytest.raises(BulkEdgeError, match="unitary"):
-            rl.mv_boundary(bulk.H, part)
+        w, v = bulk.H.eigh()
+        monkeypatch.setattr(type(bulk.H), "eigh", lambda self: (w, v / np.sqrt(2)))
+        with pytest.raises(PairingError, match="not orthonormal"):
+            rl.mv_boundary(bulk.H, bulk.gap, part)
+
+    def test_partition_of_a_larger_point_set_refused(self, square20):
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        g = rl.grading_operator(SiteModule(ps, 2, grading=np.array([1, -1])))
+        part = rl.partition_halfspace(square20, [1, 0], 9.6)
+        with pytest.raises(OperatorError, match="does not match"):
+            rl.mv_boundary(g, rl.certify_gap(g), part)
 
     def test_qwz_winding_matches_bulk_and_edge(self, qwz26):
         bulk, part = qwz26
-        s = rl.flatten(bulk.H, bulk.gap)
-        bm = rl.mv_boundary(s, part, edge_windows=(5, 7, 9))
+        bm = rl.mv_boundary(bulk.H, bulk.gap, part, edge_windows=(5, 7, 9))
         cb = rl.chern_even(bulk.H, bulk.gap, [6, 8, 10])
         H_hat = rl.make_edge(bulk, part)
         eps = bulk.gap.epsilon
@@ -143,19 +167,55 @@ class TestMVBoundary:
         ps = rl.generate({"kind": "square", "window": [[0, 44], [0, 18]]})
         mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
         bulk = rl.make_bulk(mod, H, spec)
-        s = rl.flatten(H, bulk.gap)
         part = rl.partition_halfspace(ps, [1.0, 0.0], 10.6)
-        bm = rl.mv_boundary(s, part, edge_windows=(4, 5, 6))
+        bm = rl.mv_boundary(H, bulk.gap, part, edge_windows=(4, 5, 6))
         assert bm.off_interface_deviation < 1e-6
         assert np.isfinite(bm.decay_xi) and bm.decay_xi > 0
         assert bm.winding.snapped == -1
 
     def test_direct_sum_adds(self, qwz26):
+        """Two copies, told apart by a `copy` label so that the sum is solved
+        one copy at a time, wind twice."""
         bulk, part = qwz26
-        s = rl.flatten(bulk.H, bulk.gap)
-        s2 = rl.direct_sum(s, s)
-        bm = rl.mv_boundary(s2, part, edge_windows=(5, 7, 9))
+        mod, H = bulk.H.module, bulk.H
+        H2 = rl.direct_sum(*(rl.ControlledOperator(
+            SiteModule(mod.pointset, mod.orbitals_per_site, grading=mod.grading,
+                       labels={"copy": np.full(mod.orbitals_per_site, c)}),
+            H.matrix, H.declared_propagation) for c in (0, 1)))
+        bm = rl.mv_boundary(H2, rl.certify_gap(H2), part, edge_windows=(5, 7, 9))
         assert bm.winding.snapped == -2
+
+    @pytest.mark.parametrize("disorder, normal, offset", [
+        (0.0, (1.0, 0.0), 5.6), (0.3, (1.0, 0.0), 5.6),
+        (0.0, (np.cos(np.radians(15)), np.sin(np.radians(15))), 7.1)],
+        ids=["clean", "disorder", "tilted"])
+    def test_matches_the_exponential_of_the_compressed_flattening(self, disorder, normal,
+                                                                  offset):
+        """U and its winding equal -exp(i pi s_hat) and its winding to 1e-10,
+        and U is unitary to 1e-12."""
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        _, H, _ = rl.build_model("qwz", {"m": 1.0}, ps, disorder=disorder, seed=1)
+        cert = rl.certify_gap(H)
+        part = rl.partition_halfspace(ps, list(normal), offset)
+        bm = rl.mv_boundary(H, cert, part, edge_windows=(2, 3, 4))
+        want = _mv_unitary_full(H, cert, part)
+        assert np.abs(bm.U.matrix - want).max() < 1e-10
+        assert np.abs(bm.U.matrix @ bm.U.matrix.conj().T - np.eye(len(want))).max() < 1e-12
+        ref = rl.ControlledOperator(bm.U.module, want, bm.U.declared_propagation,
+                                    hermitian=False)
+        assert np.abs(np.array(bm.winding.values)
+                      - _winding_full(ref, part, (2, 3, 4))).max() < 1e-10
+
+    def test_a_flattened_input_still_ports(self):
+        """The old call form on a flattening s, mv_boundary(s, certify_gap(s),
+        part), gives the same U: s and H share their occupied space."""
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        _, H, _ = rl.build_model("qwz", {"m": 1.0}, ps)
+        cert = rl.certify_gap(H)
+        s = rl.flatten(H, cert)
+        part = rl.partition_halfspace(ps, [1.0, 0.0], 5.6)
+        got = rl.mv_boundary(s, rl.certify_gap(s), part).U.matrix
+        assert np.abs(got - rl.mv_boundary(H, cert, part).U.matrix).max() < 1e-10
 
 
 class TestVerifyBEC:

@@ -139,6 +139,8 @@ class TestGenerate:
         ("points", [[0, "a"], [1, 1.5]], "point coordinates are not rows of numbers"),
         ("points", [1, 2], "points [1, 2] is not a list of rows [id, x, ...]"),
         ("points", None, "points None is not a list of rows [id, x, ...]"),
+        ("points", [[0, 0.5], ["a", 1.5]], "point id 'a' is not an integer"),
+        ("points", [[0, 0.5], [True, 1.5]], "point id True is not an integer"),
     ])
     def test_listed_points_values_are_checked(self, key, value, message):
         spec = {"kind": "points", **self.DESCRIPTORS["points"], key: value}
