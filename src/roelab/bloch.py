@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .models import Stencil, stencil
+from .models import stencil
 
 
 def bloch_hamiltonian(name: str, params: dict | None = None):

@@ -26,10 +26,10 @@ import numpy as np
 
 from .geometry import Partition, refuse_unknown_keys
 from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows,
-                      _occupied, _odd_pairing, _report, box_bound, chern_even, chern_odd,
+                      _occupied, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
-from .operators import (ControlledOperator, GapCertificate, OperatorError, SiteModule,
-                        certify_gap, compress, decay_fit, derivation_along, flatten,
+from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
+                        check_partition, compress, decay_fit, derivation_along,
                         site_blocks, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
@@ -124,8 +124,7 @@ def mv_boundary(H: ControlledOperator, cert: GapCertificate, part: Partition,
     (AQ) diag(g(mu)) (AQ)^*, g(mu) = expm1(-2 pi i mu) / mu, g(0) = -2 pi i.  U
     is the identity away from the interface; in a plane its winding per unit
     interface length is the edge pairing of the boundary class."""
-    if part.plus_ids.max(initial=-1) >= H.module.n_sites:
-        raise OperatorError("partition does not match the operator's point set")
+    check_partition(H.module, part)
     V = _occupied(H, cert)
     A = V.reshape(H.module.n_sites, H.m, -1)[part.plus_ids].reshape(-1, V.shape[1])
     mu, Q = np.linalg.eigh(A.conj().T @ A)
@@ -265,16 +264,13 @@ def _chiral_refinement(bulk: BulkSystem) -> BulkSystem:
 
     Real Bogoliubov-de Gennes Hamiltonians anticommute with the unitary part
     of C; that makes the mod-2 index computable as a winding reduced mod 2.
+    `chern_odd` checks that relation on H and names a violation (complex
+    pairing, say) as a `PairingError`.
     """
     if bulk.spec.C_unitary is None:
         raise BulkEdgeError("no chiral operator: the class-D refinement needs "
                             "the C unitary block")
-    aux = SymmetrySpec(has_P=True, P_unitary=bulk.spec.C_unitary)
-    if verify_symmetry(bulk.H, aux).violations.get("P", 1.0) > SYM_TOL:
-        raise BulkEdgeError(
-            "class D sample does not anticommute with the C unitary (complex "
-            "pairing disorder?); the desk-scale mod-2 route needs this refinement")
-    return replace(bulk, spec=aux)
+    return replace(bulk, spec=SymmetrySpec(has_P=True, P_unitary=bulk.spec.C_unitary))
 
 
 def _chern(work: BulkSystem, windows) -> IndexReport:
@@ -282,18 +278,7 @@ def _chern(work: BulkSystem, windows) -> IndexReport:
 
 
 def _winding(work: BulkSystem, windows) -> IndexReport:
-    """The winding of sgn(H - fermi): of its (minus, plus) block V W^* over the
-    non-kernel singular values when H has chiral factors, P is their label's
-    diagonal and fermi is 0, else through `flatten` and `chern_odd`."""
-    H, f = work.H, work.H.spectrum.chiral
-    if f is None or work.gap.fermi != 0 or not np.array_equal(
-            work.spec.P_unitary, np.diag(H.module.labels[f.label])):
-        return chern_odd(flatten(H, work.gap), work.spec, windows)
-    keep = ~f.kernel
-    U = f.Vh[keep].conj().T @ f.W[:, keep].conj().T
-    if np.abs(U @ (U.conj().T @ U) - U).max() > 1e-6:
-        raise PairingError("operator is not flattened (s^2 != 1)")
-    return _odd_pairing(U, f.plus, f.minus, H.module, windows)
+    return chern_odd(work.H, work.gap, work.spec, windows)
 
 
 def _conductance(work: BulkSystem, part, cfg):

@@ -23,11 +23,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .bulkedge import (BECConfig, BulkEdgeError, _default_windows, bulk_index, edge_index,
                        make_bulk, verify_bec)
-from .geometry import GeometryError, PointSet, generate, partition_halfspace
+from .geometry import GeometryError, PointSet, partition_halfspace
 from .indices import PairingError, box_bound, trace_per_unit_volume
 from .models import (MODELS, RECIPE, ModelError, build_model, default_pointset, resolve,
                      resolve_params)

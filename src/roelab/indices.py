@@ -19,9 +19,10 @@ route of `roelab.bulkedge`.
 
 Orientation conventions are fixed once and used everywhere: the plane pairing
 orders the derivations as (grad_1, grad_2); the edge direction of a cut is
-the normal rotated by +90 degrees; the chiral pairing uses the block of the
-flattened Hamiltonian mapping positive to negative chirality.  The
-momentum-space references in `roelab.bloch` are oriented to match.
+the normal rotated by +90 degrees; the chiral pairing uses the block of
+sgn(H) mapping positive to negative chirality, the polar factor V W^* of H's
+(plus, minus) block W diag(s) V^*.  The momentum-space references in
+`roelab.bloch` are oriented to match.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Partition
-from .operators import (ControlledOperator, OperatorError, GapCertificate,
+from .operators import (ChiralFactors, ControlledOperator, OperatorError, GapCertificate,
                         derivation_along, onsite, restrict_orbitals)
 from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
                        verify_symmetry)
@@ -271,70 +272,47 @@ def _chiral_split(spec: SymmetrySpec):
     return V, plus, minus
 
 
-def chiral_unitary(s: ControlledOperator, spec: SymmetrySpec):
-    """Off-diagonal block of a flattened chiral symmetry.
+def chern_odd(H: ControlledOperator, cert: GapCertificate, spec: SymmetrySpec,
+              windows) -> IndexReport:
+    """Odd-dimensional winding pairing of a gapped chiral Hamiltonian.
 
-    In the eigenbasis of P the flattened Hamiltonian is off-diagonal; the
-    block mapping positive to negative chirality is the unitary whose winding
-    is the odd pairing.  The chirality check runs on interior blocks only: an
-    open sample in a nontrivial phase necessarily concentrates a chiral
-    defect of the flattening at its boundary zero modes, which is exactly the
-    index obstruction and not a data error.  The margin (15% of the sample
-    extent) and tolerance (1e-4) are set so that samples longer than roughly
-    thirty decay lengths pass cleanly while genuine chirality breaking
-    (orders of magnitude larger) is caught.  s^2 = 1 must hold to 1e-6.  The
-    class-AIII route reads the block V W^* off the chiral factors of an ssh
-    solve instead (`operators.ChiralFactors`, which says why kitaev has none).
+    d = 1: i T(U* grad_1 U); d = 3: the six-term alternating sum with prefactor
+    i (i pi)^((d-1)/2) / d!!.  U is the block of sgn(H) from positive to
+    negative chirality of P, which is that of sgn(H - fermi) off the kernel
+    when the certified gap contains 0 (else refused): with D = W diag(s) V^*
+    the (plus, minus) block of H, U = V W^* over the pairs outside
+    `ChiralFactors.kernel`.  D is factored by the solve when P is the
+    diagonal of its chiral label (ssh: the zero same-sign blocks are the
+    chirality check), else by one SVD in P's eigenbasis, after P H P^* = -H
+    is checked at SYM_TOL (kitaev, layered3d).  U must be a partial isometry
+    to 1e-6.  Only the diagonal the trace reads is formed: entrywise for
+    d = 1, for d = 3 on the largest window's rows W from F_a[W] F_b, with
+    F_j = U* grad_j U.  The imaginary part must vanish to 1e-6.
     """
-    M = s.matrix
-    R = M @ M
-    R.flat[::len(R) + 1] -= 1
-    if np.abs(R).max() > 1e-6:
-        raise PairingError("operator is not flattened (s^2 != 1)")
-    ps = s.module.pointset
-    V, plus, minus = _chiral_split(spec)
-    defect = RELATIONS["P"].defect(spec.P_unitary, s)
-    margin = 0.15 * float((ps.window[:, 1] - ps.window[:, 0]).min())
-    interior = np.repeat(ps.boundary_distance() > margin, s.m)
-    viol = float(defect[np.ix_(interior, interior)].max()) if interior.any() else \
-        float(defect.max())
-    if viol > 1e-4:
-        raise PairingError(f"interior chiral violation {viol:.2e} above 0.0001")
-    # the (minus, plus) block of W^* M W with W = 1 (x) V, taken site-wise
-    block = onsite(V[:, minus].conj().T, M, V[:, plus].conj().T)
-    return block, s.module.orbital_index(plus), s.module.orbital_index(minus)
-
-
-def chern_odd(s: ControlledOperator, spec: SymmetrySpec, windows) -> IndexReport:
-    """Odd-dimensional winding pairing of a flattened chiral Hamiltonian.
-
-    d = 1: i T(U* grad_1 U); d = 3: the full six-term alternating sum with
-    prefactor i (i pi)^((d-1)/2) / d!!, where U is the chiral off-diagonal
-    block of the flattened operator (`chiral_unitary`), paired by
-    `_odd_pairing`, which the class-AIII chain route runs on the block of the
-    chiral factors of its solve (`operators.ChiralFactors`: ssh, not kitaev).
-    """
-    ps = s.module.pointset
-    if ps.dim not in (1, 3):
+    ps = H.module.pointset
+    d = ps.dim
+    if d not in (1, 3):
         raise PairingError("odd pairing implemented for d = 1 and d = 3")
     windows = _box_windows(ps, windows, 0.0)
-    U, ip, im = chiral_unitary(s, spec)
-    return _odd_pairing(U, ip, im, s.module, windows)
-
-
-def _odd_pairing(U: np.ndarray, ip, im, module, windows) -> IndexReport:
-    """`chern_odd` on U, the block of a flattened chiral operator from the
-    plus rows `ip` to the minus rows `im` of `module`, over checked windows.
-
-    Only the diagonal the trace reads is formed: entrywise for d = 1, and for
-    d = 3 on the rows W of the largest window, from the products F_a[W] F_b
-    of F_j = U* grad_j U.  The imaginary part must vanish to 1e-6.
-    """
-    ps = module.pointset
-    d = ps.dim
-    half = len(ip) // module.n_sites
-    xs = [module.position_along(e) for e in np.eye(d)]
-    grads = [1j * (xs[j][im][:, None] - xs[j][ip][None, :]) * U for j in range(d)]
+    lo, hi = cert.lower_spectrum_max, cert.upper_spectrum_min
+    if not (cert.gapped and (lo is None or lo < 0) and (hi is None or hi > 0)):
+        raise OperatorError("the odd pairing requires a certified gap containing 0")
+    V, plus, minus = _chiral_split(spec)
+    f = H.spectrum.chiral
+    if f is None or not np.array_equal(spec.P_unitary, np.diag(H.module.labels[f.label])):
+        viol = float(RELATIONS["P"].defect(spec.P_unitary, H).max())
+        if viol > SYM_TOL:
+            raise PairingError(f"chiral violation {viol:.2e} above {SYM_TOL}")
+        D = onsite(V[:, plus].conj().T, H.matrix, V[:, minus].conj().T)
+        f = ChiralFactors("P", H.module.orbital_index(plus), H.module.orbital_index(minus),
+                          *np.linalg.svd(D if D.imag.any() else D.real))
+    keep = ~f.kernel
+    U = f.Vh[keep].conj().T @ f.W[:, keep].conj().T
+    if np.abs(U @ (U.conj().T @ U) - U).max() > 1e-6:
+        raise PairingError("sign block is not a partial isometry (max |UU*U - U| > 1e-6)")
+    half = len(f.plus) // H.module.n_sites
+    xs = [H.module.position_along(e) for e in np.eye(d)]
+    grads = [1j * (x[f.minus][:, None] - x[f.plus][None, :]) * U for x in xs]
     W = _window_rows(ps, windows, half)
     if d == 1:
         diag = np.einsum("ji,ji->i", U.conj(), grads[0])[W]

@@ -20,7 +20,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import PointSet, TRIANGULAR_BASIS, generate
 from .operators import ControlledOperator, SiteModule, site_blocks

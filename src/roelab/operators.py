@@ -15,8 +15,9 @@ unitary.
 Every eigendecomposition goes through `ControlledOperator.eigh`, which solves
 in the cheapest arithmetic the matrix allows exactly: one sector at a time
 when a module label (e.g. spin_z) has no matrix entry between its sectors, by
-one SVD of the half-size block of a chiral matrix (`ChiralFactors`: ssh, not
-kitaev), and in real arithmetic when the matrix has no imaginary part.  The
+one SVD of the half-size block of a chiral matrix (`ChiralFactors`; the
+solve splits ssh, not kitaev, whose chiral unitary no label diagonalizes),
+and in real arithmetic when the matrix has no imaginary part.  The
 eigensolver follows the dimension d of the point set: divide and conquer
 (numpy's ?heevd) on chains, whose banded matrices deflate, and MRRR (scipy's
 ?heevr) on planes and lattices, where little deflates and MRRR is faster
@@ -331,7 +332,7 @@ def _sectors(M: np.ndarray, module: SiteModule):
 class ChiralFactors:
     """The SVD D = W diag(s) Vh of the block D = H[plus, minus] of a chiral H.
 
-    The split applies to the first +-1 module label with as many +1 as -1
+    The solve splits on the first +-1 module label with as many +1 as -1
     orbitals (rows plus and minus) whose same-sign blocks of H are exactly
     zero: ssh's sublattice, not haldane's or a kane_mele sector's, which hop
     within a sublattice, nor kitaev, whose chiral unitary sigma_x no label
@@ -339,6 +340,8 @@ class ChiralFactors:
     pairs -s_k, s_k have the eigenvectors (W_k, -+V_k) / sqrt 2, V = Vh^*; a
     kernel pair, s_k at most n eps s_max (n = len(s)), keeps the chiral
     (W_k, 0) and (0, V_k) that LAPACK's eigensolvers give a chain's end modes.
+    `indices.chern_odd` pairs V W^* outside the kernel; without a split of
+    the solve it factors H's block itself (label "P", rows in P's eigenbasis).
     """
 
     label: str
@@ -428,8 +431,7 @@ def onsite(A, M: np.ndarray, B=None) -> np.ndarray:
     product with B^* over the last orbital axis - so the n*m x n*m
     Kronecker factors are never formed: 2 n^2 m^3 multiplications for square
     blocks instead of two dense (n*m)^3 products.  Rectangular blocks take a
-    sub-block directly, e.g. the chiral off-diagonal block of a flattened
-    Hamiltonian.
+    sub-block directly, e.g. the chiral off-diagonal block of a Hamiltonian.
     """
     A = np.asarray(A)
     B = A if B is None else np.asarray(B)
@@ -626,10 +628,16 @@ def derivation_along(A: ControlledOperator, direction) -> ControlledOperator:
                               hermitian=A.hermitian)
 
 
+def check_partition(module: SiteModule, part: Partition) -> None:
+    """Refuse a partition (of another point set) whose ids do not number `module`'s sites."""
+    ids = np.sort(np.concatenate([part.plus_ids, part.minus_ids]))
+    if not np.array_equal(ids, np.arange(module.n_sites)):
+        raise OperatorError("partition does not match the operator's point set")
+
+
 def compress(H: ControlledOperator, part: Partition) -> ControlledOperator:
     """Restrict to the plus half-space: chi_{Y+} H chi_{Y+} on the sub-module."""
-    if part.plus_ids.max(initial=-1) >= H.module.n_sites:
-        raise OperatorError("partition does not match the operator's point set")
+    check_partition(H.module, part)
     sub = H.module.restrict_sites(part.plus_ids)
     m = H.m
     idx = (part.plus_ids[:, None] * m + np.arange(m)[None, :]).ravel()

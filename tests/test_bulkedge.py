@@ -149,6 +149,20 @@ class TestMVBoundary:
         with pytest.raises(OperatorError, match="does not match"):
             rl.mv_boundary(g, rl.certify_gap(g), part)
 
+    def test_partition_of_a_smaller_point_set_refused(self):
+        """A cut of a 10 x 10 square (50 plus ids, all below the 144 sites of
+        a 12 x 12 qwz operator) is refused, not compressed onto wrong sites."""
+        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
+        other = rl.generate({"kind": "square", "window": [[0, 10], [0, 10]]})
+        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
+        bulk = rl.make_bulk(mod, H, spec)
+        part = rl.partition_halfspace(other, [1, 0], 4.6)
+        assert part.plus_ids.max() < ps.n
+        for run in (lambda: rl.compress(H, part), lambda: rl.mv_boundary(H, bulk.gap, part),
+                    lambda: rl.verify_bec(bulk, part)):
+            with pytest.raises(OperatorError, match="partition does not match the operator's"):
+                run()
+
     def test_qwz_winding_matches_bulk_and_edge(self, qwz26):
         bulk, part = qwz26
         bm = rl.mv_boundary(bulk.H, bulk.gap, part, edge_windows=(5, 7, 9))
@@ -244,6 +258,29 @@ class TestVerifyBEC:
             rep = rl.verify_bec(bulk, part, {"windows": (40, 60, 80)})
             assert rep.passed and rep.bulk.z2 and rep.edge.z2
             assert rep.bulk.snapped == rep.edge.snapped == expect
+
+    def test_complex_pairing_kitaev_refused(self, chain200):
+        """Pairing Delta e^{i pi/4} keeps C = sigma_x K but breaks its chiral
+        refinement P = sigma_x: chern_odd names the violation."""
+        _, H, spec = rl.build_model("kitaev", {"mu": 1.0}, chain200)
+        M = H.matrix.copy()
+        M[0::2, 1::2] *= np.exp(1j * np.pi / 4)
+        M[1::2, 0::2] *= np.exp(-1j * np.pi / 4)
+        Hc = rl.ControlledOperator(H.module, M, H.declared_propagation)
+        bulk = rl.make_bulk(Hc.module, Hc, spec)
+        part = rl.partition_halfspace(chain200, [1.0], 99.6)
+        with pytest.raises(PairingError, match="chiral violation"):
+            rl.verify_bec(bulk, part, {"windows": (40, 60, 80)})
+
+    @pytest.mark.parametrize("model, params", [("ssh", {"t1": 0.5, "t2": 1.0}),
+                                               ("kitaev", {"mu": 1.0})])
+    def test_fermi_level_inside_the_gap(self, chain200, model, params):
+        """At Fermi level 0.1, inside a gap that holds 0, the bulk raw is the
+        one at 0."""
+        _, H, spec = rl.build_model(model, params, chain200)
+        raws = [rl.bulk_index(rl.make_bulk(H.module, H, spec, fermi=f),
+                              {"windows": (40, 60, 80)}).raw for f in (0.0, 0.1)]
+        assert abs(raws[0]) > 0.5 and abs(raws[1] - raws[0]) <= 1e-12
 
     def test_unsupported_pair(self, chain200):
         mod = SiteModule(chain200, 2, grading=np.array([1, -1]))

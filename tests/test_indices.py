@@ -3,11 +3,10 @@ import pytest
 
 import roelab as rl
 from roelab import bloch
-from roelab.indices import (PairingError, chiral_unitary, snap_integer, snap_z2,
-                            spin_sectors, window_mask)
+from roelab.indices import PairingError, snap_integer, snap_z2, spin_sectors, window_mask
 from roelab.models import AUX_CHIRAL
-from roelab.operators import SiteModule, site_blocks
-from roelab.symmetry import SymmetrySpec
+from roelab.operators import OperatorError, SiteModule, onsite, site_blocks
+from roelab.symmetry import RELATIONS, SymmetrySpec
 from conftest import random_controlled
 
 SZ = np.diag([1, -1]).astype(complex)
@@ -144,17 +143,16 @@ class TestChernEven:
 class TestChernOdd:
     def test_reference_unitary_gives_zero(self, chain200):
         mod = SiteModule(chain200, 2, grading=np.array([1, -1]))
-        s = rl.ControlledOperator(mod, np.kron(np.eye(200), np.array(
+        H = rl.ControlledOperator(mod, np.kron(np.eye(200), np.array(
             [[0, 1], [1, 0]], dtype=complex)), 0.0)
         spec = SymmetrySpec(has_P=True, P_unitary=SZ)
-        rep = rl.chern_odd(s, spec, [40, 60, 80])
+        rep = rl.chern_odd(H, rl.certify_gap(H), spec, [40, 60, 80])
         assert rep.raw == pytest.approx(0.0, abs=1e-12) and rep.snapped == 0
 
     @pytest.mark.parametrize("t1,t2,expect", [(1.0, 0.5, 0), (0.5, 1.0, 1)])
     def test_ssh_matches_momentum_winding(self, chain200, t1, t2, expect):
         _, H, spec = rl.build_model("ssh", {"t1": t1, "t2": t2}, chain200)
-        s = rl.flatten(H, rl.certify_gap(H))
-        rep = rl.chern_odd(s, spec, [40, 60, 80])
+        rep = rl.chern_odd(H, rl.certify_gap(H), spec, [40, 60, 80])
         oracle = bloch.winding_1d(bloch.bloch_hamiltonian(
             "ssh", {"t1": t1, "t2": t2}), SZ)
         assert rep.snapped == round(oracle) == expect
@@ -165,14 +163,22 @@ class TestChernOdd:
         for seed in range(5):
             _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200,
                                         disorder=0.3, seed=seed)
-            s = rl.flatten(H, rl.certify_gap(H))
-            vals.append(rl.chern_odd(s, spec, [40, 60, 80]).snapped)
+            vals.append(rl.chern_odd(H, rl.certify_gap(H), spec, [40, 60, 80]).snapped)
         assert vals == [1] * 5
 
-    def test_not_flattened_rejected(self, chain200):
-        _, H, spec = rl.build_model("ssh", {}, chain200)
-        with pytest.raises(PairingError):
-            rl.chern_odd(H, spec, [40, 60])
+    def test_gap_without_zero_refused(self, chain200):
+        """sgn(H - fermi) is the sign of H only when the gap holds 0: a gap
+        about 2 (H + 2) and a gapless certificate are refused by name."""
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+        shifted = rl.ControlledOperator(H.module, H.matrix + 2 * np.eye(400),
+                                        H.declared_propagation)
+        cert = rl.certify_gap(shifted, fermi=2.0)
+        assert cert.gapped and cert.lower_spectrum_max > 0
+        gapless = rl.GapCertificate(epsilon=0.0, lower_spectrum_max=-0.1,
+                                    upper_spectrum_min=0.1, fermi=0.0, gapped=False)
+        for op, c in ((shifted, cert), (H, gapless)):
+            with pytest.raises(OperatorError, match="certified gap containing 0"):
+                rl.chern_odd(op, c, spec, [40, 60])
 
     def test_broken_chirality_rejected(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
@@ -180,20 +186,23 @@ class TestChernOdd:
         pot = np.repeat(0.15 * rng.uniform(-1, 1, 200), 2)  # scalar disorder breaks P
         Hb = rl.ControlledOperator(H.module, H.matrix + np.diag(pot),
                                    H.declared_propagation)
-        s = rl.flatten(Hb, rl.certify_gap(Hb))
-        with pytest.raises(PairingError, match="chiral"):
-            rl.chern_odd(s, spec, [40, 60])
+        with pytest.raises(PairingError, match="chiral violation"):
+            rl.chern_odd(Hb, rl.certify_gap(Hb), spec, [40, 60])
 
     @pytest.mark.slow
     def test_layered3d_matches_momentum_winding(self):
+        """8^3 (dim 2048): the momentum winding, and the full products on the
+        flattening (`_chern_odd_full`) to 1e-10."""
         ps = rl.generate({"kind": "cubic", "window": [[0, 8], [0, 8], [0, 8]]})
         _, H, spec = rl.build_model("layered3d", {"m": 2.0}, ps)
         aux = SymmetrySpec(has_P=True, P_unitary=AUX_CHIRAL["layered3d"])
-        s = rl.flatten(H, rl.certify_gap(H))
-        rep = rl.chern_odd(s, aux, [2.0, 2.5, 3.0])
+        cert = rl.certify_gap(H)
+        rep = rl.chern_odd(H, cert, aux, [2.0, 2.5, 3.0])
         oracle = bloch.winding_3d(bloch.bloch_hamiltonian("layered3d", {"m": 2.0}),
                                   AUX_CHIRAL["layered3d"], nk=20)
         assert rep.snapped == round(oracle) == 1
+        want = _chern_odd_full(rl.flatten(H, cert), aux, [2.0, 2.5, 3.0])
+        assert np.abs(np.array(rep.values) - np.real(want)).max() <= 1e-10
 
 
 class TestKaneMele:
@@ -334,8 +343,7 @@ class TestEdgeFredholm:
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
         rep = rl.edge_fredholm(rl.compress(H, part), spec, part=part)
-        s = rl.flatten(H, rl.certify_gap(H))
-        bulkw = rl.chern_odd(s, spec, [40, 60, 80])
+        bulkw = rl.chern_odd(H, rl.certify_gap(H), spec, [40, 60, 80])
         assert rep.snapped == bulkw.snapped == 1
         assert abs(rep.raw - 1.0) < 1e-6
 
@@ -349,31 +357,30 @@ class TestEdgeFredholm:
             rl.edge_fredholm(rl.compress(H, part), spec, part=part)
 
 
-def _chiral_chain(name, chain):
+def _chiral_chain(name, chain, disorder=0.0):
     """Topological ssh or kitaev chain with its chiral spec."""
     if name == "ssh":
-        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain)
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain, disorder=disorder)
         return H, spec
-    _, H, _ = rl.build_model("kitaev", {"mu": 1.0}, chain)
+    _, H, _ = rl.build_model("kitaev", {"mu": 1.0}, chain, disorder=disorder)
     return H, SymmetrySpec(has_P=True, P_unitary=AUX_CHIRAL["kitaev"])
 
 
 class TestSiteWiseChiralMatchesKron:
-    """chiral_unitary and edge_fredholm equal their n*m x n*m kron forms."""
+    """The chiral block chern_odd factors and edge_fredholm equal their
+    n*m x n*m kron forms."""
 
     @pytest.mark.parametrize("name", ["ssh", "kitaev"])
     def test_chiral_block(self, chain200, name):
+        """onsite(V+^*, H, V-^*) is the (plus, minus) block of W^* H W, W = 1 (x) V."""
         H, spec = _chiral_chain(name, chain200)
-        s = rl.flatten(H, rl.certify_gap(H))
-        U, ip, im = chiral_unitary(s, spec)
         w, V = np.linalg.eigh(spec.P_unitary)
-        n, m = chain200.n, 2
-        W = np.kron(np.eye(n), V)
         plus, minus = np.where(w > 0)[0], np.where(w < 0)[0]
-        assert np.array_equal(ip, (np.arange(n)[:, None] * m + plus).ravel())
-        assert np.array_equal(im, (np.arange(n)[:, None] * m + minus).ravel())
-        dense = (W.conj().T @ s.matrix @ W)[np.ix_(im, ip)]
-        assert np.abs(U - dense).max() < 1e-12
+        D = onsite(V[:, plus].conj().T, H.matrix, V[:, minus].conj().T)
+        W = np.kron(np.eye(chain200.n), V)
+        ip, im = H.module.orbital_index(plus), H.module.orbital_index(minus)
+        dense = (W.conj().T @ H.matrix @ W)[np.ix_(ip, im)]
+        assert np.abs(D).max() > 0.5 and np.abs(D - dense).max() < 1e-12
 
     @pytest.mark.parametrize("name", ["ssh", "kitaev"])
     def test_fredholm_value(self, chain200, name):
@@ -453,9 +460,22 @@ def _chern_even_full(P, windows):
 
 
 def _chern_odd_full(s, spec, windows):
-    """The winding pairing from full products of U* grad_j U (12 for d = 3)."""
-    U, ip, im = chiral_unitary(s, spec)
+    """The winding pairing of a flattening s = sgn(H - fermi) from full
+    products of U* grad_j U (12 for d = 3).  U is the (minus, plus) block of
+    W^* s W, W = 1 (x) V the kron eigenbasis of P, after the checks of s:
+    s^2 = 1 to 1e-6, and P s P^* = -s to 1e-4 on the interior sites (15% of
+    the extent from the sample boundary), since a flattening carries the
+    chiral defect of the boundary zero modes."""
+    M = s.matrix
+    assert np.abs(M @ M - np.eye(len(M))).max() <= 1e-6
     ps = s.module.pointset
+    margin = 0.15 * float((ps.window[:, 1] - ps.window[:, 0]).min())
+    interior = np.repeat(ps.boundary_distance() > margin, s.m)
+    assert RELATIONS["P"].defect(spec.P_unitary, s)[np.ix_(interior, interior)].max() <= 1e-4
+    w, V = np.linalg.eigh(spec.P_unitary)
+    ip, im = (s.module.orbital_index(np.where(sign)[0]) for sign in (w > 0, w < 0))
+    W = np.kron(np.eye(ps.n), V)
+    U = (W.conj().T @ M @ W)[np.ix_(im, ip)]
     xs = [s.module.position_along(e) for e in np.eye(ps.dim)]
     F = [U.conj().T @ (1j * (x[im][:, None] - x[ip][None, :]) * U) for x in xs]
     if ps.dim == 1:
@@ -510,22 +530,24 @@ class TestWindowDiagonalMatchesFullProducts:
         assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
 
     @pytest.mark.parametrize("name", ["ssh", "kitaev"])
-    def test_chern_odd_d1(self, name):
-        chain = rl.generate({"kind": "chain", "window": [[0, 120]]})
-        H, spec = _chiral_chain(name, chain)
-        s = rl.flatten(H, rl.certify_gap(H))
-        rep = rl.chern_odd(s, spec, [20, 30, 40])
-        want = _chern_odd_full(s, spec, [20, 30, 40])
-        assert abs(rep.snapped) == 1
-        assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
+    def test_chern_odd_d1(self, chain200, name):
+        """The factor form (ssh: the solve's; kitaev: chern_odd's own SVD)
+        equals the full products on the flattening, clean and at disorder 0.3."""
+        for disorder in (0.0, 0.3):
+            H, spec = _chiral_chain(name, chain200, disorder)
+            cert = rl.certify_gap(H)
+            rep = rl.chern_odd(H, cert, spec, [40, 60, 80])
+            want = _chern_odd_full(rl.flatten(H, cert), spec, [40, 60, 80])
+            assert abs(rep.snapped) == 1
+            assert np.abs(np.array(rep.values) - np.real(want)).max() <= 1e-12
 
     def test_chern_odd_d3(self):
         ps = rl.generate({"kind": "cubic", "window": [[0, 4], [0, 4], [0, 4]]})
         _, H, _ = rl.build_model("layered3d", {"m": 2.0}, ps)
         spec = SymmetrySpec(has_P=True, P_unitary=AUX_CHIRAL["layered3d"])
-        s = rl.flatten(H, rl.certify_gap(H))
-        rep = rl.chern_odd(s, spec, [1.0, 1.5])
-        want = _chern_odd_full(s, spec, [1.0, 1.5])
+        cert = rl.certify_gap(H)
+        rep = rl.chern_odd(H, cert, spec, [1.0, 1.5])
+        want = _chern_odd_full(rl.flatten(H, cert), spec, [1.0, 1.5])
         assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
 
     @pytest.mark.parametrize("fraction", [1 / 3, 1 / 5], ids=["third", "fifth"])

@@ -599,20 +599,21 @@ class TestChiralSolve:
     @pytest.mark.parametrize("disorder", [0.0, 0.25])
     def test_route_equals_chern_odd_of_the_flattening(self, disorder, monkeypatch):
         """The class-AIII route pairs V W^* of the factors without a
-        flattening; chern_odd on the flattened H gives the same raw."""
-        from roelab import bulkedge
+        flattening; the full-product winding of the flattened H
+        (`test_indices._chern_odd_full`) gives the same values."""
+        from test_indices import _chern_odd_full
         _, H, spec = _ssh250(disorder)
         bulk = rl.make_bulk(H.module, H, spec)
         windows = (40.0, 60.0, 80.0)
-        want = rl.chern_odd(rl.flatten(H, bulk.gap), spec, windows)
+        want = np.real(_chern_odd_full(rl.flatten(H, bulk.gap), spec, windows))
 
         def refused(*args):
             raise AssertionError("the chiral route flattened H")
 
-        monkeypatch.setattr(bulkedge, "flatten", refused)
+        monkeypatch.setattr(operators, "flatten", refused)
         got = rl.bulk_index(bulk, {"windows": windows})
-        assert abs(got.raw - want.raw) <= 1e-12 and got.snapped == 1
-        assert np.abs(np.array(got.values) - np.array(want.values)).max() <= 1e-12
+        assert abs(got.raw - want[-1]) <= 1e-12 and got.snapped == 1
+        assert np.abs(np.array(got.values) - want).max() <= 1e-12
 
     def test_split_not_taken(self):
         """haldane and a kane_mele sector hop within a sublattice; one

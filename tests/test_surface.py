@@ -1,6 +1,7 @@
 """tools/surface.py: the summary line, then one `module: lines` line per
 module that adds up to the summary's total."""
 
+import ast
 import pathlib
 import re
 import subprocess
@@ -20,3 +21,20 @@ def test_summary_and_per_module_lines():
     assert all(modules), out[1:]
     assert {m[1] for m in modules} == {p.stem for p in (ROOT / "src/roelab").glob("*.py")}
     assert sum(int(m[2]) for m in modules) == int(total[1])
+
+
+def test_no_unused_module_imports():
+    """Every name a `src/roelab` module imports at module level is used in
+    that module; `__init__` is exempt, since it imports to re-export."""
+    unused = []
+    for path in sorted((ROOT / "src/roelab").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for node in tree.body
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in ((a.asname or a.name.split(".")[0]) for a in node.names)
+                   if name not in used]
+    assert not unused, f"imported but never used: {unused}"

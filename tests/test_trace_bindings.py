@@ -13,6 +13,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import roelab as rl
 import roelab.cli  # noqa: F401  the tracer patches loaded modules only, as in the benchmark
 
@@ -30,33 +32,44 @@ def _load_tracer():
     return mod
 
 
-def test_every_layer_binds_and_the_chain_route_is_traced(chain200):
+def test_every_layer_binds_and_the_chain_route_is_traced(chain200, monkeypatch):
+    """Both chain routes pair through `chern_odd` and neither flattens.  Per
+    point, ssh makes one bulk SVD, the solve's, whose factors `chern_odd`
+    reads, and one of the half chain; kitaev's solves are dense, and its one
+    SVD is `chern_odd`'s."""
     tracer = _load_tracer()
-    _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
-    part = rl.partition_halfspace(chain200, [1.0], 99.6)
-    with tracer.Tracer() as tr:
+    with tracer.Tracer():
         for name in tracer.LAYER_FUNCTIONS:
             mod_name, fn_name = name.split(".")
             mod = importlib.import_module(f"roelab.{mod_name}")
             fn = (mod.ControlledOperator.__dict__["eigh"] if name == tracer.EIGH
                   else getattr(mod, fn_name))
             assert hasattr(fn, "__wrapped__"), f"{name} is not wrapped"
-        bulk = rl.make_bulk(H.module, H, spec)
-        rep = rl.verify_bec(bulk, part, {"windows": (40, 60, 80)})
-    assert rep.passed
-    names = {sp.name for sp in tr.spans}
-    for name in ("bulkedge.make_bulk", "indices.edge_fredholm"):
-        assert name in names, f"no span for {name}"
-    # the class-AIII route pairs the chiral factors of the ssh solve: no
-    # flattening; the class-D route (kitaev) still flattens and runs chern_odd
-    assert not names & {"operators.flatten", "indices.chern_odd"}
-    _, H, spec = rl.build_model("kitaev", {"mu": 1.0}, chain200)
-    with tracer.Tracer() as tr:
-        rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part, {"windows": (40, 60, 80)})
-    assert rep.passed
-    names = {sp.name for sp in tr.spans}
-    for name in ("operators.flatten", "indices.chern_odd", "indices.edge_fredholm"):
-        assert name in names, f"no span for {name}"
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    part = rl.partition_halfspace(chain200, [1.0], 99.6)
+    sweeps = {"disorder_strength": 0.2, "disorder_seeds": (0,), "truncation_radii": (1.5,)}
+    for model, params, config, per_point in (
+            ("ssh", {"t1": 0.5, "t2": 1.0}, sweeps, [(200, 200), (100, 100)]),
+            ("kitaev", {"mu": 1.0}, {}, [(200, 200)])):
+        _, H, spec = rl.build_model(model, params, chain200)
+        svds.clear()
+        with tracer.Tracer() as tr:
+            rep = rl.verify_bec(rl.make_bulk(H.module, H, spec), part,
+                                {"windows": (40, 60, 80), **config})
+        points = 1 + len(rep.sweeps)
+        assert rep.passed and svds == per_point * points
+        assert tr.solves(tr.call) == 2 * points
+        names = {sp.name for sp in tr.spans}
+        for name in ("bulkedge.make_bulk", "indices.chern_odd", "indices.edge_fredholm"):
+            assert name in names, f"{model}: no span for {name}"
+        assert "operators.flatten" not in names, f"the {model} route flattened H"
 
 
 def test_the_plane_route_is_traced():
