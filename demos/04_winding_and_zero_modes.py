@@ -5,7 +5,9 @@ Sweeps the dimerized chain through its transition, comparing the real-space
 winding of sgn(H)'s chiral block, the polar factor of H's own chiral block,
 with the momentum winding, and counts
 the chirality-weighted zero modes of the half-line compression - the two
-sides of the one-dimensional correspondence.
+sides of the one-dimensional correspondence.  Both read the chiral unitary
+through one check, and both take the bulk gap certificate: the count
+refuses any level inside that gap which is split out of the kernel.
 """
 import numpy as np
 
@@ -19,9 +21,10 @@ part = rl.partition_halfspace(ps, [1.0], 119.6)
 print("t2/t1   winding(real)  winding(momentum)  half-line count")
 for t2 in (0.4, 0.8, 1.2, 1.6):
     _, H, spec = rl.build_model("ssh", {"t1": 1.0, "t2": t2}, ps)
-    w_real = rl.chern_odd(H, rl.certify_gap(H), spec, [60, 80, 100])
+    cert = rl.certify_gap(H)
+    w_real = rl.chern_odd(H, cert, spec, [60, 80, 100])
     w_mom = bloch.winding_1d(bloch.bloch_hamiltonian("ssh", {"t1": 1.0, "t2": t2}), SZ)
-    fred = rl.edge_fredholm(rl.compress(H, part), spec, part=part)
+    fred = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
     print(f"{t2:4.1f}    {w_real.raw:+12.6f}  {w_mom:+17.3f}  {fred.raw:+12.4f}")
 
 # The spectrum of the compressed chain: zero modes appear with the phase.

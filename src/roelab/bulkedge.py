@@ -25,11 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition, refuse_unknown_keys
-from .indices import (KERNEL_TOL, IndexReport, Interface, PairingError, _box_windows,
+from .indices import (IndexReport, Interface, PairingError, _box_windows,
                       _occupied, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        check_partition, compress, decay_fit, derivation_along,
+                        check_partition, compress, decay_fit, derivation_along, identity,
                         site_blocks, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
@@ -131,14 +131,13 @@ def mv_boundary(H: ControlledOperator, cert: GapCertificate, part: Partition,
     g = np.divide(np.expm1(-2j * np.pi * mu), mu, out=np.full(len(mu), -2j * np.pi),
                   where=mu != 0)
     AQ = A @ Q
-    U = ControlledOperator(H.module.restrict_sites(part.plus_ids),
-                           np.eye(len(A)) + (AQ * g) @ AQ.conj().T,
-                           H.module.pointset.diameter, hermitian=False)
-    ps = U.module.pointset
+    module = H.module.restrict_sites(part.plus_ids)
+    dU = ControlledOperator(module, (AQ * g) @ AQ.conj().T, H.module.pointset.diameter,
+                            hermitian=False)
+    U = identity(module) + dU
+    ps = module.pointset
     proj = part.distance(ps.coords)
-    dev_blocks = np.abs(U.matrix - np.eye(U.module.dim)).reshape(
-        ps.n, U.m, ps.n, U.m).max(axis=(1, 3))
-    site_dev = dev_blocks.max(axis=1)
+    site_dev = dU.block_norms().max(axis=1)     # max |U - 1| per site row
     far = (part.past_strip(ps.coords) > 0) & (ps.boundary_distance() > 0.2 * proj.max())
     off_dev = float(site_dev[far].max()) if far.any() else 0.0
     # exponential-decay fit of the deviation profile against interface distance
@@ -264,8 +263,8 @@ def _chiral_refinement(bulk: BulkSystem) -> BulkSystem:
 
     Real Bogoliubov-de Gennes Hamiltonians anticommute with the unitary part
     of C; that makes the mod-2 index computable as a winding reduced mod 2.
-    `chern_odd` checks that relation on H and names a violation (complex
-    pairing, say) as a `PairingError`.
+    Both odd pairings check that relation on their H (`indices._chirality`)
+    and name a violation (complex pairing, say) as a `PairingError`.
     """
     if bulk.spec.C_unitary is None:
         raise BulkEdgeError("no chiral operator: the class-D refinement needs "
@@ -294,16 +293,7 @@ def _conductance(work: BulkSystem, part, cfg):
 
 
 def _kernel_count(work: BulkSystem, part, cfg):
-    """The half-line kernel count; an in-gap level (the band `make_edge` checks)
-    outside the kernel is a split end pair, which would count as nothing."""
-    H_hat = make_edge(work, part)
-    w = H_hat.eigh()[0]
-    split = w[(np.abs(w - work.gap.fermi) < 0.9 * work.gap.epsilon) & (np.abs(w) >= KERNEL_TOL)]
-    if split.size:
-        raise PairingError(f"in-gap edge level E = {split[np.argmin(np.abs(split))]:.2e} is "
-                           f"not in the kernel (|E| < {KERNEL_TOL:g}): the end modes split "
-                           "on this half chain; use a larger sample")
-    return edge_fredholm(H_hat, work.spec, part=part), None
+    return edge_fredholm(make_edge(work, part), work.spec, part, work.gap), None
 
 
 def _itself(bulk: BulkSystem):

@@ -15,7 +15,10 @@ The even pairing reads the occupied eigenvectors of the solve, never the
 Fermi projection, in the factor form of the local Chern marker (Bianco and
 Resta, Phys. Rev. B 84, 241106(R), 2011).  The spin-resolved mod-2 invariant
 is the Chern pairing of a spin sector (`spin_sectors`), run on the class-AII
-route of `roelab.bulkedge`.
+route of `roelab.bulkedge`.  The two odd pairings, the winding `chern_odd`
+and the half-line kernel count `edge_fredholm`, share one chirality read
+(`_chirality`); the kernel count takes the bulk gap certificate, as the edge
+conductance does, and refuses any level split out of the kernel.
 
 Orientation conventions are fixed once and used everywhere: the plane pairing
 orders the derivations as (grad_1, grad_2); the edge direction of a cut is
@@ -34,14 +37,13 @@ import numpy as np
 from .geometry import Partition
 from .operators import (ChiralFactors, ControlledOperator, OperatorError, GapCertificate,
                         derivation_along, onsite, restrict_orbitals)
-from .symmetry import (RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point,
-                       verify_symmetry)
+from .symmetry import RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point
 
 
 INTEGER_SNAP_TOL = 0.1      # largest distance of a raw value from the integer it snaps to
 Z2_SNAP_TOL = 0.25          # largest distance of a raw value mod 2 from its class
 WIDTH_FAMILY = 8            # edge conductance: sub-intervals from 0.7 Delta to Delta
-KERNEL_TOL = 1e-6           # Fredholm count: kernel |E| below it, the next level above 10x
+KERNEL_TOL = 1e-6           # Fredholm count: kernel |E| below it, every other level above 10x
 
 
 class PairingError(ValueError):
@@ -258,18 +260,31 @@ def occupied_projection(H: ControlledOperator, cert: GapCertificate) -> Controll
     return ControlledOperator(H.module, V @ V.conj().T, H.module.pointset.diameter)
 
 
-def _chiral_split(spec: SymmetrySpec):
-    """Eigenbasis of the on-site chiral unitary, Hermitian (eigenvalues +-1), by sign."""
-    if not spec.has_P or spec.P_unitary is None:
+def _chirality(H: ControlledOperator, spec: SymmetrySpec):
+    """(f, V, plus, minus): the chirality read both odd pairings share.
+
+    P must be given, Hermitian (eigenvalues +-1) and balanced; V is its
+    eigenbasis, plus and minus its columns by sign.  f is the solve's
+    `ChiralFactors` when P is the diagonal of the label the solve split H on
+    (ssh's bulk and half chain: the exactly zero same-sign blocks prove
+    P H P^* = -H), else None once P H P^* = -H is checked on all of H at SYM_TOL.
+    """
+    P = spec.P_unitary
+    if not spec.has_P or P is None:
         raise PairingError("odd pairing requires a chiral operator P")
-    if not np.allclose(spec.P_unitary, spec.P_unitary.conj().T, atol=1e-10):
+    if not np.allclose(P, P.conj().T, atol=1e-10):
         raise PairingError("chiral unitary P is not Hermitian (P != P*): no chirality split")
-    w, V = np.linalg.eigh(spec.P_unitary)
-    plus = np.where(w > 0)[0]
-    minus = np.where(w < 0)[0]
+    w, V = np.linalg.eigh(P)
+    plus, minus = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
     if len(plus) != len(minus):
         raise PairingError("chiral grading is unbalanced on the orbital space")
-    return V, plus, minus
+    f = H.spectrum.chiral
+    if f is not None and np.array_equal(P, np.diag(H.module.labels[f.label])):
+        return f, V, plus, minus
+    viol = float(RELATIONS["P"].defect(P, H).max())
+    if viol > SYM_TOL:
+        raise PairingError(f"chiral violation {viol:.2e} above {SYM_TOL}")
+    return None, V, plus, minus
 
 
 def chern_odd(H: ControlledOperator, cert: GapCertificate, spec: SymmetrySpec,
@@ -281,11 +296,10 @@ def chern_odd(H: ControlledOperator, cert: GapCertificate, spec: SymmetrySpec,
     negative chirality of P, which is that of sgn(H - fermi) off the kernel
     when the certified gap contains 0 (else refused): with D = W diag(s) V^*
     the (plus, minus) block of H, U = V W^* over the pairs outside
-    `ChiralFactors.kernel`.  D is factored by the solve when P is the
-    diagonal of its chiral label (ssh: the zero same-sign blocks are the
-    chirality check), else by one SVD in P's eigenbasis, after P H P^* = -H
-    is checked at SYM_TOL (kitaev, layered3d).  U must be a partial isometry
-    to 1e-6.  Only the diagonal the trace reads is formed: entrywise for
+    `ChiralFactors.kernel`.  P is read by `_chirality`, as `edge_fredholm`
+    reads it: D is factored by the solve when P is the diagonal of its chiral
+    label (ssh), else by one SVD in P's eigenbasis (kitaev, layered3d).  U
+    must be a partial isometry to 1e-6.  Only the diagonal the trace reads is formed: entrywise for
     d = 1, for d = 3 on the largest window's rows W from F_a[W] F_b, with
     F_j = U* grad_j U.  The imaginary part must vanish to 1e-6.
     """
@@ -297,12 +311,8 @@ def chern_odd(H: ControlledOperator, cert: GapCertificate, spec: SymmetrySpec,
     lo, hi = cert.lower_spectrum_max, cert.upper_spectrum_min
     if not (cert.gapped and (lo is None or lo < 0) and (hi is None or hi > 0)):
         raise OperatorError("the odd pairing requires a certified gap containing 0")
-    V, plus, minus = _chiral_split(spec)
-    f = H.spectrum.chiral
-    if f is None or not np.array_equal(spec.P_unitary, np.diag(H.module.labels[f.label])):
-        viol = float(RELATIONS["P"].defect(spec.P_unitary, H).max())
-        if viol > SYM_TOL:
-            raise PairingError(f"chiral violation {viol:.2e} above {SYM_TOL}")
+    f, V, plus, minus = _chirality(H, spec)
+    if f is None:
         D = onsite(V[:, plus].conj().T, H.matrix, V[:, minus].conj().T)
         f = ChiralFactors("P", H.module.orbital_index(plus), H.module.orbital_index(minus),
                           *np.linalg.svd(D if D.imag.any() else D.real))
@@ -443,31 +453,31 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     return _report(per_window, "edge_conductance", kgroup_point("A", 2), windows=windows)
 
 
-def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition) -> IndexReport:
+def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition,
+                  bulk_gap: GapCertificate) -> IndexReport:
     """Half-line index: chirality-weighted count of cut-bound zero modes.
 
-    Eigenvalues below KERNEL_TOL in modulus are the kernel; the next one must
-    clear 10 KERNEL_TOL (else the sample is too small to separate the kernel).
-    The count is Tr(P chi Q) with Q the kernel projection and chi the
-    indicator of the quarter nearest the cut, which isolates the cut end
-    from its partner mode at the sample's far end.
+    P is read as `chern_odd` reads it (`_chirality`).  Eigenvalues below
+    KERNEL_TOL in modulus are the kernel; any other level at most 10
+    KERNEL_TOL, or within 0.9 epsilon of the bulk gap's Fermi level (the band
+    `make_edge` checks), is a split end pair and refused.  The count is
+    Tr(P chi Q) with Q the kernel projection and chi the indicator of the
+    quarter nearest the cut, which isolates the cut end from its partner mode
+    at the sample's far end.
     """
     ps = H_hat.module.pointset
     if ps.dim != 1:
         raise PairingError("the Fredholm count is the d = 1 edge pairing")
     _check_compressed(H_hat, part)
-    if not spec.has_P or spec.P_unitary is None:
-        raise PairingError("Fredholm count requires a chiral operator P")
-    rep = verify_symmetry(H_hat, spec)
-    if rep.violations.get("P", 0.0) > SYM_TOL:
-        raise PairingError(f"chiral violation {rep.violations['P']:.2e} above {SYM_TOL}")
+    _chirality(H_hat, spec)
     w, v = H_hat.eigh()
     near = np.abs(w) < KERNEL_TOL
-    rest = np.abs(w[~near])
-    if rest.size and rest.min() <= 10 * KERNEL_TOL:
-        raise PairingError(
-            f"no clean spectral separation at kernel tolerance {KERNEL_TOL:g}: next "
-            f"|E| = {rest.min():.2e} <= {10 * KERNEL_TOL:.2e}; use a larger sample")
+    split = w[~near & ((np.abs(w - bulk_gap.fermi) < 0.9 * bulk_gap.epsilon)
+                       | (np.abs(w) <= 10 * KERNEL_TOL))]
+    if split.size:
+        raise PairingError(f"in-gap edge level E = {split[np.argmin(np.abs(split))]:.2e} is "
+                           f"not in the kernel (|E| < {KERNEL_TOL:g}): the end modes split "
+                           "on this half chain; use a larger sample")
     proj = part.distance(ps.coords)
     chi = (proj <= proj.min() + 0.25 * (proj.max() - proj.min())).astype(float)
     # Tr(Q^* P chi Q) site by site: chi is constant on each site's orbital

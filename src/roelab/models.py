@@ -39,9 +39,7 @@ class ModelError(ValueError):
 class Stencil:
     """Translation-invariant hopping data for one model."""
 
-    name: str
-    orbitals: int
-    onsite: np.ndarray
+    onsite: np.ndarray              # (m, m) block: the model has m orbitals per site
     hops: dict                      # integer offset tuple -> (m, m) block
     basis: np.ndarray               # (d, d) lattice basis, rows are cell vectors
     grading: np.ndarray
@@ -61,7 +59,7 @@ def _ssh(p) -> Stencil:
     inter = np.zeros((2, 2), dtype=complex)
     inter[0, 1] = t2                  # cell x+1 sublattice A <- cell x sublattice B
     return Stencil(
-        name="ssh", orbitals=2, onsite=t1 * SX, hops={(1,): inter},
+        onsite=t1 * SX, hops={(1,): inter},
         basis=np.eye(1), grading=np.array([1, -1]),
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(has_P=True, P_unitary=SZ),
@@ -73,7 +71,7 @@ def _kitaev(p) -> Stencil:
     mu, t, delta = p["mu"], p["t"], p["delta"]
     hop = np.array([[-t, -delta], [delta, t]], dtype=complex)
     return Stencil(
-        name="kitaev", orbitals=2, onsite=-mu * SZ, hops={(1,): hop},
+        onsite=-mu * SZ, hops={(1,): hop},
         basis=np.eye(1), grading=np.array([1, -1]),
         labels={"nambu": np.array([1, -1])},
         spec=SymmetrySpec(has_C=True, C_sq=1, C_unitary=SX),
@@ -105,7 +103,7 @@ def _qwz(p) -> Stencil:
                 amp = np.exp(-decay * (d - 1.0))
                 hops[(i, j)] = amp * _qwz_block(np.array([i, j]) / d)
     return Stencil(
-        name="qwz", orbitals=2, onsite=m * SZ, hops=hops,
+        onsite=m * SZ, hops=hops,
         basis=np.eye(2), grading=np.array([1, -1]),
         spec=SymmetrySpec(),
         pointset_kind="square",
@@ -121,7 +119,7 @@ def _harper(p) -> Stencil:
         (0, 1): lambda xy: -t * np.exp(2j * np.pi * flux * xy[0]) * np.ones((1, 1)),
     }
     return Stencil(
-        name="harper", orbitals=1, onsite=-fermi * np.ones((1, 1), dtype=complex),
+        onsite=-fermi * np.ones((1, 1), dtype=complex),
         hops=hops, basis=np.eye(2), grading=np.array([1]),
         spec=SymmetrySpec(),
         pointset_kind="square",
@@ -144,7 +142,7 @@ def _haldane_blocks(t1, t2, phi, mass):
 def _haldane(p) -> Stencil:
     onsite, hops = _haldane_blocks(p["t1"], p["t2"], p["phi"], p["mass"])
     return Stencil(
-        name="haldane", orbitals=2, onsite=onsite, hops=hops,
+        onsite=onsite, hops=hops,
         basis=TRIANGULAR_BASIS, grading=np.array([1, -1]),
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(),
@@ -167,7 +165,7 @@ def _kane_mele(p) -> Stencil:
         hops[k] = B
     T_u = np.kron(1j * SY, np.eye(2))     # spin-major ordering (A+, B+, A-, B-)
     return Stencil(
-        name="kane_mele", orbitals=4, onsite=onsite, hops=hops,
+        onsite=onsite, hops=hops,
         basis=TRIANGULAR_BASIS, grading=np.array([1, -1, 1, -1]),
         labels={"spin_z": np.array([1, 1, -1, -1]),
                 "sublattice": np.array([1, -1, 1, -1])},
@@ -187,7 +185,7 @@ def _layered3d(p) -> Stencil:
         off = tuple(int(j == axis) for axis in range(3))
         hops[off] = (beta + 1j * a) / 2
     return Stencil(
-        name="layered3d", orbitals=4, onsite=m * beta, hops=hops,
+        onsite=m * beta, hops=hops,
         basis=np.eye(3), grading=np.array([1, 1, -1, -1]),
         labels={"spin_z": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=np.kron(S0, 1j * SY)),
@@ -313,8 +311,8 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
     if ps.dim != st.basis.shape[0]:
         raise ModelError(f"model {name} lives in d={st.basis.shape[0]}, "
                          f"point set has d={ps.dim}")
-    module = SiteModule(ps, st.orbitals, grading=st.grading, labels=dict(st.labels))
-    m = st.orbitals
+    m = len(st.onsite)
+    module = SiteModule(ps, m, grading=st.grading, labels=dict(st.labels))
     N = ps.n
     M = np.zeros((N * m, N * m), dtype=complex)
     diagonal = site_blocks(N * m, m)

@@ -190,10 +190,6 @@ class ControlledOperator:
 
     __rmul__ = __mul__
 
-    def adjoint(self) -> "ControlledOperator":
-        return ControlledOperator(self.module, self.matrix.conj().T,
-                                  self.declared_propagation, hermitian=self.hermitian)
-
     def norm(self) -> float:
         """Operator norm (exact via spectrum for Hermitian input)."""
         if self.hermitian:

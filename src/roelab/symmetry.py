@@ -5,7 +5,7 @@ T, particle-hole C and chiral P are present, the signs T^2, C^2 and the
 unitary parts (an antiunitary operator is "unitary part followed by complex
 conjugation").  `RELATIONS` is the one table of how each acts: antiunitarily
 or not, commuting or anticommuting with H.  `verify_symmetry`, the disorder
-projection of `roelab.models` and the chirality check of the odd pairing apply
+projection of `roelab.models` and the chirality check of the odd pairings apply
 its on-site unitaries site by site, without forming the n*m x n*m unitary.
 `group_violation` checks a point group (`geometry.GroupAction`) the same way:
 an element's on-site block, then its site permutation.

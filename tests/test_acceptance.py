@@ -72,10 +72,11 @@ def test_criterion_3_odd_winding_oracle():
     rows = []
     for t1, t2 in ((1.0, 0.5), (0.5, 1.0)):
         _, H, spec = rl.build_model("ssh", {"t1": t1, "t2": t2}, ps)
-        bulk = rl.chern_odd(H, rl.certify_gap(H), spec, [100, 140, 180])
+        cert = rl.certify_gap(H)
+        bulk = rl.chern_odd(H, cert, spec, [100, 140, 180])
         oracle = round(bloch.winding_1d(bloch.bloch_hamiltonian(
             "ssh", {"t1": t1, "t2": t2}), SZ))
-        fred = rl.edge_fredholm(rl.compress(H, part), spec, part=part)
+        fred = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
         rows.append((t1, t2, bulk.snapped, oracle, fred.snapped))
     elapsed = time.time() - t0
     ok = all(b == o == f and b is not None for _, _, b, o, f in rows)

@@ -678,6 +678,8 @@ class TestNamedErrors:
         doc["symmetry"]["P_unitary"] = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
         model.write_text(json.dumps(doc))
         for argv in (["index", "--model-file", str(model)],
+                     ["edge-index", "--model-file", str(model), "--normal", "1",
+                      "--offset", "29.6"],
                      ["verify-bec", "--model-file", str(model), "--normal", "1",
                       "--offset", "29.6"]):
             code, out, err = run(argv, capsys)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -329,32 +331,39 @@ class TestMismatchedPartition:
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
         H_hat = rl.compress(H, rl.partition_halfspace(chain200, [1.0], 99.6))
         with pytest.raises(PairingError, match="100 sites against the cut's 50 plus"):
-            rl.edge_fredholm(H_hat, spec, part=rl.partition_halfspace(chain200, [1.0], 149.6))
+            rl.edge_fredholm(H_hat, spec, rl.partition_halfspace(chain200, [1.0], 149.6),
+                             rl.certify_gap(H))
 
 
 class TestEdgeFredholm:
     def test_invertible_compression_gives_zero(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 1.0, "t2": 0.5}, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
-        rep = rl.edge_fredholm(rl.compress(H, part), spec, part=part)
+        rep = rl.edge_fredholm(rl.compress(H, part), spec, part, rl.certify_gap(H))
         assert rep.snapped == 0
 
     def test_topological_phase_counts_cut_mode(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
-        rep = rl.edge_fredholm(rl.compress(H, part), spec, part=part)
-        bulkw = rl.chern_odd(H, rl.certify_gap(H), spec, [40, 60, 80])
+        cert = rl.certify_gap(H)
+        rep = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
+        bulkw = rl.chern_odd(H, cert, spec, [40, 60, 80])
         assert rep.snapped == bulkw.snapped == 1
         assert abs(rep.raw - 1.0) < 1e-6
 
     def test_separation_guard(self):
-        """An 18-cell half chain splits its two end modes to 2.9e-6: the
-        kernel is not separated at the 1e-6 kernel tolerance."""
-        chain = rl.generate({"kind": "chain", "window": [[0, 36]]})
-        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain)
-        part = rl.partition_halfspace(chain, [1.0], 17.6)
-        with pytest.raises(PairingError, match="separation"):
-            rl.edge_fredholm(rl.compress(H, part), spec, part=part)
+        """An 18-, 15- or 16-cell half chain splits its two end modes above
+        the 1e-6 kernel tolerance: to 2.9e-6, within 10 KERNEL_TOL, or to
+        2.3e-5 and 1.1e-5, inside the bulk gap, which before read as an
+        empty kernel (raw 0.0, snapped 0, no warning)."""
+        for n, level in ((36, "-2.86e-06"), (30, "-2.29e-05"), (32, "-1.14e-05")):
+            chain = rl.generate({"kind": "chain", "window": [[0, n]]})
+            _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain)
+            part = rl.partition_halfspace(chain, [1.0], n / 2 - 0.4)
+            with pytest.raises(PairingError, match=re.escape(
+                    f"in-gap edge level E = {level} is not in the kernel (|E| < 1e-06): "
+                    "the end modes split on this half chain; use a larger sample")):
+                rl.edge_fredholm(rl.compress(H, part), spec, part, rl.certify_gap(H))
 
 
 def _chiral_chain(name, chain, disorder=0.0):
@@ -387,7 +396,7 @@ class TestSiteWiseChiralMatchesKron:
         H, spec = _chiral_chain(name, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
         H_hat = rl.compress(H, part)
-        rep = rl.edge_fredholm(H_hat, spec, part=part)
+        rep = rl.edge_fredholm(H_hat, spec, part, rl.certify_gap(H))
         w, v = H_hat.eigh()
         Q = v[:, np.abs(w) < 1e-6]
         proj = H_hat.module.pointset.coords[:, 0] * part.normal[0] - part.offset

@@ -38,3 +38,31 @@ def test_no_unused_module_imports():
                    for name in ((a.asname or a.name.split(".")[0]) for a in node.names)
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_definition_is_referenced():
+    """Every function and class a `src/roelab` module defines (methods and
+    nested functions too; dunders exempt, Python calls them) is referenced
+    somewhere in `src`, `tests`, `demos` or `perfbench`: as a name, an
+    attribute or a word of a string that is not a docstring (the tracer names
+    layers as "<module>.<function>" strings)."""
+    defined, used = {}, set()
+    for path in sorted(p for d in ("src", "tests", "demos", "perfbench")
+                       for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docs:
+                used.update(re.findall(r"\w+", node.value))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and path.is_relative_to(ROOT / "src/roelab")
+                  and not node.name.startswith("__")):
+                defined.setdefault(node.name, f"{path.stem}.{node.name}")
+    unused = sorted(where for name, where in defined.items() if name not in used)
+    assert not unused, f"defined but never referenced: {unused}"

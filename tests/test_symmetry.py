@@ -354,9 +354,9 @@ class TestRelationTable:
         st = rl.stencil(name)
         labels = [st.labels[k] for k in st.conserve_labels]
         rng = np.random.default_rng(5)
-        want = [0.3 * self._explicit(_random_hermitian(rng, st.orbitals), st.spec, labels)
+        want = [0.3 * self._explicit(_random_hermitian(rng, len(st.onsite)), st.spec, labels)
                 for _ in range(40)]
-        got = disorder_blocks(st.spec, st.orbitals, 40, 0.3, 5, conserve=labels)
+        got = disorder_blocks(st.spec, len(st.onsite), 40, 0.3, 5, conserve=labels)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_verify_symmetry_violations(self, chain200):

@@ -36,7 +36,7 @@ def test_every_layer_binds_and_the_chain_route_is_traced(chain200, monkeypatch):
     """Both chain routes pair through `chern_odd` and neither flattens.  Per
     point, ssh makes one bulk SVD, the solve's, whose factors `chern_odd`
     reads, and one of the half chain; kitaev's solves are dense, and its one
-    SVD is `chern_odd`'s."""
+    SVD is `chern_odd`'s.  `verify_symmetry` runs once per point."""
     tracer = _load_tracer()
     with tracer.Tracer():
         for name in tracer.LAYER_FUNCTIONS:
@@ -66,10 +66,13 @@ def test_every_layer_binds_and_the_chain_route_is_traced(chain200, monkeypatch):
         points = 1 + len(rep.sweeps)
         assert rep.passed and svds == per_point * points
         assert tr.solves(tr.call) == 2 * points
-        names = {sp.name for sp in tr.spans}
+        names = [sp.name for sp in tr.spans]
         for name in ("bulkedge.make_bulk", "indices.chern_odd", "indices.edge_fredholm"):
             assert name in names, f"{model}: no span for {name}"
         assert "operators.flatten" not in names, f"the {model} route flattened H"
+        # the declared symmetry is checked once per point, in `make_bulk`;
+        # the pairings read P through their own chirality check
+        assert names.count("symmetry.verify_symmetry") == points
 
 
 def test_the_plane_route_is_traced():
