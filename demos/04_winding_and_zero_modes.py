@@ -24,7 +24,7 @@ for t2 in (0.4, 0.8, 1.2, 1.6):
     cert = rl.certify_gap(H)
     w_real = rl.chern_odd(H, cert, spec, [60, 80, 100])
     w_mom = bloch.winding_1d(bloch.bloch_hamiltonian("ssh", {"t1": 1.0, "t2": t2}), SZ)
-    fred = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
+    fred = rl.edge_fredholm(rl.compress(H, part), spec, cert)
     print(f"{t2:4.1f}    {w_real.raw:+12.6f}  {w_mom:+17.3f}  {fred.raw:+12.4f}")
 
 # The spectrum of the compressed chain: zero modes appear with the phase.

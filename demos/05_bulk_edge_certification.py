@@ -39,8 +39,7 @@ for deg in (0.0, 10.0, 15.0):
     p = rl.partition_halfspace(ps, n, float(np.dot([13.6, 13.6], n)))
     H_hat = rl.make_edge(bulk, p)
     eps = bulk.gap.epsilon
-    r = rl.edge_conductance(H_hat, p, (-eps / 3, eps / 3), (5, 7, 9),
-                            bulk_gap=bulk.gap)
+    r = rl.edge_conductance(H_hat, (-eps / 3, eps / 3), (5, 7, 9), bulk_gap=bulk.gap)
     print(f"  {deg:4.1f} deg: conductance {r.raw:+.4f} -> {r.snapped}")
 
 # Equivalence moves leave the certificate alone: an on-site basis rotation

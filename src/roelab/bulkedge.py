@@ -19,6 +19,7 @@ and gap checks exclude states pinned to the sample boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -29,8 +30,7 @@ from .indices import (IndexReport, Interface, PairingError, _box_windows,
                       _occupied, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        check_partition, compress, decay_fit, derivation_along, identity,
-                        site_blocks, truncate)
+                        compress, decay_fit, derivation_along, identity, site_blocks, truncate)
 from .models import disorder_blocks
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
@@ -124,14 +124,13 @@ def mv_boundary(H: ControlledOperator, cert: GapCertificate, part: Partition,
     (AQ) diag(g(mu)) (AQ)^*, g(mu) = expm1(-2 pi i mu) / mu, g(0) = -2 pi i.  U
     is the identity away from the interface; in a plane its winding per unit
     interface length is the edge pairing of the boundary class."""
-    check_partition(H.module, part)
+    module = H.module.plus_side(part)
     V = _occupied(H, cert)
     A = V.reshape(H.module.n_sites, H.m, -1)[part.plus_ids].reshape(-1, V.shape[1])
     mu, Q = np.linalg.eigh(A.conj().T @ A)
     g = np.divide(np.expm1(-2j * np.pi * mu), mu, out=np.full(len(mu), -2j * np.pi),
                   where=mu != 0)
     AQ = A @ Q
-    module = H.module.restrict_sites(part.plus_ids)
     dU = ControlledOperator(module, (AQ * g) @ AQ.conj().T, H.module.pointset.diameter,
                             hermitian=False)
     U = identity(module) + dU
@@ -144,7 +143,7 @@ def mv_boundary(H: ControlledOperator, cert: GapCertificate, part: Partition,
     fit = decay_fit(proj, site_dev, np.arange(0.0, proj.max() * 0.7, 1.0), 3)
     winding = None
     if ps.dim == 2 and edge_windows is not None:
-        frame = Interface.of(U, part)
+        frame = Interface.of(U)
         windows = frame.windows(edge_windows)
         DU = derivation_along(U, frame.direction).matrix
         traces = np.einsum("ji,ji->i", U.matrix.conj(), DU).reshape(-1, U.m).sum(axis=1)
@@ -171,14 +170,19 @@ class BECConfig:
     truncation_radii: tuple = ()
 
     def __post_init__(self):
+        number, integer = (numbers.Real, "a number"), (numbers.Integral, "an integer")
+        for what, values, (kind, desc) in (
+                ("window", self.windows, number), ("edge window", self.edge_windows, number),
+                ("truncation radius", self.truncation_radii, number),
+                ("disorder strength", (self.disorder_strength,), number),
+                ("disorder seed", self.disorder_seeds, integer)):
+            if bad := [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]:
+                raise BulkEdgeError(f"{what} {bad[0]!r} is not {desc}")
         for R in self.truncation_radii:
             if not 0 < R < np.inf:
                 raise BulkEdgeError(f"truncation radius {R} is not positive and finite")
         if not np.isfinite(strength := self.disorder_strength):
             raise BulkEdgeError(f"disorder strength {strength} is not a finite number")
-        for seed in self.disorder_seeds:
-            if not isinstance(seed, (int, np.integer)):
-                raise BulkEdgeError(f"disorder seed {seed!r} is not an integer")
         if bool(strength) != bool(self.disorder_seeds):
             raise BulkEdgeError(f"disorder strength {strength} without disorder seeds" if strength
                                 else "disorder seeds without a disorder strength")
@@ -231,7 +235,7 @@ class Route:
 
     `system(bulk)` resolves, once per point, the working system both
     pairings run on; its spec is the one they read.  `bulk(work, windows)`
-    and `edge(work, part, cfg)` run the two pairings; the edge also returns
+    and `edge(work, H_hat, cfg)` run the two pairings; the edge also returns
     its plateau deviation (None without one).  Both reports are snapped once
     more in the pair's classifying group, under the names in `formulas`, so
     each carries only that snap's warning.  The step functions look pairings
@@ -280,20 +284,19 @@ def _winding(work: BulkSystem, windows) -> IndexReport:
     return chern_odd(work.H, work.gap, work.spec, windows)
 
 
-def _conductance(work: BulkSystem, part, cfg):
+def _conductance(work: BulkSystem, H_hat, cfg):
     """Edge conductance at both interval widths: (first report, their spread)."""
-    H_hat = make_edge(work, part)
     windows = cfg.edge_windows or _default_windows(
-        Interface.of(H_hat, part).half, box_bound(H_hat.module.pointset, EDGE_RESERVE))
+        Interface.of(H_hat).half, box_bound(H_hat.module.pointset, EDGE_RESERVE))
     fermi, eps = work.gap.fermi, work.gap.epsilon
-    first, second = (edge_conductance(H_hat, part, (fermi - f * eps, fermi + f * eps),
-                                      windows, bulk_gap=work.gap)
+    first, second = (edge_conductance(H_hat, (fermi - f * eps, fermi + f * eps), windows,
+                                      bulk_gap=work.gap)
                      for f in (DELTA_FRACTION, PLATEAU_FRACTION))
     return first, float(abs(first.raw - second.raw))
 
 
-def _kernel_count(work: BulkSystem, part, cfg):
-    return edge_fredholm(make_edge(work, part), work.spec, part, work.gap), None
+def _kernel_count(work: BulkSystem, H_hat, cfg):
+    return edge_fredholm(H_hat, work.spec, work.gap), None
 
 
 def _itself(bulk: BulkSystem):
@@ -332,7 +335,7 @@ class _OnRoute:
 
     def edge_report(self, part: Partition, cfg: BECConfig):
         """(edge report, plateau deviation or None)."""
-        rep, plateau = self.route.edge(self.work, part, cfg)
+        rep, plateau = self.route.edge(self.work, make_edge(self.work, part), cfg)
         return self._snap(rep, self.route.formulas[1]), plateau
 
 

@@ -54,16 +54,16 @@ class PointSet:
     density : float or None
         Asymptotic number of points per unit volume, when known analytically
         (lattice generators set it).  None means "estimate from windows".
-    source_ids : (N,) int array or None
-        When this set is a restriction of a larger sample (e.g. a half-space
-        compression), the ids of the parent points.  None for primary sets.
+    cut : Partition or None
+        The cut whose plus side this set is (`plus_side`): its points are the
+        cut's plus_ids, in order.  None for primary sets.
     """
 
     dim: int
     coords: np.ndarray
     window: np.ndarray
     density: float | None = None
-    source_ids: np.ndarray | None = None
+    cut: Partition | None = None
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -94,12 +94,10 @@ class PointSet:
         return np.minimum((x - self.window[:, 0]).min(axis=1),
                           (self.window[:, 1] - x).min(axis=1))
 
-    def restrict(self, ids) -> "PointSet":
-        """Sub-sample keeping the listed ids (reindexed densely, coords kept)."""
-        ids = np.asarray(ids, dtype=int)
-        src = ids if self.source_ids is None else np.asarray(self.source_ids)[ids]
-        return PointSet(self.dim, self.coords[ids], self.window,
-                        density=self.density, source_ids=src)
+    def plus_side(self, part: Partition) -> "PointSet":
+        """The plus points of the cut `part`, reindexed densely; the window is kept."""
+        return PointSet(self.dim, self.coords[part.plus_ids], self.window,
+                        density=self.density, cut=part)
 
     def to_json(self) -> dict:
         doc = {

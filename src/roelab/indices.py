@@ -4,6 +4,7 @@ The trace per unit volume is estimated over a nested family of half-open
 boxes; pairing it with the position derivations grad_j = i[x_j, .] yields the
 even (Chern) and odd (winding) index formulas and their edge counterparts on
 a half-space compression, whose windows are intervals along the interface.
+A compression carries its cut (`PointSet.cut`), which the edge pairings read.
 One rule, `check_windows`, decides what a window family is on both sides:
 strictly increasing positive radii, each window inside what it averages
 over (a bulk box plus its margin inside the sample, an edge interval inside
@@ -355,25 +356,20 @@ def spin_sectors(H: ControlledOperator):
 # edge pairings
 # ---------------------------------------------------------------------------
 
-def _check_compressed(H_hat: ControlledOperator, part: Partition):
-    """Refuse an operator whose sites are not the cut's plus sites, in order."""
-    src = H_hat.module.pointset.source_ids
-    if src is None:
+def _cut(H_hat: ControlledOperator) -> Partition:
+    """The cut H_hat is the compression of, recorded on its point set."""
+    if (part := H_hat.module.pointset.cut) is None:
         raise PairingError("edge pairings expect a compressed (half-space) operator")
-    if not np.array_equal(src, part.plus_ids):
-        raise PairingError(
-            f"operator is not the compression of this partition: {len(src)} sites "
-            f"against the cut's {len(part.plus_ids)} plus sites, "
-            f"{np.intersect1d(src, part.plus_ids).size} shared")
+    return part
 
 
 @dataclass(frozen=True)
 class Interface:
-    """Frame of a compressed operator along its cut: the interface strip
-    (normal distance in [0, w), w half the largest: it holds the interface-
-    bound states but not the sample's outer boundary), each site's coordinate
-    along the edge direction, and the interface centre and half-length, which
-    bound the half-open edge windows about the centre."""
+    """Frame of a compressed operator along the cut it carries: the
+    interface strip (normal distance in [0, w), w half the largest: it holds
+    the interface-bound states but not the sample's outer boundary), each
+    site's coordinate along the edge direction, and the interface centre and
+    half-length, which bound the half-open edge windows about the centre."""
 
     strip: np.ndarray
     coord: np.ndarray
@@ -382,14 +378,13 @@ class Interface:
     half: float
 
     @classmethod
-    def of(cls, H_hat: ControlledOperator, part: Partition) -> "Interface":
-        """The frame of H_hat, the compression of `part`, along the cut's edge
-        direction (its normal rotated by +90 degrees)."""
-        _check_compressed(H_hat, part)
-        ps = H_hat.module.pointset
+    def of(cls, H_hat: ControlledOperator) -> "Interface":
+        """The frame of the compressed H_hat along its cut's edge direction
+        (the normal rotated by +90 degrees)."""
+        part, ps = _cut(H_hat), H_hat.module.pointset
         e = part.edge_direction()
         coord = ps.coords @ e
-        iface = coord[np.isin(ps.source_ids, part.interface_ids)]
+        iface = coord[np.isin(part.plus_ids, part.interface_ids)]
         lo, hi = iface.min(), iface.max()
         return cls(part.past_strip(ps.coords) < 0, coord, e, 0.5 * (lo + hi), 0.5 * (hi - lo))
 
@@ -409,8 +404,8 @@ class Interface:
         return tuple(vals)
 
 
-def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
-                     edge_windows, bulk_gap: GapCertificate) -> IndexReport:
+def edge_conductance(H_hat: ControlledOperator, interval, edge_windows,
+                     bulk_gap: GapCertificate) -> IndexReport:
     """Edge transport pairing -(2 pi / |Delta|) T^(P_Delta grad_edge H^).
 
     P_Delta is the spectral projection of the compressed Hamiltonian onto the
@@ -426,14 +421,13 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PairingError("interval must have positive width")
-    lo = bulk_gap.fermi - bulk_gap.epsilon
-    hi = bulk_gap.fermi + bulk_gap.epsilon
+    lo, hi = bulk_gap.fermi - bulk_gap.epsilon, bulk_gap.fermi + bulk_gap.epsilon
     if a < lo or b > hi:
         raise PairingError(f"interval ({a}, {b}) leaves the certified bulk gap "
                            f"({lo:.4f}, {hi:.4f}); the edge formula is gap-valid only")
     if H_hat.module.pointset.dim != 2:
         raise PairingError("edge conductance is the d = 2 edge pairing")
-    frame = Interface.of(H_hat, part)
+    frame = Interface.of(H_hat)
     windows = frame.windows(edge_windows)
     w, v = H_hat.eigh()
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -453,7 +447,7 @@ def edge_conductance(H_hat: ControlledOperator, part: Partition, interval,
     return _report(per_window, "edge_conductance", kgroup_point("A", 2), windows=windows)
 
 
-def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition,
+def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
                   bulk_gap: GapCertificate) -> IndexReport:
     """Half-line index: chirality-weighted count of cut-bound zero modes.
 
@@ -468,7 +462,7 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec, part: Partition
     ps = H_hat.module.pointset
     if ps.dim != 1:
         raise PairingError("the Fredholm count is the d = 1 edge pairing")
-    _check_compressed(H_hat, part)
+    part = _cut(H_hat)
     _chirality(H_hat, spec)
     w, v = H_hat.eigh()
     near = np.abs(w) < KERNEL_TOL

@@ -47,7 +47,6 @@ class Stencil:
     spec: SymmetrySpec = field(default_factory=SymmetrySpec)
     pointset_kind: str = "square"
     conserve_labels: tuple = ()
-    notes: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +54,7 @@ class Stencil:
 # ---------------------------------------------------------------------------
 
 def _ssh(p) -> Stencil:
+    """Dimerized chain; chiral class, winding +1 for |t2| > |t1|."""
     t1, t2 = p["t1"], p["t2"]
     inter = np.zeros((2, 2), dtype=complex)
     inter[0, 1] = t2                  # cell x+1 sublattice A <- cell x sublattice B
@@ -63,11 +63,11 @@ def _ssh(p) -> Stencil:
         basis=np.eye(1), grading=np.array([1, -1]),
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(has_P=True, P_unitary=SZ),
-        pointset_kind="chain",
-        notes="dimerized chain; chiral class, winding +1 for |t2| > |t1|")
+        pointset_kind="chain")
 
 
 def _kitaev(p) -> Stencil:
+    """p-wave pairing chain in Bogoliubov-de Gennes form; topological for |mu| < 2|t|."""
     mu, t, delta = p["mu"], p["t"], p["delta"]
     hop = np.array([[-t, -delta], [delta, t]], dtype=complex)
     return Stencil(
@@ -75,8 +75,7 @@ def _kitaev(p) -> Stencil:
         basis=np.eye(1), grading=np.array([1, -1]),
         labels={"nambu": np.array([1, -1])},
         spec=SymmetrySpec(has_C=True, C_sq=1, C_unitary=SX),
-        pointset_kind="chain",
-        notes="p-wave pairing chain in Bogoliubov-de Gennes form; topological for |mu| < 2|t|")
+        pointset_kind="chain")
 
 
 def _qwz_block(direction: np.ndarray) -> np.ndarray:
@@ -85,6 +84,7 @@ def _qwz_block(direction: np.ndarray) -> np.ndarray:
 
 
 def _qwz(p) -> Stencil:
+    """Two-band Chern insulator; |C| = 1 for 0 < |m| < 2, trivial beyond."""
     m, cutoff, decay = p["m"], p["cutoff"], p["decay"]
     hops = {}
     if cutoff == 1:
@@ -106,11 +106,12 @@ def _qwz(p) -> Stencil:
         onsite=m * SZ, hops=hops,
         basis=np.eye(2), grading=np.array([1, -1]),
         spec=SymmetrySpec(),
-        pointset_kind="square",
-        notes="two-band Chern insulator; |C| = 1 for 0 < |m| < 2, trivial beyond")
+        pointset_kind="square")
 
 
 def _harper(p) -> Stencil:
+    """Uniform-flux square lattice (Peierls phases); set fermi inside a
+    spectral gap to select it."""
     flux, fermi, t = p["flux"], p["fermi"], p["t"]
     # Landau gauge: the y-hop picks up the Peierls phase exp(2 pi i flux x1);
     # encoded as a callable block evaluated at the source site.
@@ -122,9 +123,7 @@ def _harper(p) -> Stencil:
         onsite=-fermi * np.ones((1, 1), dtype=complex),
         hops=hops, basis=np.eye(2), grading=np.array([1]),
         spec=SymmetrySpec(),
-        pointset_kind="square",
-        notes="uniform-flux square lattice (Peierls phases); set fermi inside a "
-              "spectral gap to select it")
+        pointset_kind="square")
 
 
 def _haldane_blocks(t1, t2, phi, mass):
@@ -140,18 +139,19 @@ def _haldane_blocks(t1, t2, phi, mass):
 
 
 def _haldane(p) -> Stencil:
+    """Honeycomb with complex second-neighbour hopping (both sublattices
+    carried on one triangular point set)."""
     onsite, hops = _haldane_blocks(p["t1"], p["t2"], p["phi"], p["mass"])
     return Stencil(
         onsite=onsite, hops=hops,
         basis=TRIANGULAR_BASIS, grading=np.array([1, -1]),
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(),
-        pointset_kind="honeycomb",
-        notes="honeycomb with complex second-neighbour hopping (both sublattices "
-              "carried on one triangular point set)")
+        pointset_kind="honeycomb")
 
 
 def _kane_mele(p) -> Stencil:
+    """Spin-conserving quantum spin Hall model; Z2-nontrivial while |lv| < 3 sqrt(3) lso."""
     t, lso, lv = p["t"], p["lso"], p["lv"]
     on_up, hop_up = _haldane_blocks(t, lso, np.pi / 2, lv)
     on_dn, hop_dn = _haldane_blocks(t, lso, -np.pi / 2, lv)
@@ -171,12 +171,12 @@ def _kane_mele(p) -> Stencil:
                 "sublattice": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=T_u),
         pointset_kind="honeycomb",
-        conserve_labels=("spin_z",),
-        notes="spin-conserving quantum spin Hall model; Z2-nontrivial while "
-              "|lv| < 3 sqrt(3) lso")
+        conserve_labels=("spin_z",))
 
 
 def _layered3d(p) -> Stencil:
+    """Stacked Dirac insulator with mass parameter; strong phase for
+    1 < |m| < 3 and a double band inversion for |m| < 1."""
     m = p["m"]
     alphas = [np.kron(SX, s) for s in (SX, SY, SZ)]
     beta = np.kron(SZ, S0)
@@ -189,9 +189,7 @@ def _layered3d(p) -> Stencil:
         basis=np.eye(3), grading=np.array([1, 1, -1, -1]),
         labels={"spin_z": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=np.kron(S0, 1j * SY)),
-        pointset_kind="cubic",
-        notes="stacked Dirac insulator with mass parameter; strong phase for "
-              "1 < |m| < 3 and a double band inversion for |m| < 1")
+        pointset_kind="cubic")
 
 
 # each model's stencil factory and its parameters with their defaults; an

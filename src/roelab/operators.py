@@ -85,8 +85,12 @@ class SiteModule:
         e = np.asarray(direction, dtype=float)
         return np.repeat(self.pointset.coords @ e, self.orbitals_per_site)
 
-    def restrict_sites(self, ids) -> "SiteModule":
-        return SiteModule(self.pointset.restrict(ids), self.orbitals_per_site,
+    def plus_side(self, part: Partition) -> "SiteModule":
+        """The module over the plus side of `part`, a cut of this module's sites."""
+        ids = np.sort(np.concatenate([part.plus_ids, part.minus_ids]))
+        if not np.array_equal(ids, np.arange(self.n_sites)):
+            raise OperatorError("partition does not match the operator's point set")
+        return SiteModule(self.pointset.plus_side(part), self.orbitals_per_site,
                           grading=self.grading, labels=dict(self.labels))
 
     def orbital_index(self, orbital_idx) -> np.ndarray:
@@ -624,17 +628,9 @@ def derivation_along(A: ControlledOperator, direction) -> ControlledOperator:
                               hermitian=A.hermitian)
 
 
-def check_partition(module: SiteModule, part: Partition) -> None:
-    """Refuse a partition (of another point set) whose ids do not number `module`'s sites."""
-    ids = np.sort(np.concatenate([part.plus_ids, part.minus_ids]))
-    if not np.array_equal(ids, np.arange(module.n_sites)):
-        raise OperatorError("partition does not match the operator's point set")
-
-
 def compress(H: ControlledOperator, part: Partition) -> ControlledOperator:
-    """Restrict to the plus half-space: chi_{Y+} H chi_{Y+} on the sub-module."""
-    check_partition(H.module, part)
-    sub = H.module.restrict_sites(part.plus_ids)
+    """chi_{Y+} H chi_{Y+} on the plus side of `part`, whose point set records the cut."""
+    sub = H.module.plus_side(part)
     m = H.m
     idx = (part.plus_ids[:, None] * m + np.arange(m)[None, :]).ravel()
     return ControlledOperator(sub, H.matrix[np.ix_(idx, idx)],

@@ -76,7 +76,7 @@ def test_criterion_3_odd_winding_oracle():
         bulk = rl.chern_odd(H, cert, spec, [100, 140, 180])
         oracle = round(bloch.winding_1d(bloch.bloch_hamiltonian(
             "ssh", {"t1": t1, "t2": t2}), SZ))
-        fred = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
+        fred = rl.edge_fredholm(rl.compress(H, part), spec, cert)
         rows.append((t1, t2, bulk.snapped, oracle, fred.snapped))
     elapsed = time.time() - t0
     ok = all(b == o == f and b is not None for _, _, b, o, f in rows)
@@ -321,8 +321,7 @@ def test_criterion_9_non_straight_edge(square30):
         part = rl.partition_halfspace(square30, normal,
                                       float(np.dot([14.6, 14.6], normal)))
         H_hat = rl.make_edge(bulk, part)
-        rep = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3),
-                                  (6, 9, 12), bulk_gap=bulk.gap)
+        rep = rl.edge_conductance(H_hat, (-eps / 3, eps / 3), (6, 9, 12), bulk_gap=bulk.gap)
         snaps.append(rep.snapped)
         raws.append(rep.raw)
     ok = snaps[0] is not None and len(set(snaps)) == 1

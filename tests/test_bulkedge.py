@@ -53,6 +53,16 @@ class TestBECConfig:
         ({"disorder_seeds": [1, 2]}, "disorder seeds without a disorder strength"),
         ({"window": (5, 8)}, "unknown config key 'window'; known: windows, edge_windows"),
         ({"seeds": [1]}, "unknown config key 'seeds'"),
+        ({"disorder_seeds": (True,), "disorder_strength": 0.2},
+         "disorder seed True is not an integer"),
+        ({"windows": (True, 10, 15)}, "window True is not a number"),
+        ({"windows": ("a",)}, "window 'a' is not a number"),
+        ({"edge_windows": [4, False]}, "edge window False is not a number"),
+        ({"truncation_radii": ["2"]}, "truncation radius '2' is not a number"),
+        ({"disorder_strength": "0.2", "disorder_seeds": [1]},
+         "disorder strength '0.2' is not a number"),
+        ({"disorder_strength": True, "disorder_seeds": [1]},
+         "disorder strength True is not a number"),
     ])
     def test_sweep_settings_refused_on_construction(self, doc, message):
         with pytest.raises(BulkEdgeError, match=message):
@@ -116,9 +126,9 @@ def _mv_unitary_full(H, cert, part):
     return (v * -np.exp(1j * np.pi * w)) @ v.conj().T
 
 
-def _winding_full(U, part, windows):
+def _winding_full(U, windows):
     """The interface winding of U from the full product U^* i[x_edge, U]."""
-    frame = Interface.of(U, part)
+    frame = Interface.of(U)
     DU = rl.derivation_along(U, frame.direction).matrix
     traces = np.diag(U.matrix.conj().T @ DU).reshape(-1, U.m).sum(axis=1)
     return [float(np.real(1j * v)) for v in frame.sums(traces, windows)]
@@ -169,8 +179,7 @@ class TestMVBoundary:
         cb = rl.chern_even(bulk.H, bulk.gap, [6, 8, 10])
         H_hat = rl.make_edge(bulk, part)
         eps = bulk.gap.epsilon
-        ce = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3), (5, 7, 9),
-                                 bulk_gap=bulk.gap)
+        ce = rl.edge_conductance(H_hat, (-eps / 3, eps / 3), (5, 7, 9), bulk_gap=bulk.gap)
         assert bm.winding.snapped == cb.snapped == ce.snapped == -1
         assert bm.U.matrix @ bm.U.matrix.conj().T == pytest.approx(
             np.eye(bm.U.module.dim), abs=1e-10)
@@ -218,7 +227,7 @@ class TestMVBoundary:
         ref = rl.ControlledOperator(bm.U.module, want, bm.U.declared_propagation,
                                     hermitian=False)
         assert np.abs(np.array(bm.winding.values)
-                      - _winding_full(ref, part, (2, 3, 4))).max() < 1e-10
+                      - _winding_full(ref, (2, 3, 4))).max() < 1e-10
 
     def test_a_flattened_input_still_ports(self):
         """The old call form on a flattening s, mv_boundary(s, certify_gap(s),
@@ -334,8 +343,8 @@ class TestVerifyBEC:
         route = bulkedge.ROUTES["AIII", 1]
         shifts = iter([0.5, 1.0, 1.0])
 
-        def edge(work, part, cfg):
-            rep, plateau = route.edge(work, part, cfg)
+        def edge(work, H_hat, cfg):
+            rep, plateau = route.edge(work, H_hat, cfg)
             return replace(rep, raw=rep.raw + next(shifts)), plateau
 
         monkeypatch.setitem(bulkedge.ROUTES, ("AIII", 1), replace(route, edge=edge))

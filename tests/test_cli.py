@@ -228,8 +228,8 @@ class TestEdgeAndBEC:
         route = bulkedge.ROUTES["AIII", 1]
         points = []
 
-        def edge(work, part, cfg):
-            rep, plateau = route.edge(work, part, cfg)
+        def edge(work, H_hat, cfg):
+            rep, plateau = route.edge(work, H_hat, cfg)
             points.append(rep)
             # the clean point keeps its edge; every sweep point is off by one
             return (rep if len(points) == 1 else replace(rep, raw=rep.raw + 1.0)), plateau

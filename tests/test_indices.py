@@ -263,7 +263,7 @@ class TestEdgeConductance:
         lo, hi = ingap[0], ingap[1]
         mid = 0.5 * (lo + hi)
         width = 0.1 * (hi - lo)
-        rep = rl.edge_conductance(H_hat, part, (mid - width, mid + width),
+        rep = rl.edge_conductance(H_hat, (mid - width, mid + width),
                                   (5, 7), bulk_gap=bulk.gap)
         assert rep.raw == 0.0
 
@@ -271,7 +271,7 @@ class TestEdgeConductance:
         bulk, part, H_hat = qwz26_edge
         cb = rl.chern_even(bulk.H, bulk.gap, [6, 8, 10])
         eps = bulk.gap.epsilon
-        rep = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3),
+        rep = rl.edge_conductance(H_hat, (-eps / 3, eps / 3),
                                   (5, 7, 9), bulk_gap=bulk.gap)
         assert rep.snapped == cb.snapped == -1
         assert abs(rep.raw - cb.snapped) < 0.1
@@ -291,62 +291,70 @@ class TestEdgeConductance:
             fixed.append(np.real(_edge_conductance_full(
                 H_hat, part, (-eps / 3, eps / 3), (5, 7, 9), e=np.array([0.0, 1.0]))[-1]))
             tied.append(rl.edge_conductance(
-                H_hat, part, (-eps / 3, eps / 3), (5, 7, 9), bulk_gap=bulk.gap).raw)
+                H_hat, (-eps / 3, eps / 3), (5, 7, 9), bulk_gap=bulk.gap).raw)
         assert fixed[0] == pytest.approx(-fixed[1], abs=0.08)
         assert tied[0] == pytest.approx(tied[1], abs=0.08)
 
     def test_interval_outside_gap_rejected(self, qwz26_edge):
         bulk, part, H_hat = qwz26_edge
         with pytest.raises(PairingError):
-            rl.edge_conductance(H_hat, part, (-2.0, 2.0), (5, 7),
+            rl.edge_conductance(H_hat, (-2.0, 2.0), (5, 7),
                                 bulk_gap=bulk.gap)
 
     def test_plateau_between_widths(self, qwz26_edge):
         bulk, part, H_hat = qwz26_edge
         eps = bulk.gap.epsilon
-        thirds = rl.edge_conductance(H_hat, part, (-eps / 3, eps / 3),
+        thirds = rl.edge_conductance(H_hat, (-eps / 3, eps / 3),
                                      (5, 7, 9), bulk_gap=bulk.gap)
-        fifths = rl.edge_conductance(H_hat, part, (-eps / 5, eps / 5),
+        fifths = rl.edge_conductance(H_hat, (-eps / 5, eps / 5),
                                      (5, 7, 9), bulk_gap=bulk.gap)
         assert abs(thirds.raw - fifths.raw) < 0.05
 
 
-class TestMismatchedPartition:
-    """An edge pairing refuses an operator compressed by another cut than the
-    one it is given, and names the mismatch."""
+class TestCompressionCarriesItsCut:
+    """An edge pairing reads the cut from the compressed operator's point
+    set, so a compression of a compression pairs on its own cut."""
 
-    @pytest.mark.parametrize("normal, offset", [([1.0, 0.0], 8.6), ([0.0, 1.0], 5.6)],
-                             ids=["shifted", "perpendicular"])
-    def test_edge_conductance(self, normal, offset):
-        ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
-        mod, H, spec = rl.build_model("qwz", {"m": 1.0}, ps)
-        bulk = rl.make_bulk(mod, H, spec)
-        H_hat = rl.make_edge(bulk, rl.partition_halfspace(ps, [1.0, 0.0], 5.6))
-        eps = bulk.gap.epsilon
-        with pytest.raises(PairingError, match="not the compression of this partition"):
-            rl.edge_conductance(H_hat, rl.partition_halfspace(ps, normal, offset),
-                                (-eps / 3, eps / 3), (2, 3), bulk_gap=bulk.gap)
-
-    def test_edge_fredholm(self, chain200):
+    def test_nested_compression_gives_the_direct_cut(self, chain200):
+        """ssh cut at 49.6, then its half chain cut at 99.6: the same raw as
+        the cut at 99.6 made directly (before: refused, "50 shared")."""
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
-        H_hat = rl.compress(H, rl.partition_halfspace(chain200, [1.0], 99.6))
-        with pytest.raises(PairingError, match="100 sites against the cut's 50 plus"):
-            rl.edge_fredholm(H_hat, spec, rl.partition_halfspace(chain200, [1.0], 149.6),
-                             rl.certify_gap(H))
+        cert = rl.certify_gap(H)
+        part = rl.partition_halfspace(chain200, [1.0], 99.6)
+        direct = rl.compress(H, part)
+        assert direct.module.pointset.cut is part
+        half = rl.compress(H, rl.partition_halfspace(chain200, [1.0], 49.6))
+        inner = rl.partition_halfspace(half.module.pointset, [1.0], 99.6)
+        nested = rl.compress(half, inner)
+        assert nested.module.pointset.cut is inner
+        want = rl.edge_fredholm(direct, spec, cert)
+        assert abs(want.raw - 1.0) < 1e-6
+        assert rl.edge_fredholm(nested, spec, cert).raw == want.raw
+
+    def test_uncompressed_operator_refused(self, chain200, qwz26_edge):
+        bulk, _, _ = qwz26_edge
+        eps = bulk.gap.epsilon
+        _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
+        for run in (lambda: rl.edge_conductance(bulk.H, (-eps / 3, eps / 3), (5, 7),
+                                                bulk_gap=bulk.gap),
+                    lambda: rl.edge_fredholm(H, spec, rl.certify_gap(H))):
+            with pytest.raises(PairingError, match=re.escape(
+                    "edge pairings expect a compressed (half-space) operator")):
+                run()
 
 
 class TestEdgeFredholm:
     def test_invertible_compression_gives_zero(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 1.0, "t2": 0.5}, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
-        rep = rl.edge_fredholm(rl.compress(H, part), spec, part, rl.certify_gap(H))
+        rep = rl.edge_fredholm(rl.compress(H, part), spec, rl.certify_gap(H))
         assert rep.snapped == 0
 
     def test_topological_phase_counts_cut_mode(self, chain200):
         _, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
         cert = rl.certify_gap(H)
-        rep = rl.edge_fredholm(rl.compress(H, part), spec, part, cert)
+        rep = rl.edge_fredholm(rl.compress(H, part), spec, cert)
         bulkw = rl.chern_odd(H, cert, spec, [40, 60, 80])
         assert rep.snapped == bulkw.snapped == 1
         assert abs(rep.raw - 1.0) < 1e-6
@@ -363,7 +371,7 @@ class TestEdgeFredholm:
             with pytest.raises(PairingError, match=re.escape(
                     f"in-gap edge level E = {level} is not in the kernel (|E| < 1e-06): "
                     "the end modes split on this half chain; use a larger sample")):
-                rl.edge_fredholm(rl.compress(H, part), spec, part, rl.certify_gap(H))
+                rl.edge_fredholm(rl.compress(H, part), spec, rl.certify_gap(H))
 
 
 def _chiral_chain(name, chain, disorder=0.0):
@@ -396,7 +404,7 @@ class TestSiteWiseChiralMatchesKron:
         H, spec = _chiral_chain(name, chain200)
         part = rl.partition_halfspace(chain200, [1.0], 99.6)
         H_hat = rl.compress(H, part)
-        rep = rl.edge_fredholm(H_hat, spec, part, rl.certify_gap(H))
+        rep = rl.edge_fredholm(H_hat, spec, rl.certify_gap(H))
         w, v = H_hat.eigh()
         Q = v[:, np.abs(w) < 1e-6]
         proj = H_hat.module.pointset.coords[:, 0] * part.normal[0] - part.offset
@@ -567,7 +575,7 @@ class TestWindowDiagonalMatchesFullProducts:
         part = rl.partition_halfspace(ps, [1.0, 0.0], 5.6)
         H_hat = rl.make_edge(bulk, part)
         interval = (-fraction * bulk.gap.epsilon, fraction * bulk.gap.epsilon)
-        rep = rl.edge_conductance(H_hat, part, interval, (2, 3, 4), bulk_gap=bulk.gap)
+        rep = rl.edge_conductance(H_hat, interval, (2, 3, 4), bulk_gap=bulk.gap)
         want = _edge_conductance_full(H_hat, part, interval, (2, 3, 4))
         assert abs(rep.raw) > 0.5
         assert np.abs(np.array(rep.values) - np.real(want)).max() < 1e-12
