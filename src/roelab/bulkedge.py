@@ -30,8 +30,8 @@ from .indices import (IndexReport, Interface, PairingError, _box_windows,
                       _occupied, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
-                        compress, decay_fit, derivation_along, identity, site_blocks, truncate)
-from .models import disorder_blocks
+                        compress, decay_fit, derivation_along, identity, truncate)
+from .models import add_disorder
 from .symmetry import (SYM_TOL, KGroupDescriptor, SymmetrySpec, classify, kgroup_point,
                        verify_symmetry)
 
@@ -170,6 +170,9 @@ class BECConfig:
     truncation_radii: tuple = ()
 
     def __post_init__(self):
+        for name in ("windows", "edge_windows", "disorder_seeds", "truncation_radii"):
+            if not isinstance(value := getattr(self, name), (tuple, list)):
+                raise BulkEdgeError(f"{name} {value!r} is not a list")
         number, integer = (numbers.Real, "a number"), (numbers.Integral, "an integer")
         for what, values, (kind, desc) in (
                 ("window", self.windows, number), ("edge window", self.edge_windows, number),
@@ -250,12 +253,13 @@ class Route:
 
 def _spin_up(bulk: BulkSystem) -> BulkSystem:
     """Spin-up sector with its own certified gap, shared by both sides; T
-    was verified by `make_bulk`, and spin z must be conserved to 1e-10."""
+    was verified by `make_bulk`, and spin z must be conserved exactly, as
+    the solve's sector split (`conserved_sectors`) reads it."""
     H_up, _, mixing = spin_sectors(bulk.H)
-    if mixing > 1e-10:
+    if mixing:
         raise PairingError(
-            f"spin-z mixing {mixing:.2e} exceeds 1e-10: the spin-resolved "
-            "route needs spin conservation, and no spin-mixing formula is provided")
+            f"spin-z mixing {mixing:.2e}: the spin-resolved route needs spin z "
+            "conserved exactly, and no spin-mixing formula is provided")
     cert = certify_gap(H_up, fermi=bulk.gap.fermi)
     if not cert.gapped:
         raise PairingError("spin-up sector is not gapped at the Fermi level")
@@ -368,20 +372,12 @@ def _certify(bulk: BulkSystem, part: Partition, cfg: BECConfig):
     return (point.bulk_report(cfg), *point.edge_report(part, cfg))
 
 
-def _perturbations(bulk: BulkSystem, label: str, cfg: BECConfig):
+def _perturbations(bulk: BulkSystem, cfg: BECConfig):
     """Sweep points: (entry keys, perturbed Hamiltonian) per disorder seed,
     then per truncation radius."""
-    conserve = ()
-    if label == "AII" and "spin_z" in bulk.H.module.labels:
-        conserve = (bulk.H.module.labels["spin_z"],)   # spin-resolved route needs it
     for seed in cfg.disorder_seeds:
-        M = bulk.H.matrix.copy()
-        M[site_blocks(len(M), bulk.H.m)] += disorder_blocks(
-            bulk.spec, bulk.H.m, bulk.H.module.n_sites, cfg.disorder_strength, seed,
-            conserve=conserve)
         yield ({"kind": "disorder", "seed": int(seed), "strength": cfg.disorder_strength},
-               ControlledOperator(bulk.H.module, M, bulk.H.declared_propagation,
-                                  hermitian=True))
+               add_disorder(bulk.H, bulk.spec, cfg.disorder_strength, seed))
     for R in cfg.truncation_radii:
         yield {"kind": "truncation", "radius": float(R)}, truncate(bulk.H, float(R))
 
@@ -417,7 +413,7 @@ def verify_bec(bulk: BulkSystem, part: Partition,
         reasons.append(f"plateau deviation {plateau:.4g} above plateau_tol "
                        f"{PLATEAU_TOL:.4g}")
     sweeps = []
-    for keys, H in _perturbations(bulk, label, cfg):
+    for keys, H in _perturbations(bulk, cfg):
         point = make_bulk(H.module, H, bulk.spec, fermi=bulk.gap.fermi)
         b, e, _ = _certify(point, part, cfg)
         why = _mismatch(b, e)

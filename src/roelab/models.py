@@ -9,8 +9,9 @@ reference Hamiltonians in `roelab.bloch`, so both routes share the model
 definition while computing invariants by unrelated methods.
 
 On-site disorder is drawn per site from a seeded generator and projected onto
-the commutant of the declared symmetries before use, so disordered
-Hamiltonians satisfy their symmetry relations exactly, not approximately.
+the commutant of the declared symmetries and of each label H conserves
+exactly (`add_disorder`, the one path), so disordered Hamiltonians keep their
+symmetry relations and sectors exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PointSet, TRIANGULAR_BASIS, generate
-from .operators import ControlledOperator, SiteModule, site_blocks
+from .operators import ControlledOperator, SiteModule, conserved_sectors, site_blocks
 from .symmetry import CONSERVED, SymmetrySpec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,7 +38,7 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class Stencil:
-    """Translation-invariant hopping data for one model."""
+    """Translation-invariant hopping data of one model; its conserved labels are read off H."""
 
     onsite: np.ndarray              # (m, m) block: the model has m orbitals per site
     hops: dict                      # integer offset tuple -> (m, m) block
@@ -46,7 +47,6 @@ class Stencil:
     labels: dict = field(default_factory=dict)
     spec: SymmetrySpec = field(default_factory=SymmetrySpec)
     pointset_kind: str = "square"
-    conserve_labels: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,7 @@ def _kane_mele(p) -> Stencil:
         labels={"spin_z": np.array([1, 1, -1, -1]),
                 "sublattice": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=T_u),
-        pointset_kind="honeycomb",
-        conserve_labels=("spin_z",))
+        pointset_kind="honeycomb")
 
 
 def _layered3d(p) -> Stencil:
@@ -274,13 +273,25 @@ def disorder_blocks(spec: SymmetrySpec, m: int, n_sites: int, strength: float,
                     seed: int, conserve=()) -> np.ndarray:
     """(n_sites, m, m) stack of symmetrized on-site disorder blocks, times
     `strength`: one uniform draw gives each site, in site order, its m real
-    diagonal entries, then the real and imaginary m x m off-diagonal parts."""
+    diagonal entries, then the real and imaginary m x m off-diagonal parts,
+    commuting with each label in `conserve` (`add_disorder`: those H keeps)."""
     if not math.isfinite(strength):
         raise ModelError(f"disorder strength {strength} is not a finite number")
     draw = np.random.default_rng(seed).uniform(-1, 1, size=(n_sites, m + 2 * m * m))
     B = np.triu((draw[:, m:m + m * m] + 1j * draw[:, m + m * m:]).reshape(n_sites, m, m), 1) / 2
     blocks = draw[:, :m, None] * np.eye(m) + B + B.conj().transpose(0, 2, 1)
     return strength * symmetrize_block(blocks, spec, conserve)
+
+
+def add_disorder(H: ControlledOperator, spec: SymmetrySpec, strength: float,
+                 seed: int) -> ControlledOperator:
+    """H plus seeded on-site `disorder_blocks` that keep `spec` and every label
+    H conserves exactly (`conserved_sectors`), on H's module and propagation."""
+    conserve = [H.module.labels[name] for name, _ in conserved_sectors(H.matrix, H.module)]
+    M = H.matrix.copy()
+    M[site_blocks(len(M), H.m)] += disorder_blocks(spec, H.m, H.module.n_sites, strength,
+                                                   seed, conserve=conserve)
+    return ControlledOperator(H.module, M, H.declared_propagation, hermitian=H.hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +310,8 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
     Hopping blocks attach to site pairs whose coordinate difference matches a
     stencil offset; on jittered samples the match is by nearest target within
     half a bond length and the amplitude is scaled by exp(-(d - d0)).
-    `disorder` adds seeded on-site blocks projected onto the symmetry
-    commutant.  `periodic` wraps bonds across the window (axis-aligned
+    `disorder` adds seeded on-site blocks to the clean operator through
+    `add_disorder`.  `periodic` wraps bonds across the window (axis-aligned
     lattices only) - intended for building translation-invariant references,
     not for edge physics.
     """
@@ -313,8 +324,7 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
     module = SiteModule(ps, m, grading=st.grading, labels=dict(st.labels))
     N = ps.n
     M = np.zeros((N * m, N * m), dtype=complex)
-    diagonal = site_blocks(N * m, m)
-    M[diagonal] = st.onsite
+    M[site_blocks(N * m, m)] = st.onsite
     tree = ps.tree()
     extent = ps.window[:, 1] - ps.window[:, 0]
     for off, entry in st.hops.items():
@@ -335,8 +345,5 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
                 amp = 1.0
             M[y * m:(y + 1) * m, x * m:(x + 1) * m] += amp * B
             M[x * m:(x + 1) * m, y * m:(y + 1) * m] += amp * B.conj().T
-    if disorder:
-        conserve = [module.labels[k] for k in st.conserve_labels]
-        M[diagonal] += disorder_blocks(st.spec, m, N, disorder, seed, conserve=conserve)
     H = ControlledOperator.from_dense(module, M, hermitian=True)
-    return module, H, st.spec
+    return module, add_disorder(H, st.spec, disorder, seed) if disorder else H, st.spec

@@ -32,6 +32,7 @@ Operators are immutable; all operations return new values.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,10 +205,10 @@ class ControlledOperator:
         """Cached eigendecomposition (w ascending, v orthonormal columns).
 
         Solved once per operator (safe: operators are immutable), using
-        exact structure of the matrix: when the off-sector entries of a
-        module label (the first such label, e.g. spin_z on kane_mele) are all
-        exactly zero, each sector is solved on its own and its eigenvectors
-        fill their rows of v; else, on a chiral matrix (e.g. ssh), one SVD of
+        exact structure of the matrix: on the first label H conserves
+        (`conserved_sectors`: no off-sector entry, e.g. spin_z on kane_mele),
+        each sector is solved on its own and its eigenvectors fill their
+        rows of v; else, on a chiral matrix (e.g. ssh), one SVD of
         the half-size block gives every pair (`ChiralFactors` says which
         matrices, the kernel rule and why kitaev is not one); a real matrix
         is solved in real arithmetic.  The driver and the accuracy are in the
@@ -237,19 +238,25 @@ class ControlledOperator:
     @classmethod
     def from_blocks(cls, module: SiteModule, blocks: dict,
                     hermitian: bool = True) -> "ControlledOperator":
-        """Assemble from {(x, y): m x m block}; for hermitian input, (y, x)
-        partners are filled in automatically when absent."""
-        m = module.orbitals_per_site
+        """Assemble from {(x, y): m x m block} (x, y integers naming sites,
+        finite entries); for hermitian input, (y, x) partners are filled in
+        automatically when absent."""
+        n, m = module.n_sites, module.orbitals_per_site
         M = np.zeros((module.dim, module.dim), dtype=complex)
         for (x, y), B in blocks.items():
+            if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                       and 0 <= i < n for i in (x, y)):
+                raise OperatorError(f"block ({x},{y}) lies outside the {n} sites")
             B = np.asarray(B, dtype=complex)
             if B.shape != (m, m):
                 raise OperatorError(f"block ({x},{y}) has shape {B.shape}, expected ({m},{m})")
-            M[x * m:(x + 1) * m, y * m:(y + 1) * m] += B
+            M[x * m:(x + 1) * m, y * m:(y + 1) * m] = B
             if hermitian and x != y and (y, x) not in blocks:
-                M[y * m:(y + 1) * m, x * m:(x + 1) * m] += B.conj().T
+                M[y * m:(y + 1) * m, x * m:(x + 1) * m] = B.conj().T
+        if not np.isfinite(M).all():
+            raise OperatorError("operator has a non-finite block entry")
         if hermitian and np.abs(M - M.conj().T).max() > 1e-12:
-            raise OperatorError("blocks declared Hermitian but matrix is not")
+            raise OperatorError("operator declared Hermitian but matrix is not")
         return cls.from_dense(module, M, hermitian=hermitian)
 
     @classmethod
@@ -273,35 +280,23 @@ class ControlledOperator:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ControlledOperator":
-        """Inverse of `to_json`; block indices, block shapes and the
-        `hermitian` flag are checked against the module and the matrix; every
-        entry must be finite, and the declared propagation (default: the
-        blocks' reach, `propagation`) finite and no smaller than that reach."""
+        """Inverse of `to_json`: the blocks are assembled and checked by
+        `from_blocks`, and the declared propagation (default: the blocks'
+        reach, `propagation`) must be finite and no smaller than that reach."""
         refuse_unknown_keys(doc, ("module", "hermitian", "propagation", "blocks"), "operator",
                             OperatorError)
         hermitian = doc["hermitian"]
         if type(hermitian) is not bool:
             raise OperatorError(f"hermitian {hermitian!r} is not true or false")
         module = SiteModule.from_json(doc["module"])
-        n, m = module.n_sites, module.orbitals_per_site
-        M = np.zeros((module.dim, module.dim), dtype=complex)
-        for x, y, rows in doc["blocks"]:
-            if not all(type(i) is int and 0 <= i < n for i in (x, y)):
-                raise OperatorError(f"block ({x},{y}) lies outside the {n} sites")
-            B = np.array([[complex(v[0], v[1]) for v in row] for row in rows])
-            if B.shape != (m, m):
-                raise OperatorError(f"block ({x},{y}) has shape {B.shape}, expected ({m},{m})")
-            M[x * m:(x + 1) * m, y * m:(y + 1) * m] = B
-        if not np.isfinite(M).all():
-            raise OperatorError("operator has a non-finite block entry")
-        if hermitian and np.abs(M - M.conj().T).max() > 1e-12:
-            raise OperatorError("operator declared Hermitian but matrix is not")
-        reach = cls.from_dense(module, M, hermitian).declared_propagation
+        H = cls.from_blocks(module, {(x, y): [[complex(v[0], v[1]) for v in row] for row in rows]
+                                     for x, y, rows in doc["blocks"]}, hermitian)
+        reach = H.declared_propagation
         prop = doc.get("propagation", reach)
         if isinstance(prop, bool) or not reach <= prop < np.inf:
             raise OperatorError(f"declared propagation {prop} is not finite or lies "
                                 f"below the blocks' reach {reach:g}")
-        return cls(module, M, float(prop), hermitian=hermitian)
+        return cls(module, H.matrix, float(prop), hermitian=hermitian)
 
 
 def identity(module: SiteModule) -> ControlledOperator:
@@ -315,17 +310,16 @@ def grading_operator(module: SiteModule) -> ControlledOperator:
     return ControlledOperator(module, np.diag(g), 0.0)
 
 
-def _sectors(M: np.ndarray, module: SiteModule):
-    """(label, basis indices per sector) of the first module label with two
-    or more values whose off-sector entries of M are all exactly zero, else
-    None."""
+def conserved_sectors(M: np.ndarray, module: SiteModule):
+    """(label, basis indices per sector) of every module label, in label
+    order, with two or more values whose off-sector entries of M are all
+    exactly zero: the one rule for which labels an operator conserves."""
     for name, lab in module.labels.items():
         lab = np.asarray(lab)
         index = [module.orbital_index(np.flatnonzero(lab == v)) for v in np.unique(lab)]
         if len(index) > 1 and not any(M[np.ix_(a, b)].any()
                                       for a in index for b in index if a is not b):
-            return name, index
-    return None
+            yield name, index
 
 
 @dataclass(frozen=True)
@@ -392,7 +386,7 @@ def _spectrum(M: np.ndarray, module: SiteModule) -> Spectrum:
     A = M.real if real else M
     driver = "MRRR" if module.pointset.dim >= 2 else "divide and conquer"
     method = driver + (", real" if real else "")
-    split = _sectors(A, module)
+    split = next(conserved_sectors(A, module), None)
     if split is None:
         f = _chiral(A, module)
         if f is None:

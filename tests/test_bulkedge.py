@@ -63,6 +63,9 @@ class TestBECConfig:
          "disorder strength '0.2' is not a number"),
         ({"disorder_strength": True, "disorder_seeds": [1]},
          "disorder strength True is not a number"),
+        ({"windows": 5}, "windows 5 is not a list"),
+        ({"disorder_seeds": 3, "disorder_strength": 0.1}, "disorder_seeds 3 is not a list"),
+        ({"truncation_radii": 2.0}, "truncation_radii 2.0 is not a list"),
     ])
     def test_sweep_settings_refused_on_construction(self, doc, message):
         with pytest.raises(BulkEdgeError, match=message):

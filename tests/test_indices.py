@@ -233,16 +233,21 @@ class TestKaneMele:
             assert rep.snapped == bloch.kane_mele_z2_reference(1.0, 0.06, lv) == expect
 
     def test_spin_mixing_rejected(self):
+        """Any mixing is refused, however small: the route's sector must be
+        one the solve splits on, and the solve splits only on exact zeros."""
         ps = rl.generate({"kind": "honeycomb", "window": [[0, 10], [0, 10]]})
         _, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": 0.1}, ps)
-        # on-site spin flip sigma_x (x) tau_y on (A+, B+, A-, B-): it keeps T
-        # (i sigma_y K), so only the spin-resolved route's own check rejects it
-        mix = 0.05 * np.kron([[0, 1], [1, 0]], [[0, -1j], [1j, 0]])
-        M = H.matrix + np.kron(np.eye(H.module.n_sites), mix)
-        Hb = rl.ControlledOperator(H.module, M, H.declared_propagation)
-        assert rl.verify_symmetry(Hb, spec).violations["T"] < 1e-12
-        with pytest.raises(PairingError, match="spin"):
-            self._spin_pairing(Hb, spec, (3, 4))
+        for strength, shown in ((0.05, "5.00e-02"), (1e-12, "1.00e-12")):
+            # on-site spin flip sigma_x (x) tau_y on (A+, B+, A-, B-): it keeps
+            # T (i sigma_y K), so only the spin-resolved route's own check
+            # rejects it
+            mix = strength * np.kron([[0, 1], [1, 0]], [[0, -1j], [1j, 0]])
+            M = H.matrix + np.kron(np.eye(H.module.n_sites), mix)
+            Hb = rl.ControlledOperator(H.module, M, H.declared_propagation)
+            assert rl.verify_symmetry(Hb, spec).violations["T"] < 1e-12
+            with pytest.raises(PairingError, match=f"spin-z mixing {shown}: .* spin z "
+                                                   "conserved exactly"):
+                self._spin_pairing(Hb, spec, (3, 4))
 
 
 @pytest.fixture(scope="module")

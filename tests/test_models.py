@@ -3,7 +3,8 @@ import pytest
 
 import roelab as rl
 from roelab import bloch
-from roelab.models import AUX_CHIRAL, ModelError, symmetrize_block
+from roelab.models import AUX_CHIRAL, ModelError, add_disorder, symmetrize_block
+from roelab.operators import conserved_sectors
 from roelab.symmetry import SymmetrySpec
 
 
@@ -105,6 +106,35 @@ class TestDisorder:
         from roelab.indices import spin_sectors
         _, _, mixing = spin_sectors(H)
         assert mixing < 1e-12
+
+    @staticmethod
+    def _clean(name):
+        return rl.build_model(name, {}, rl.default_pointset(name, 4.0))
+
+    @pytest.mark.parametrize("name", sorted(rl.MODELS))
+    def test_only_kane_mele_conserves_a_label(self, name):
+        _, H, _ = self._clean(name)
+        got = [label for label, _ in conserved_sectors(H.matrix, H.module)]
+        assert got == (["spin_z"] if name == "kane_mele" else [])
+
+    @pytest.mark.parametrize("name", sorted(rl.MODELS))
+    def test_build_disorder_is_add_disorder_of_the_clean_build(self, name):
+        ps = rl.default_pointset(name, 4.0)
+        _, H0, spec = rl.build_model(name, {}, ps)
+        _, H, _ = rl.build_model(name, {}, ps, disorder=0.3, seed=7)
+        want = add_disorder(H0, spec, 0.3, 7)
+        assert H.matrix.tobytes() == want.matrix.tobytes()
+        assert (H.declared_propagation, H.hermitian) == (want.declared_propagation,
+                                                         want.hermitian)
+
+    def test_disorder_keeps_spin_without_a_declared_symmetry(self):
+        """Spin z is kept because H conserves it, not because of the class."""
+        _, H0, _ = self._clean("kane_mele")
+        H = add_disorder(H0, SymmetrySpec(), 0.5, 3)
+        up, dn = (H.module.orbital_index(np.flatnonzero(H.module.labels["spin_z"] == s))
+                  for s in (1, -1))
+        assert not H.matrix[np.ix_(up, dn)].any() and not H.matrix[np.ix_(dn, up)].any()
+        assert np.abs(H.matrix - H0.matrix).max() > 0.1
 
     def test_disorder_is_seeded(self, chain200):
         _, H1, _ = rl.build_model("ssh", {}, chain200, disorder=0.3, seed=4)

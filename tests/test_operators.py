@@ -361,6 +361,24 @@ class TestFromBlocks:
             assert np.array_equal(A.matrix, H.matrix), name
             assert A.declared_propagation == inline == H.declared_propagation, name
 
+    @pytest.mark.parametrize("blocks, message", [
+        ({(-2, 0): np.eye(2)}, r"block \(-2,0\) lies outside the 4 sites"),
+        ({(4, 0): np.eye(2)}, r"block \(4,0\) lies outside the 4 sites"),
+        ({(True, 0): np.eye(2)}, r"block \(True,0\) lies outside the 4 sites"),
+        ({(1.0, 0): np.eye(2)}, r"block \(1.0,0\) lies outside the 4 sites"),
+        ({(0, 0): np.full((2, 2), np.nan)}, "non-finite block entry"),
+    ], ids=["negative", "past_end", "bool", "float", "nan"])
+    def test_refused_blocks(self, blocks, message):
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 4]]}), 2)
+        with pytest.raises(OperatorError, match=message):
+            rl.ControlledOperator.from_blocks(mod, blocks)
+
+    def test_numpy_indices_and_signed_zeros_kept(self):
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 4]]}), 1)
+        blocks = {(np.int64(0), np.int64(1)): [[complex(-0.0, 1.0)]]}
+        A = rl.ControlledOperator.from_blocks(mod, blocks)
+        assert np.signbit(A.matrix[0, 1].real) and A.matrix[1, 0] == -1j
+
 
 class TestFromJson:
     @pytest.fixture
@@ -373,6 +391,15 @@ class TestFromJson:
         doc["blocks"][0][1] = index
         with pytest.raises(OperatorError, match="outside"):
             rl.ControlledOperator.from_json(doc)
+
+    def test_one_block_of_a_pair_gets_its_partner(self, doc):
+        """A Hermitian file may list one block of a pair, as `from_blocks`
+        fills in the other; it loads to the same matrix (up to signed zeros)."""
+        want = rl.ControlledOperator.from_json(doc)
+        doc["blocks"] = [b for b in doc["blocks"] if b[0] <= b[1]]
+        got = rl.ControlledOperator.from_json(doc)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.declared_propagation == want.declared_propagation
 
     def test_block_shape(self, doc):
         doc["blocks"][0][2] = [[[1.0, 0.0]]]
@@ -470,7 +497,7 @@ class TestSpectralLayer:
 
     @pytest.mark.parametrize("disorder", [0.0, 0.3])
     def test_kane_mele_solves_spin_sectors(self, disorder):
-        # the disorder keeps spin_z (the model's conserved label)
+        # the disorder keeps spin_z, the label the clean H conserves
         H = _small_model("kane_mele", disorder)
         _, v = H.eigh()
         half = H.module.dim // 2

@@ -5,7 +5,7 @@ import pytest
 
 import roelab as rl
 from roelab.models import disorder_blocks, symmetrize_block
-from roelab.operators import onsite
+from roelab.operators import conserved_sectors, onsite
 from roelab.symmetry import (CARTAN_LABELS, LABELS, CharacterTable, KGroupDescriptor,
                              SymmetryError, SymmetrySpec, kgroup_finite_group,
                              spec_from_label)
@@ -352,7 +352,8 @@ class TestRelationTable:
     @pytest.mark.parametrize("name", ["ssh", "kitaev", "kane_mele", "layered3d"])
     def test_disorder_blocks(self, name):
         st = rl.stencil(name)
-        labels = [st.labels[k] for k in st.conserve_labels]
+        _, H, _ = rl.build_model(name, {}, rl.default_pointset(name, 3.0))
+        labels = [st.labels[k] for k, _ in conserved_sectors(H.matrix, H.module)]
         rng = np.random.default_rng(5)
         want = [0.3 * self._explicit(_random_hermitian(rng, len(st.onsite)), st.spec, labels)
                 for _ in range(40)]

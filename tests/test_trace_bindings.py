@@ -73,6 +73,8 @@ def test_every_layer_binds_and_the_chain_route_is_traced(chain200, monkeypatch):
         # the declared symmetry is checked once per point, in `make_bulk`;
         # the pairings read P through their own chirality check
         assert names.count("symmetry.verify_symmetry") == points
+        # each seed's disorder goes through `models.add_disorder`, one draw each
+        assert names.count("models.disorder_blocks") == len(config.get("disorder_seeds", ()))
 
 
 def test_the_plane_route_is_traced():
