@@ -14,7 +14,6 @@ import numpy as np
 
 import roelab as rl
 from roelab import bloch
-from roelab.operators import derivation
 
 ps = rl.generate({"kind": "square", "window": [[0, 26], [0, 26]]})
 
@@ -37,8 +36,8 @@ for seed in range(5):
 # Local marker map: the integrand of the pairing, site by site, from P itself.
 _, H, _ = rl.build_model("qwz", {"m": 1.0}, ps)
 P = rl.occupied_projection(H, rl.certify_gap(H))
-A = P.matrix @ (derivation(P, 0).matrix @ derivation(P, 1).matrix
-                - derivation(P, 1).matrix @ derivation(P, 0).matrix)
+D1, D2 = (rl.derivation_along(P, e).matrix for e in np.eye(2))
+A = P.matrix @ (D1 @ D2 - D2 @ D1)
 marker = np.real(2j * np.pi * np.diag(A).reshape(-1, 2).sum(axis=1))
 with open("chern_marker.csv", "w", newline="") as fh:
     w = csv.writer(fh)

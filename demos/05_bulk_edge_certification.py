@@ -42,8 +42,7 @@ for deg in (0.0, 10.0, 15.0):
     r = rl.edge_conductance(H_hat, (-eps / 3, eps / 3), (5, 7, 9), bulk_gap=bulk.gap)
     print(f"  {deg:4.1f} deg: conductance {r.raw:+.4f} -> {r.snapped}")
 
-# Equivalence moves leave the certificate alone: an on-site basis rotation
-# and a direct sum with a grading.
+# An equivalence move leaves the certificate alone: an on-site basis rotation.
 rng = np.random.default_rng(0)
 W = np.kron(np.eye(mod.n_sites), np.linalg.qr(
     rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0])

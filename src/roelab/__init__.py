@@ -11,9 +11,8 @@ from .geometry import (DeloneCertificate, GroupAction, Partition, PointSet,
                        certify_delone, cyclic_rotation_action, generate,
                        partition_halfspace, penumbra)
 from .operators import (ControlledOperator, GapCertificate, SiteModule,
-                        certify_gap, compress, derivation, derivation_along,
-                        direct_sum, flatten, grading_operator, identity,
-                        onsite, propagation, restrict_orbitals, truncate)
+                        certify_gap, compress, derivation_along, direct_sum,
+                        flatten, identity, onsite, propagation, truncate)
 from .symmetry import (CARTAN_LABELS, CharacterTable, KGroupDescriptor,
                        SymmetrySpec, classify, frobenius_schur_split,
                        group_violation, kgroup_finite_group, kgroup_point,

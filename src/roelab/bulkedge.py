@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Partition, refuse_unknown_keys
-from .indices import (IndexReport, Interface, PairingError, _box_windows,
+from .indices import (IN_GAP, IndexReport, Interface, PairingError, _box_windows,
                       _occupied, _report, box_bound, chern_even, chern_odd,
                       edge_conductance, edge_fredholm, spin_sectors)
 from .operators import (ControlledOperator, GapCertificate, SiteModule, certify_gap,
@@ -78,15 +78,16 @@ def make_edge(bulk: BulkSystem, part: Partition) -> ControlledOperator:
 
     The compressed Hamiltonian may have spectrum inside the parent gap, but
     only from states bound to the interface (or to the sample's outer
-    boundary, which stands in for infinity).  Any in-gap state with more
-    than 30% of its weight in the deep interior (beyond the interface strip
-    and the boundary margin) signals that the interface collar is too thin
-    or the gap too tight for the sample.
+    boundary, which stands in for infinity).  Any in-gap state (|E - fermi|
+    below IN_GAP epsilon) with more than 30% of its weight in the deep
+    interior (beyond the interface strip and the boundary margin) signals
+    that the interface collar is too thin or the gap too tight for the
+    sample.
     """
     H_hat = compress(bulk.H, part)
     w, v = H_hat.eigh()
     eps, fermi = bulk.gap.epsilon, bulk.gap.fermi
-    sel = np.abs(w - fermi) < 0.9 * eps
+    sel = np.abs(w - fermi) < IN_GAP * eps
     if sel.any():
         ps = H_hat.module.pointset
         extent = float((ps.window[:, 1] - ps.window[:, 0]).min())
@@ -253,13 +254,9 @@ class Route:
 
 def _spin_up(bulk: BulkSystem) -> BulkSystem:
     """Spin-up sector with its own certified gap, shared by both sides; T
-    was verified by `make_bulk`, and spin z must be conserved exactly, as
-    the solve's sector split (`conserved_sectors`) reads it."""
-    H_up, _, mixing = spin_sectors(bulk.H)
-    if mixing:
-        raise PairingError(
-            f"spin-z mixing {mixing:.2e}: the spin-resolved route needs spin z "
-            "conserved exactly, and no spin-mixing formula is provided")
+    was verified by `make_bulk`, and `spin_sectors` refuses an H that does
+    not conserve spin z."""
+    H_up, _ = spin_sectors(bulk.H)
     cert = certify_gap(H_up, fermi=bulk.gap.fermi)
     if not cert.gapped:
         raise PairingError("spin-up sector is not gapped at the Fermi level")

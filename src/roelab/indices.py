@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import Partition
 from .operators import (ChiralFactors, ControlledOperator, OperatorError, GapCertificate,
-                        derivation_along, onsite, restrict_orbitals)
+                        conserved_sectors, derivation_along, onsite)
 from .symmetry import RELATIONS, SYM_TOL, KGroupDescriptor, SymmetrySpec, kgroup_point
 
 
@@ -45,6 +45,7 @@ INTEGER_SNAP_TOL = 0.1      # largest distance of a raw value from the integer i
 Z2_SNAP_TOL = 0.25          # largest distance of a raw value mod 2 from its class
 WIDTH_FAMILY = 8            # edge conductance: sub-intervals from 0.7 Delta to Delta
 KERNEL_TOL = 1e-6           # Fredholm count: kernel |E| below it, every other level above 10x
+IN_GAP = 0.9                # in-gap band: |E - fermi| < IN_GAP * the bulk gap's epsilon
 
 
 class PairingError(ValueError):
@@ -278,7 +279,7 @@ def _chirality(H: ControlledOperator, spec: SymmetrySpec):
     w, V = np.linalg.eigh(P)
     plus, minus = np.flatnonzero(w > 0), np.flatnonzero(w < 0)
     if len(plus) != len(minus):
-        raise PairingError("chiral grading is unbalanced on the orbital space")
+        raise PairingError("chiral unitary P is unbalanced on the orbital space")
     f = H.spectrum.chiral
     if f is not None and np.array_equal(P, np.diag(H.module.labels[f.label])):
         return f, V, plus, minus
@@ -341,15 +342,19 @@ def chern_odd(H: ControlledOperator, cert: GapCertificate, spec: SymmetrySpec,
 
 
 def spin_sectors(H: ControlledOperator):
-    """Split an operator into its spin-z sectors: (up, down, max |mixing| entry)."""
-    labels = H.module.labels.get("spin_z")
-    if labels is None:
-        raise PairingError("module carries no spin_z labels")
-    up = np.where(np.asarray(labels) == 1)[0]
-    dn = np.where(np.asarray(labels) == -1)[0]
-    iu, idn = H.module.orbital_index(up), H.module.orbital_index(dn)
-    mixing = float(np.abs(H.matrix[np.ix_(iu, idn)]).max()) if len(up) and len(dn) else 0.0
-    return restrict_orbitals(H, up), restrict_orbitals(H, dn), mixing
+    """The spin-z sectors (up, down) of H, labels +1 and -1, when H conserves
+    spin z by the rule the solve splits on (`conserved_sectors`); else the
+    refusal names the largest entry between the two sectors."""
+    sectors = H.module.sectors("spin_z")
+    if list(sectors) != [-1, 1]:
+        raise PairingError(f"spin_z takes the values {list(sectors)} on the module, not -1 and 1")
+    if not any(name == "spin_z" for name, _ in conserved_sectors(H.matrix, H.module)):
+        mixing = np.abs(H.matrix[np.ix_(sectors[1][1], sectors[-1][1])]).max()
+        raise PairingError(f"spin-z mixing {mixing:.2e}: the spin-resolved route needs spin z "
+                           "conserved exactly, and no spin-mixing formula is provided")
+    return tuple(ControlledOperator(H.module.restrict_orbitals(o), H.matrix[np.ix_(r, r)],
+                                    H.declared_propagation, hermitian=H.hermitian)
+                 for o, r in (sectors[1], sectors[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +458,8 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
 
     P is read as `chern_odd` reads it (`_chirality`).  Eigenvalues below
     KERNEL_TOL in modulus are the kernel; any other level at most 10
-    KERNEL_TOL, or within 0.9 epsilon of the bulk gap's Fermi level (the band
-    `make_edge` checks), is a split end pair and refused.  The count is
+    KERNEL_TOL, or within IN_GAP epsilon of the bulk gap's Fermi level (the
+    band `make_edge` checks), is a split end pair and refused.  The count is
     Tr(P chi Q) with Q the kernel projection and chi the indicator of the
     quarter nearest the cut, which isolates the cut end from its partner mode
     at the sample's far end.
@@ -466,7 +471,7 @@ def edge_fredholm(H_hat: ControlledOperator, spec: SymmetrySpec,
     _chirality(H_hat, spec)
     w, v = H_hat.eigh()
     near = np.abs(w) < KERNEL_TOL
-    split = w[~near & ((np.abs(w - bulk_gap.fermi) < 0.9 * bulk_gap.epsilon)
+    split = w[~near & ((np.abs(w - bulk_gap.fermi) < IN_GAP * bulk_gap.epsilon)
                        | (np.abs(w) <= 10 * KERNEL_TOL))]
     if split.size:
         raise PairingError(f"in-gap edge level E = {split[np.argmin(np.abs(split))]:.2e} is "

@@ -43,7 +43,6 @@ class Stencil:
     onsite: np.ndarray              # (m, m) block: the model has m orbitals per site
     hops: dict                      # integer offset tuple -> (m, m) block
     basis: np.ndarray               # (d, d) lattice basis, rows are cell vectors
-    grading: np.ndarray
     labels: dict = field(default_factory=dict)
     spec: SymmetrySpec = field(default_factory=SymmetrySpec)
     pointset_kind: str = "square"
@@ -59,8 +58,7 @@ def _ssh(p) -> Stencil:
     inter = np.zeros((2, 2), dtype=complex)
     inter[0, 1] = t2                  # cell x+1 sublattice A <- cell x sublattice B
     return Stencil(
-        onsite=t1 * SX, hops={(1,): inter},
-        basis=np.eye(1), grading=np.array([1, -1]),
+        onsite=t1 * SX, hops={(1,): inter}, basis=np.eye(1),
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(has_P=True, P_unitary=SZ),
         pointset_kind="chain")
@@ -71,8 +69,7 @@ def _kitaev(p) -> Stencil:
     mu, t, delta = p["mu"], p["t"], p["delta"]
     hop = np.array([[-t, -delta], [delta, t]], dtype=complex)
     return Stencil(
-        onsite=-mu * SZ, hops={(1,): hop},
-        basis=np.eye(1), grading=np.array([1, -1]),
+        onsite=-mu * SZ, hops={(1,): hop}, basis=np.eye(1),
         labels={"nambu": np.array([1, -1])},
         spec=SymmetrySpec(has_C=True, C_sq=1, C_unitary=SX),
         pointset_kind="chain")
@@ -103,8 +100,7 @@ def _qwz(p) -> Stencil:
                 amp = np.exp(-decay * (d - 1.0))
                 hops[(i, j)] = amp * _qwz_block(np.array([i, j]) / d)
     return Stencil(
-        onsite=m * SZ, hops=hops,
-        basis=np.eye(2), grading=np.array([1, -1]),
+        onsite=m * SZ, hops=hops, basis=np.eye(2),
         spec=SymmetrySpec(),
         pointset_kind="square")
 
@@ -120,8 +116,7 @@ def _harper(p) -> Stencil:
         (0, 1): lambda xy: -t * np.exp(2j * np.pi * flux * xy[0]) * np.ones((1, 1)),
     }
     return Stencil(
-        onsite=-fermi * np.ones((1, 1), dtype=complex),
-        hops=hops, basis=np.eye(2), grading=np.array([1]),
+        onsite=-fermi * np.ones((1, 1), dtype=complex), hops=hops, basis=np.eye(2),
         spec=SymmetrySpec(),
         pointset_kind="square")
 
@@ -143,8 +138,7 @@ def _haldane(p) -> Stencil:
     carried on one triangular point set)."""
     onsite, hops = _haldane_blocks(p["t1"], p["t2"], p["phi"], p["mass"])
     return Stencil(
-        onsite=onsite, hops=hops,
-        basis=TRIANGULAR_BASIS, grading=np.array([1, -1]),
+        onsite=onsite, hops=hops, basis=TRIANGULAR_BASIS,
         labels={"sublattice": np.array([1, -1])},
         spec=SymmetrySpec(),
         pointset_kind="honeycomb")
@@ -165,8 +159,7 @@ def _kane_mele(p) -> Stencil:
         hops[k] = B
     T_u = np.kron(1j * SY, np.eye(2))     # spin-major ordering (A+, B+, A-, B-)
     return Stencil(
-        onsite=onsite, hops=hops,
-        basis=TRIANGULAR_BASIS, grading=np.array([1, -1, 1, -1]),
+        onsite=onsite, hops=hops, basis=TRIANGULAR_BASIS,
         labels={"spin_z": np.array([1, 1, -1, -1]),
                 "sublattice": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=T_u),
@@ -184,8 +177,7 @@ def _layered3d(p) -> Stencil:
         off = tuple(int(j == axis) for axis in range(3))
         hops[off] = (beta + 1j * a) / 2
     return Stencil(
-        onsite=m * beta, hops=hops,
-        basis=np.eye(3), grading=np.array([1, 1, -1, -1]),
+        onsite=m * beta, hops=hops, basis=np.eye(3),
         labels={"spin_z": np.array([1, -1, 1, -1])},
         spec=SymmetrySpec(has_T=True, T_sq=-1, T_unitary=np.kron(S0, 1j * SY)),
         pointset_kind="cubic")
@@ -321,7 +313,7 @@ def build_model(name: str, params: dict | None = None, ps: PointSet | None = Non
         raise ModelError(f"model {name} lives in d={st.basis.shape[0]}, "
                          f"point set has d={ps.dim}")
     m = len(st.onsite)
-    module = SiteModule(ps, m, grading=st.grading, labels=dict(st.labels))
+    module = SiteModule(ps, m, labels=dict(st.labels))
     N = ps.n
     M = np.zeros((N * m, N * m), dtype=complex)
     M[site_blocks(N * m, m)] = st.onsite

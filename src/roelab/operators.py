@@ -1,31 +1,32 @@
 """Finite-propagation operators on orbital modules over a point set.
 
-A `SiteModule` attaches m orbitals (with a Z2 grading and optional labels such
-as spin) to every point of a `PointSet`.  A `ControlledOperator` is a complex
-matrix on that module together with a declared propagation bound: matrix
-entries between sites farther apart than the bound vanish.  Storage is dense -
-the intended scale is a few thousand matrix dimensions, where full
-eigendecompositions are exact-to-roundoff and cheaper to reason about than any
-iterative scheme - while the block structure over (site, site) pairs is the
-semantic interface (serialization, propagation accounting, truncation).
-On-site (propagation-0) actions such as symmetry unitaries are applied site
-by site through `onsite`, without forming the n*m x n*m block-diagonal
-unitary.
+A `SiteModule` attaches m orbitals to every point of a `PointSet`, tagged by
+optional labels such as spin z (`SiteModule.sectors` reads them).  A
+`ControlledOperator` is a complex matrix on that module together with a
+declared propagation bound: matrix entries between sites farther apart than
+the bound vanish.  Storage is dense - the intended scale is a few thousand
+matrix dimensions, where full eigendecompositions are exact-to-roundoff and
+cheaper to reason about than any iterative scheme - while the block
+structure over (site, site) pairs is the semantic interface (serialization,
+propagation accounting, truncation).  On-site (propagation-0) actions such
+as symmetry unitaries are applied site by site through `onsite`, without
+forming the n*m x n*m block-diagonal unitary.
 
 Every eigendecomposition goes through `ControlledOperator.eigh`, which solves
 in the cheapest arithmetic the matrix allows exactly: one sector at a time
-when a module label (e.g. spin_z) has no matrix entry between its sectors, by
-one SVD of the half-size block of a chiral matrix (`ChiralFactors`; the
-solve splits ssh, not kitaev, whose chiral unitary no label diagonalizes),
-and in real arithmetic when the matrix has no imaginary part.  The
-eigensolver follows the dimension d of the point set: divide and conquer
-(numpy's ?heevd) on chains, whose banded matrices deflate, and MRRR (scipy's
-?heevr) on planes and lattices, where little deflates and MRRR is faster
-(Demmel, Marques, Parlett and Voemel, SIAM J. Sci. Comput. 30, 1508 (2008)).
-The results equal the dense complex solve to roundoff (eigenvectors up to
-phases and rotations inside degenerate eigenspaces): the tests hold
-eigenvalues and the residual max|Hv - vw| to 1e-12, the orthogonality
-max|V*V - 1| and the occupied projection to 1e-10.
+when a module label (e.g. spin_z) has no matrix entry between its sectors
+(`conserved_sectors`, the one rule, which disorder and the spin-resolved
+route read too), by one SVD of the half-size block of a chiral matrix
+(`ChiralFactors`; the solve splits ssh, not kitaev, whose chiral unitary no
+label diagonalizes), and in real arithmetic when the matrix has no imaginary
+part.  The eigensolver follows the dimension d of the point set: divide and
+conquer (numpy's ?heevd) on chains, whose banded matrices deflate, and MRRR
+(scipy's ?heevr) on planes and lattices, where little deflates and MRRR is
+faster (Demmel, Marques, Parlett and Voemel, SIAM J. Sci. Comput. 30, 1508
+(2008)).  The results equal the dense complex solve to roundoff
+(eigenvectors up to phases and rotations inside degenerate eigenspaces): the
+tests hold eigenvalues and the residual max|Hv - vw| to 1e-12, the
+orthogonality max|V*V - 1| and the occupied projection to 1e-10.
 
 Operators are immutable; all operations return new values.
 """
@@ -33,6 +34,7 @@ Operators are immutable; all operations return new values.
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,22 +54,15 @@ class OperatorError(ValueError):
 class SiteModule:
     """Uniform orbital space over a point set.
 
-    grading is the diagonal +-1 vector on the orbital space (the same at every
-    site); labels are optional per-orbital tags, e.g. labels["spin_z"] = (m,)
-    array of +-1 for spinful models.  Both must have one entry per orbital.
+    labels are optional per-orbital tags, one number per orbital at every
+    site, e.g. labels["spin_z"] = (m,) array of +-1 for spinful models.
     """
 
     pointset: PointSet
     orbitals_per_site: int
-    grading: np.ndarray | None = None
     labels: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.grading is not None:
-            g = np.asarray(self.grading, dtype=int)
-            if g.shape != (self.orbitals_per_site,) or not np.isin(g, (-1, 1)).all():
-                raise OperatorError("grading must be a +-1 vector over the orbitals")
-            object.__setattr__(self, "grading", g)
         for name, v in self.labels.items():
             if np.shape(v) != (self.orbitals_per_site,) or np.asarray(v).dtype.kind not in "iuf":
                 raise OperatorError(f"label {name!r} is not {self.orbitals_per_site} numbers: "
@@ -92,38 +87,46 @@ class SiteModule:
         if not np.array_equal(ids, np.arange(self.n_sites)):
             raise OperatorError("partition does not match the operator's point set")
         return SiteModule(self.pointset.plus_side(part), self.orbitals_per_site,
-                          grading=self.grading, labels=dict(self.labels))
+                          labels=dict(self.labels))
 
     def orbital_index(self, orbital_idx) -> np.ndarray:
         """Basis indices of the given orbitals at every site, site-major."""
         idx = np.asarray(orbital_idx, dtype=int)
         return (np.arange(self.n_sites)[:, None] * self.orbitals_per_site + idx).ravel()
 
+    def sectors(self, name: str) -> dict:
+        """{value: (orbitals, basis indices)} of label `name`, values ascending
+        (empty without that label): the one read of a label's sectors."""
+        lab = np.asarray(self.labels.get(name, []))
+        return {v: (o := np.flatnonzero(lab == v), self.orbital_index(o))
+                for v in np.unique(lab).tolist()}
+
     def restrict_orbitals(self, orbital_idx) -> "SiteModule":
         idx = np.asarray(orbital_idx, dtype=int)
-        g = None if self.grading is None else self.grading[idx]
         labels = {k: np.asarray(v)[idx] for k, v in self.labels.items()}
-        return SiteModule(self.pointset, len(idx), grading=g, labels=labels)
+        return SiteModule(self.pointset, len(idx), labels=labels)
 
     def to_json(self) -> dict:
         doc = {"pointset": self.pointset.to_json(),
                "orbitals_per_site": self.orbitals_per_site}
-        if self.grading is not None:
-            doc["grading"] = self.grading.tolist()
         if self.labels:
             doc["labels"] = {k: np.asarray(v).tolist() for k, v in self.labels.items()}
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "SiteModule":
+        """Inverse of `to_json`; `grading`, which earlier versions wrote, is checked and ignored."""
         refuse_unknown_keys(doc, ("pointset", "orbitals_per_site", "grading", "labels"),
                             "module", OperatorError)
         m, labels = doc["orbitals_per_site"], doc.get("labels", {})
         if type(m) is not int or m < 1:
             raise OperatorError(f"orbitals_per_site {m!r} is not a positive integer")
+        if not (isinstance(grading := doc.get("grading", [1] * m), list) and len(grading) == m
+                and all(not isinstance(g, bool) and g in (1, -1) for g in grading)):
+            raise OperatorError("grading must be a +-1 vector over the orbitals")
         if not isinstance(labels, dict):
             raise OperatorError(f"labels {labels!r} is not an object")
-        return cls(PointSet.from_json(doc["pointset"]), m, grading=doc.get("grading"),
+        return cls(PointSet.from_json(doc["pointset"]), m,
                    labels={k: np.asarray(v) for k, v in labels.items()})
 
 
@@ -280,17 +283,26 @@ class ControlledOperator:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ControlledOperator":
-        """Inverse of `to_json`: the blocks are assembled and checked by
-        `from_blocks`, and the declared propagation (default: the blocks'
-        reach, `propagation`) must be finite and no smaller than that reach."""
+        """Inverse of `to_json`: the blocks, entries [x, y, rows of [re, im]], are checked
+        by `from_blocks`, and the declared propagation (default: the blocks' reach,
+        `propagation`) must be finite and no smaller than that reach."""
         refuse_unknown_keys(doc, ("module", "hermitian", "propagation", "blocks"), "operator",
                             OperatorError)
-        hermitian = doc["hermitian"]
+        hermitian, entries = doc["hermitian"], doc["blocks"]
         if type(hermitian) is not bool:
             raise OperatorError(f"hermitian {hermitian!r} is not true or false")
+        if not isinstance(entries, list):
+            raise OperatorError(f"blocks {entries!r} is not a list")
         module = SiteModule.from_json(doc["module"])
-        H = cls.from_blocks(module, {(x, y): [[complex(v[0], v[1]) for v in row] for row in rows]
-                                     for x, y, rows in doc["blocks"]}, hermitian)
+        blocks = {}
+        for k, entry in enumerate(entries):
+            try:
+                x, y, rows = entry
+                blocks[x, y] = np.array([[complex(re, im) for re, im in row] for row in rows])
+            except (TypeError, ValueError):
+                raise OperatorError(f"block entry {k}, {reprlib.repr(entry)}, is not [x, y, rows]: "
+                                    "two site indices and rows of [re, im] numbers") from None
+        H = cls.from_blocks(module, blocks, hermitian)
         reach = H.declared_propagation
         prop = doc.get("propagation", reach)
         if isinstance(prop, bool) or not reach <= prop < np.inf:
@@ -303,20 +315,12 @@ def identity(module: SiteModule) -> ControlledOperator:
     return ControlledOperator(module, np.eye(module.dim, dtype=complex), 0.0)
 
 
-def grading_operator(module: SiteModule) -> ControlledOperator:
-    if module.grading is None:
-        raise OperatorError("module carries no grading")
-    g = np.tile(module.grading, module.n_sites).astype(complex)
-    return ControlledOperator(module, np.diag(g), 0.0)
-
-
 def conserved_sectors(M: np.ndarray, module: SiteModule):
     """(label, basis indices per sector) of every module label, in label
     order, with two or more values whose off-sector entries of M are all
     exactly zero: the one rule for which labels an operator conserves."""
-    for name, lab in module.labels.items():
-        lab = np.asarray(lab)
-        index = [module.orbital_index(np.flatnonzero(lab == v)) for v in np.unique(lab)]
+    for name in module.labels:
+        index = [rows for _, rows in module.sectors(name).values()]
         if len(index) > 1 and not any(M[np.ix_(a, b)].any()
                                       for a in index for b in index if a is not b):
             yield name, index
@@ -374,7 +378,7 @@ def _chiral(A: np.ndarray, module: SiteModule) -> ChiralFactors | None:
     for name, lab in module.labels.items():
         lab = np.asarray(lab)
         if np.isin(lab, (-1, 1)).all() and 2 * (lab == 1).sum() == len(lab):
-            plus, minus = (module.orbital_index(np.flatnonzero(lab == v)) for v in (1, -1))
+            (_, minus), (_, plus) = module.sectors(name).values()     # values -1, 1
             if not (A[np.ix_(plus, plus)].any() or A[np.ix_(minus, minus)].any()):
                 return ChiralFactors(name, plus, minus, *_solve(A[np.ix_(plus, minus)], "SVD"))
     return None
@@ -606,17 +610,13 @@ def decay_length(A: ControlledOperator) -> tuple[float, float]:
     return fit or (np.inf, float(n.max(initial=0.0)))
 
 
-def derivation(A: ControlledOperator, axis: int) -> ControlledOperator:
-    """Position-commutator derivation i[x_axis, A], exact and entrywise."""
-    d = A.module.pointset.dim
-    if axis >= d:
-        raise OperatorError(f"axis {axis} out of range for d={d}")
-    return derivation_along(A, np.eye(d)[axis])
-
-
 def derivation_along(A: ControlledOperator, direction) -> ControlledOperator:
-    """i[<e, x>, A] for an arbitrary direction vector e."""
-    x = A.module.position_along(direction)
+    """Position-commutator derivation i[<e, x>, A], exact and entrywise, along a
+    direction e of d finite numbers (d the point set's; e = e_j gives i[x_j, A])."""
+    e, d = np.asarray(direction), A.module.pointset.dim
+    if e.shape != (d,) or e.dtype.kind not in "iuf" or not np.isfinite(e).all():
+        raise OperatorError(f"direction {e.tolist()!r} is not {d} finite numbers")
+    x = A.module.position_along(e)
     M = 1j * (x[:, None] - x[None, :]) * A.matrix
     return ControlledOperator(A.module, M, A.declared_propagation,
                               hermitian=A.hermitian)
@@ -638,25 +638,14 @@ def direct_sum(A: ControlledOperator, B: ControlledOperator) -> ControlledOperat
         raise OperatorError("direct_sum requires a common point set")
     ma, mb = A.m, B.m
     m = ma + mb
-    gr = None
-    if A.module.grading is not None and B.module.grading is not None:
-        gr = np.concatenate([A.module.grading, B.module.grading])
     labels = {}
     for k in set(A.module.labels) & set(B.module.labels):
         labels[k] = np.concatenate([np.asarray(A.module.labels[k]),
                                     np.asarray(B.module.labels[k])])
-    mod = SiteModule(A.module.pointset, m, grading=gr, labels=labels)
+    mod = SiteModule(A.module.pointset, m, labels=labels)
     M = np.zeros((mod.dim, mod.dim), dtype=complex)
     ia, ib = mod.orbital_index(np.arange(ma)), mod.orbital_index(ma + np.arange(mb))
     M[np.ix_(ia, ia)] = A.matrix
     M[np.ix_(ib, ib)] = B.matrix
     prop = max(A.declared_propagation, B.declared_propagation)
     return ControlledOperator(mod, M, prop, hermitian=A.hermitian and B.hermitian)
-
-
-def restrict_orbitals(H: ControlledOperator, orbital_idx) -> ControlledOperator:
-    """Keep a subset of orbitals at every site (e.g. one spin sector)."""
-    mod = H.module.restrict_orbitals(orbital_idx)
-    flat = H.module.orbital_index(orbital_idx)
-    return ControlledOperator(mod, H.matrix[np.ix_(flat, flat)],
-                              H.declared_propagation, hermitian=H.hermitian)

@@ -26,6 +26,12 @@ def qwz20(square20):
     return module, H, spec
 
 
+def grading(module):
+    """diag(1, -1) on every site of a two-orbital module: a gapped, index-zero
+    Hamiltonian."""
+    return rl.ControlledOperator(module, np.diag(np.tile([1.0, -1.0], module.n_sites)), 0.0)
+
+
 def random_controlled(module, rng, hop_range=1.5, scale=1.0, hermitian=True):
     """Random finite-propagation operator for property tests.
 

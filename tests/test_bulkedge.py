@@ -9,6 +9,7 @@ from roelab.bulkedge import BulkEdgeError
 from roelab.indices import Interface, PairingError, snap_integer
 from roelab.operators import OperatorError, SiteModule
 from roelab.symmetry import SymmetrySpec
+from conftest import grading
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ class TestMakeBulk:
         """The sample has one owner, H: an equal but separate module is
         refused."""
         mod, H, spec = rl.build_model("ssh", {"t1": 0.5, "t2": 1.0}, chain200)
-        other = SiteModule(chain200, 2, grading=mod.grading, labels=mod.labels)
+        other = SiteModule(chain200, 2, labels=mod.labels)
         with pytest.raises(BulkEdgeError, match="not the Hamiltonian's own"):
             rl.make_bulk(other, H, spec)
 
@@ -82,7 +83,7 @@ class TestBECConfig:
 
 class TestMakeEdge:
     def test_diagonal_trivial(self, square20):
-        mod = SiteModule(square20, 1, grading=np.array([1]))
+        mod = SiteModule(square20, 1)
         H = rl.ControlledOperator(mod, np.diag(
             np.tile([1.0, -1.0], 200)).astype(complex), 0.0)
         bulk = rl.make_bulk(mod, H, SymmetrySpec())
@@ -139,8 +140,7 @@ def _winding_full(U, windows):
 
 class TestMVBoundary:
     def test_pure_grading_is_trivial(self, square20):
-        mod = SiteModule(square20, 2, grading=np.array([1, -1]))
-        g = rl.grading_operator(mod)
+        g = grading(SiteModule(square20, 2))
         part = rl.partition_halfspace(square20, [1, 0], 9.6)
         bm = rl.mv_boundary(g, rl.certify_gap(g), part, edge_windows=(4, 6, 8))
         assert np.abs(bm.U.matrix - np.eye(bm.U.module.dim)).max() < 1e-12
@@ -157,7 +157,7 @@ class TestMVBoundary:
 
     def test_partition_of_a_larger_point_set_refused(self, square20):
         ps = rl.generate({"kind": "square", "window": [[0, 12], [0, 12]]})
-        g = rl.grading_operator(SiteModule(ps, 2, grading=np.array([1, -1])))
+        g = grading(SiteModule(ps, 2))
         part = rl.partition_halfspace(square20, [1, 0], 9.6)
         with pytest.raises(OperatorError, match="does not match"):
             rl.mv_boundary(g, rl.certify_gap(g), part)
@@ -205,7 +205,7 @@ class TestMVBoundary:
         bulk, part = qwz26
         mod, H = bulk.H.module, bulk.H
         H2 = rl.direct_sum(*(rl.ControlledOperator(
-            SiteModule(mod.pointset, mod.orbitals_per_site, grading=mod.grading,
+            SiteModule(mod.pointset, mod.orbitals_per_site,
                        labels={"copy": np.full(mod.orbitals_per_site, c)}),
             H.matrix, H.declared_propagation) for c in (0, 1)))
         bm = rl.mv_boundary(H2, rl.certify_gap(H2), part, edge_windows=(5, 7, 9))
@@ -295,7 +295,7 @@ class TestVerifyBEC:
         assert abs(raws[0]) > 0.5 and abs(raws[1] - raws[0]) <= 1e-12
 
     def test_unsupported_pair(self, chain200):
-        mod = SiteModule(chain200, 2, grading=np.array([1, -1]))
+        mod = SiteModule(chain200, 2)
         H = rl.ControlledOperator(mod, np.kron(np.eye(200), np.diag(
             [1.0, -1.0])).astype(complex), 0.0)
         spec = SymmetrySpec(has_T=True, T_sq=1, T_unitary=np.eye(2))
@@ -320,8 +320,7 @@ class TestVerifyBEC:
     def test_relation_grading_sum_invariance(self, qwz26):
         """Direct sum with a grading (an index-zero system) changes nothing."""
         bulk, part = qwz26
-        g = rl.grading_operator(SiteModule(bulk.H.module.pointset, 2,
-                                           grading=np.array([1, -1])))
+        g = grading(SiteModule(bulk.H.module.pointset, 2))
         Hg = rl.direct_sum(bulk.H, g)
         bg = rl.make_bulk(Hg.module, Hg, bulk.spec)
         rep = rl.verify_bec(bg, part, {"windows": (6, 8, 10),

@@ -8,7 +8,7 @@ import pytest
 
 import roelab as rl
 from roelab import bulkedge, operators
-from roelab.cli import load_model, main
+from roelab.cli import load_model, main, save_model
 
 
 def run(argv, capsys):
@@ -501,6 +501,36 @@ class TestMalformedModelFile:
             reports.append({k: v for k, v in json.loads(out.read_text()).items()
                             if k != "generated_at"})
         assert reports[0] == reports[1]
+
+    def test_file_with_a_grading_reads_the_same(self, tmp_path, capsys):
+        """A model file written while modules carried a grading holds a +-1
+        vector under `grading`; it loads, and verify-bec writes the same
+        report, byte for byte apart from generated_at, as on the file
+        without it."""
+        model = tmp_path / "km.json"
+        run(["build", "--model", "kane_mele", "--lso", "0.06", "--lv", "0.1", "--size", "14",
+             "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        old = tmp_path / "old.json"
+        doc["operator"]["module"]["grading"] = [1, -1, 1, -1]
+        old.write_text(json.dumps(doc))
+        reports = []
+        for path in (model, old):
+            out = tmp_path / f"{path.stem}.out.json"
+            assert run(["verify-bec", "--model-file", str(path), "--normal", "1,0",
+                        "--offset", "6.6", "--edge-windows", "3,4,5", "--out", str(out)],
+                       capsys)[0] == 0
+            reports.append([line for line in out.read_text().splitlines(keepends=True)
+                            if not line.startswith('  "generated_at": ')])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("name", sorted(rl.MODELS))
+    def test_saved_modules_carry_no_grading(self, tmp_path, name):
+        _, H, spec = rl.build_model(name, {}, rl.default_pointset(name, 3.0))
+        save_model(str(tmp_path / "m.json"), H, spec)
+        module = json.loads((tmp_path / "m.json").read_text())["operator"]["module"]
+        assert "grading" not in module and set(module) <= {"pointset", "orbitals_per_site",
+                                                           "labels"}
 
     def test_model_block_keys_are_optional(self, tmp_path, capsys):
         """A file whose `model` block holds only a name and parameters, or

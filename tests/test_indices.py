@@ -6,10 +6,10 @@ import pytest
 import roelab as rl
 from roelab import bloch
 from roelab.indices import PairingError, snap_integer, snap_z2, spin_sectors, window_mask
-from roelab.models import AUX_CHIRAL
-from roelab.operators import OperatorError, SiteModule, onsite, site_blocks
+from roelab.models import AUX_CHIRAL, add_disorder
+from roelab.operators import OperatorError, SiteModule, conserved_sectors, onsite, site_blocks
 from roelab.symmetry import RELATIONS, SymmetrySpec
-from conftest import random_controlled
+from conftest import grading, random_controlled
 
 SZ = np.diag([1, -1]).astype(complex)
 
@@ -35,8 +35,7 @@ class TestTracePerUnitVolume:
         assert est.error == 0.0
 
     def test_traceless_gives_zero(self, chain200):
-        mod = SiteModule(chain200, 2, grading=np.array([1, -1]))
-        est = rl.trace_per_unit_volume(rl.grading_operator(mod), [20, 40, 60])
+        est = rl.trace_per_unit_volume(grading(SiteModule(chain200, 2)), [20, 40, 60])
         assert all(v == 0.0 for v in est.values)
 
     def test_random_diagonal_matches_brute_force(self, chain200):
@@ -144,7 +143,7 @@ class TestChernEven:
 
 class TestChernOdd:
     def test_reference_unitary_gives_zero(self, chain200):
-        mod = SiteModule(chain200, 2, grading=np.array([1, -1]))
+        mod = SiteModule(chain200, 2)
         H = rl.ControlledOperator(mod, np.kron(np.eye(200), np.array(
             [[0, 1], [1, 0]], dtype=complex)), 0.0)
         spec = SymmetrySpec(has_P=True, P_unitary=SZ)
@@ -217,13 +216,43 @@ class TestKaneMele:
     def test_mod_two_reduction_of_spin_chern(self):
         ps = rl.generate({"kind": "honeycomb", "window": [[0, 20], [0, 20]]})
         _, H, spec = rl.build_model("kane_mele", {"lso": 0.06, "lv": 0.1}, ps)
-        H_up, H_dn, mixing = spin_sectors(H)
-        assert mixing < 1e-12
+        H_up, H_dn = spin_sectors(H)
+        assert H_up.m == H_dn.m == 2
         up = rl.chern_even(H_up, rl.certify_gap(H_up), [4, 5, 6])
         rep = self._spin_pairing(H, spec, (4, 5, 6))
         assert rep.z2 and rep.snapped == abs(up.snapped) % 2 == 1
         assert rep.raw == pytest.approx(up.raw)
         assert rep.formula == "kane_mele_spin_chern" and str(rep.group) == "Z2"
+
+    @pytest.mark.parametrize("case, conserved", [
+        ("clean", True), ("disordered", True), ("layered3d", False), ("off_sector_1e-300", False),
+    ])
+    def test_refused_exactly_when_spin_z_is_not_conserved(self, case, conserved):
+        """`spin_sectors` reads conservation from `conserved_sectors` alone,
+        the rule the solve splits on: it returns the two sector blocks when
+        that rule yields spin_z and refuses, naming the largest up-down
+        entry, when it does not."""
+        name, size = ("layered3d", 3.0) if case == "layered3d" else ("kane_mele", 6.0)
+        _, H, spec = rl.build_model(name, {}, rl.default_pointset(name, size))
+        (_, up), (_, dn) = (H.module.sectors("spin_z")[v] for v in (1, -1))
+        if case == "disordered":
+            H = add_disorder(H, spec, 0.3, 2)
+        elif case == "off_sector_1e-300":
+            M = H.matrix.copy()
+            M[up[0], dn[0]] = M[dn[0], up[0]] = 1e-300
+            H = rl.ControlledOperator(H.module, M, H.declared_propagation)
+        assert ("spin_z" in [label for label, _ in conserved_sectors(H.matrix, H.module)]) \
+            == conserved
+        if conserved:
+            H_up, H_dn = spin_sectors(H)
+            assert np.array_equal(H_up.matrix, H.matrix[np.ix_(up, up)])
+            assert np.array_equal(H_dn.matrix, H.matrix[np.ix_(dn, dn)])
+            assert list(H_up.module.labels["spin_z"]) == [1, 1]
+        else:
+            mixing = np.abs(H.matrix[np.ix_(up, dn)]).max()
+            assert mixing > 0
+            with pytest.raises(PairingError, match=f"spin-z mixing {mixing:.2e}: "):
+                spin_sectors(H)
 
     def test_phases_match_reference(self):
         ps = rl.generate({"kind": "honeycomb", "window": [[0, 20], [0, 20]]})
@@ -476,7 +505,7 @@ def _literal_volume_trace(traces, ps, windows):
 def _chern_even_full(P, windows):
     """2 pi i T(P [D_1, D_2]) from the three full n x n products."""
     M = P.matrix
-    D1, D2 = rl.derivation(P, 0).matrix, rl.derivation(P, 1).matrix
+    D1, D2 = (rl.derivation_along(P, e).matrix for e in np.eye(2))
     traces = np.diag(M @ (D1 @ D2 - D2 @ D1)).reshape(-1, P.m).sum(axis=1)
     return [2j * np.pi * v for v in _literal_volume_trace(traces, P.module.pointset, windows)]
 

@@ -3,9 +3,10 @@ import pytest
 
 import roelab as rl
 from roelab import bloch, operators
+from roelab.indices import spin_sectors
 from roelab.operators import OperatorError, SiteModule, decay_length, site_blocks
 from roelab.symmetry import SymmetrySpec
-from conftest import random_controlled
+from conftest import grading, random_controlled
 
 SZ = np.diag([1, -1]).astype(complex)
 
@@ -17,7 +18,7 @@ def chain30():
 
 @pytest.fixture(scope="module")
 def mod30(chain30):
-    return SiteModule(chain30, 2, grading=np.array([1, -1]))
+    return SiteModule(chain30, 2)
 
 
 class TestPropagation:
@@ -142,7 +143,7 @@ class TestFlatten:
         assert np.allclose(s.matrix, np.diag(np.sign(lam)))
 
     def test_symmetry_fixed_point(self, mod30):
-        g = rl.grading_operator(mod30)
+        g = grading(mod30)
         cert = rl.certify_gap(g)
         s = rl.flatten(g, cert)
         assert np.abs(s.matrix - g.matrix).max() < 1e-12
@@ -183,13 +184,13 @@ class TestFlatten:
 class TestDerivation:
     def test_diagonal_gives_zero(self, mod30):
         H = rl.ControlledOperator(mod30, np.diag(np.arange(60, dtype=complex)), 0.0)
-        assert np.abs(rl.derivation(H, 0).matrix).max() == 0.0
+        assert np.abs(rl.derivation_along(H, [1.0]).matrix).max() == 0.0
 
     def test_unit_shift_modulus(self, chain30):
         mod = SiteModule(chain30, 1)
         blocks = {(x, x + 1): np.ones((1, 1)) for x in range(chain30.n - 1)}
         S = rl.ControlledOperator.from_blocks(mod, blocks, hermitian=False)
-        D = rl.derivation(S, 0)
+        D = rl.derivation_along(S, [1.0])
         vals = np.abs(D.matrix[np.abs(S.matrix) > 0])
         assert np.allclose(vals, 1.0)
 
@@ -198,20 +199,31 @@ class TestDerivation:
         for _ in range(20):
             A = random_controlled(mod30, rng, hop_range=2.0)
             B = random_controlled(mod30, rng, hop_range=1.4)
-            lhs = rl.derivation(A @ B, 0).matrix
-            rhs = (rl.derivation(A, 0) @ B).matrix + (A @ rl.derivation(B, 0)).matrix
+            lhs = rl.derivation_along(A @ B, [1.0]).matrix
+            rhs = ((rl.derivation_along(A, [1.0]) @ B).matrix
+                   + (A @ rl.derivation_along(B, [1.0])).matrix)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_derivation_of_identity(self, mod30):
-        assert np.abs(rl.derivation(rl.identity(mod30), 0).matrix).max() == 0.0
+        assert np.abs(rl.derivation_along(rl.identity(mod30), [1.0]).matrix).max() == 0.0
 
     def test_directional_combination(self, square20):
         mod, H, _ = rl.build_model("qwz", {"m": 1.0}, square20)
         e = np.array([0.6, 0.8])
         D = rl.derivation_along(H, e).matrix
-        Dx = rl.derivation(H, 0).matrix
-        Dy = rl.derivation(H, 1).matrix
+        Dx, Dy = (rl.derivation_along(H, axis).matrix for axis in np.eye(2))
         assert np.abs(D - 0.6 * Dx - 0.8 * Dy).max() < 1e-12
+
+    @pytest.mark.parametrize("direction, shown", [
+        ([1.0, 0.0, 0.0], r"\[1.0, 0.0, 0.0\]"), ([np.nan, 0.0], r"\[nan, 0.0\]"),
+        ([np.inf, 1.0], r"\[inf, 1.0\]"), (-1, "-1"), ([1.0], r"\[1.0\]"),
+    ], ids=["three_on_a_plane", "nan", "inf", "an_axis_number", "one_on_a_plane"])
+    def test_direction_refused(self, qwz20, direction, shown):
+        """A direction that is not d finite numbers is refused by name: not
+        numpy's broadcast error, a NaN matrix or a silent last axis."""
+        _, H, _ = qwz20
+        with pytest.raises(OperatorError, match=f"direction {shown} is not 2 finite numbers"):
+            rl.derivation_along(H, direction)
 
 
 class TestCompress:
@@ -273,10 +285,10 @@ class TestCompress:
 class TestDirectSum:
     def test_grading_and_blocks(self, qwz20):
         mod, H, _ = qwz20
-        g = rl.grading_operator(mod)
+        g = grading(mod)
         D = rl.direct_sum(H, g)
         assert D.module.orbitals_per_site == 4
-        assert np.array_equal(D.module.grading, [1, -1, 1, -1])
+        assert D.module.labels == {}      # only labels both summands carry are kept
         assert D.block(0, 0)[:2, :2] == pytest.approx(H.block(0, 0))
         assert np.abs(D.block(0, 0)[:2, 2:]).max() == 0.0
 
@@ -414,6 +426,46 @@ class TestFromJson:
         doc["hermitian"] = False
         assert not rl.ControlledOperator.from_json(doc).hermitian
 
+    @pytest.mark.parametrize("kind, named", [
+        ("blocks_not_a_list", "blocks 5 is not a list"),
+        ("entry_not_a_triple", r"block entry 0, \[0, 0\], is not \[x, y, rows\]"),
+        ("list_as_an_index", r"block entry 0, \[\[0\], 0, .*\], is not \[x, y, rows\]"),
+        ("entry_not_a_number_pair", r"block entry 3, \[3, 3, .*\], is not \[x, y, rows\]"),
+    ])
+    def test_malformed_blocks_named(self, doc, kind, named):
+        """A block list or entry of the wrong form is an OperatorError that
+        names it, not a bare TypeError or ValueError."""
+        if kind == "blocks_not_a_list":
+            doc["blocks"] = 5
+        elif kind == "entry_not_a_triple":
+            doc["blocks"][0] = [0, 0]
+        elif kind == "list_as_an_index":
+            doc["blocks"][0][0] = [0]
+        else:
+            doc["blocks"][3] = [3, 3, [[["a", 1], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        with pytest.raises(OperatorError, match=named):
+            rl.ControlledOperator.from_json(doc)
+
+
+class TestSiteModuleJson:
+    @pytest.fixture
+    def doc(self):
+        return rl.build_model("kane_mele", {}, rl.default_pointset("kane_mele", 4.0))[0].to_json()
+
+    def test_legacy_grading_is_read_and_ignored(self, doc):
+        """Earlier versions wrote a +-1 grading over the orbitals; such a
+        module loads to the module without it."""
+        assert "grading" not in doc
+        want = SiteModule.from_json(doc)
+        got = SiteModule.from_json({**doc, "grading": [1, -1, 1, -1]})
+        assert got.to_json() == want.to_json() == doc
+
+    @pytest.mark.parametrize("value", [[1, -1], [1, 2, 1, -1], [1.5, -1, 1, -1],
+                                       [True, -1, 1, -1], "1-11-1", None, 5])
+    def test_other_grading_refused(self, doc, value):
+        with pytest.raises(OperatorError, match="grading must be a \\+-1 vector over the orbitals"):
+            SiteModule.from_json({**doc, "grading": value})
+
 
 def _random_controlled_loop(module, rng, hop_range=1.5, scale=1.0, hermitian=True):
     """The per-pair loop `random_controlled` replaced, kept as its reference."""
@@ -469,6 +521,19 @@ class TestOrbitalIndex:
         want = (np.arange(7)[:, None] * 4 + np.asarray(idx, dtype=int)[None, :]).ravel()
         got = mod.orbital_index(np.asarray(idx, dtype=int))
         assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+class TestSectors:
+    def test_each_value_its_orbitals_and_rows(self):
+        mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 5]]}), 4,
+                         labels={"spin_z": np.array([1, 1, -1, -1]),
+                                 "sublattice": np.array([1, -1, 1, -1])})
+        got = mod.sectors("spin_z")
+        assert list(got) == [-1, 1]
+        for value, (orbitals, rows) in got.items():
+            assert np.array_equal(orbitals, np.flatnonzero(mod.labels["spin_z"] == value))
+            assert np.array_equal(rows, mod.orbital_index(orbitals))
+        assert mod.sectors("absent") == {}
 
 
 def _small_model(name, disorder):
@@ -575,7 +640,7 @@ class TestSpectralLayer:
         size, params = (22.0, {"m": 1.0}) if name == "qwz" else (14.0, {"lso": 0.06, "lv": 0.1})
         H = rl.build_model(name, params, rl.default_pointset(name, size))[1]
         if name == "kane_mele":
-            H = rl.restrict_orbitals(H, np.flatnonzero(H.module.labels["spin_z"] == 1))
+            H = spin_sectors(H)[0]
         w, v = H.eigh()
         assert H.eigh_method == "MRRR" and len(w) == (968 if name == "qwz" else 476)
         M = H.matrix
@@ -647,7 +712,7 @@ class TestChiralSolve:
         same-sign entry of 1e-300 is not an exact zero."""
         haldane = _small_model("haldane", 0.0)
         km = _small_model("kane_mele", 0.0)
-        sector = rl.restrict_orbitals(km, np.flatnonzero(km.module.labels["spin_z"] == 1))
+        sector = spin_sectors(km)[0]
         _, H, _ = _ssh250(0.0)
         M = H.matrix.copy()
         M[0, 0] = 1e-300

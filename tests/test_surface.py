@@ -6,10 +6,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
+
+import roelab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUMMARY = re.compile(r"src/roelab: (\d+) lines \(non-blank, non-#\), (\d+) keyword parameters "
-                     r"with defaults, (\d+) dataclass fields")
+                     r"with defaults, (\d+) dataclass fields, (\d+) exported names")
 
 
 def test_summary_and_per_module_lines():
@@ -21,6 +24,10 @@ def test_summary_and_per_module_lines():
     assert all(modules), out[1:]
     assert {m[1] for m in modules} == {p.stem for p in (ROOT / "src/roelab").glob("*.py")}
     assert sum(int(m[2]) for m in modules) == int(total[1])
+    # every public name of the package namespace that is not a submodule
+    exported = [name for name, value in vars(roelab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert int(total[4]) == len(exported), sorted(exported)
 
 
 def test_no_unused_module_imports():

@@ -221,7 +221,7 @@ class TestFrobeniusSchur:
 class TestVerifySymmetry:
     def test_real_symmetric_has_exact_T(self, chain200):
         rng = np.random.default_rng(1)
-        mod = rl.SiteModule(chain200, 2, grading=np.array([1, -1]))
+        mod = rl.SiteModule(chain200, 2)
         from conftest import random_controlled
         H = random_controlled(mod, rng)
         Hre = rl.ControlledOperator(mod, (H.matrix + H.matrix.conj()) / 2,
@@ -231,7 +231,7 @@ class TestVerifySymmetry:
         assert rep.violations["T"] == 0.0
 
     def test_chiral_violation_is_max_diag(self, chain200):
-        mod = rl.SiteModule(chain200, 2, grading=np.array([1, -1]))
+        mod = rl.SiteModule(chain200, 2)
         diag = np.repeat(np.linspace(0.1, 0.8, chain200.n), 2)
         H = rl.ControlledOperator(mod, np.diag(diag).astype(complex), 0.0)
         spec = SymmetrySpec(has_P=True, P_unitary=SZ)
@@ -249,7 +249,7 @@ class TestVerifySymmetry:
         act = rl.cyclic_rotation_action(square16, 4,
                                         center=square16.coords.mean(axis=0),
                                         onsite_blocks=[np.eye(1)] * 4)
-        mod = rl.SiteModule(square16, 1, grading=np.array([1]))
+        mod = rl.SiteModule(square16, 1)
         # rotation-invariant onsite potential: radius-dependent
         r = np.linalg.norm(square16.coords - square16.coords.mean(axis=0), axis=1)
         H = rl.ControlledOperator(mod, np.diag(r).astype(complex), 0.0)
