@@ -148,7 +148,7 @@ def cmd_classify(args) -> int:
         has_C=args.C is not None, C_sq=args.C,
         has_P=bool(args.P))
     label = classify(spec)
-    if args.json:
+    if args.json or args.out:
         _write_json(args.out, {"label": label})
     else:
         print(label)
@@ -164,7 +164,7 @@ def cmd_kgroup(args) -> int:
         desc = kgroup_reflection(args.label, args.d, args.pr_sign, args.tr_sign)
     else:
         desc = kgroup_point(args.label, args.d)
-    if args.json:
+    if args.json or args.out:
         _write_json(args.out, {"label": args.label, "d": args.d,
                                "group": str(desc), "provenance": desc.provenance})
     else:

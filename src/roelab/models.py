@@ -8,10 +8,10 @@ exp(-(d - d_clean))).  The same stencil feeds the momentum-space
 reference Hamiltonians in `roelab.bloch`, so both routes share the model
 definition while computing invariants by unrelated methods.
 
-On-site disorder is drawn per site from a seeded generator and projected onto
-the commutant of the declared symmetries and of each label H conserves
-exactly (`add_disorder`, the one path), so disordered Hamiltonians keep their
-symmetry relations and sectors exactly, not approximately.
+On-site disorder is drawn per site from a seeded generator, projected onto
+the commutant of the declared symmetries, and masked to the sectors of each
+label H conserves (`add_disorder`, the one path), so disordered Hamiltonians
+keep their symmetry relations and sectors exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import PointSet, TRIANGULAR_BASIS, generate
 from .operators import ControlledOperator, SiteModule, conserved_sectors, site_blocks
-from .symmetry import CONSERVED, SymmetrySpec
+from .symmetry import SymmetrySpec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -83,22 +83,19 @@ def _qwz_block(direction: np.ndarray) -> np.ndarray:
 def _qwz(p) -> Stencil:
     """Two-band Chern insulator; |C| = 1 for 0 < |m| < 2, trivial beyond."""
     m, cutoff, decay = p["m"], p["cutoff"], p["decay"]
+    # the same sigma structure along each bond direction of length up to
+    # `cutoff`, amplitude exp(-decay (|delta| - 1)): nearest neighbours alone
+    # at cutoff 1
     hops = {}
-    if cutoff == 1:
-        hops[(1, 0)] = _qwz_block(np.array([1.0, 0.0]))
-        hops[(0, 1)] = _qwz_block(np.array([0.0, 1.0]))
-    else:
-        # exponentially decaying long-range variant: same sigma structure along
-        # each bond direction, amplitude exp(-decay (|delta| - 1))
-        for i in range(-cutoff, cutoff + 1):
-            for j in range(-cutoff, cutoff + 1):
-                if (i, j) <= (0, 0):
-                    continue          # canonical half: lexicographically positive
-                d = np.hypot(i, j)
-                if d > cutoff + 1e-9:
-                    continue
-                amp = np.exp(-decay * (d - 1.0))
-                hops[(i, j)] = amp * _qwz_block(np.array([i, j]) / d)
+    for i in range(-cutoff, cutoff + 1):
+        for j in range(-cutoff, cutoff + 1):
+            if (i, j) <= (0, 0):
+                continue          # canonical half: lexicographically positive
+            d = np.hypot(i, j)
+            if d > cutoff + 1e-9:
+                continue
+            amp = np.exp(-decay * (d - 1.0))
+            hops[(i, j)] = amp * _qwz_block(np.array([i, j]) / d)
     return Stencil(
         onsite=m * SZ, hops=hops, basis=np.eye(2),
         spec=SymmetrySpec(),
@@ -246,43 +243,44 @@ def default_pointset(name: str, size: float, params: dict | None = None) -> Poin
 # disorder
 # ---------------------------------------------------------------------------
 
-def symmetrize_block(B: np.ndarray, spec: SymmetrySpec,
-                     conserve=()) -> np.ndarray:
+def symmetrize_block(B: np.ndarray, spec: SymmetrySpec) -> np.ndarray:
     """Project an on-site Hermitian block, or an (n, m, m) stack of them,
-    onto the symmetry commutant.
+    onto the commutant of the CT relations of `spec`.
 
-    Averages B with its image sign U B' U^* under each relation of `spec`,
-    then of each conserved diagonal label L (a commuting relation), so adding
+    Averages B with its image sign U B' U^* under each relation, so adding
     the result to a symmetric Hamiltonian preserves every relation exactly.
     """
-    for r, U in spec.relations() + [(CONSERVED, np.diag(np.asarray(lab, dtype=complex)))
-                                    for lab in conserve]:
+    for r, U in spec.relations():
         B = (B + r.sign * (np.matmul(U, B.conj() if r.antiunitary else B) @ U.conj().T)) / 2
     return B
 
 
 def disorder_blocks(spec: SymmetrySpec, m: int, n_sites: int, strength: float,
-                    seed: int, conserve=()) -> np.ndarray:
+                    seed: int) -> np.ndarray:
     """(n_sites, m, m) stack of symmetrized on-site disorder blocks, times
     `strength`: one uniform draw gives each site, in site order, its m real
-    diagonal entries, then the real and imaginary m x m off-diagonal parts,
-    commuting with each label in `conserve` (`add_disorder`: those H keeps)."""
+    diagonal entries, then the real and imaginary m x m off-diagonal parts."""
     if not math.isfinite(strength):
         raise ModelError(f"disorder strength {strength} is not a finite number")
     draw = np.random.default_rng(seed).uniform(-1, 1, size=(n_sites, m + 2 * m * m))
     B = np.triu((draw[:, m:m + m * m] + 1j * draw[:, m + m * m:]).reshape(n_sites, m, m), 1) / 2
     blocks = draw[:, :m, None] * np.eye(m) + B + B.conj().transpose(0, 2, 1)
-    return strength * symmetrize_block(blocks, spec, conserve)
+    return strength * symmetrize_block(blocks, spec)
 
 
 def add_disorder(H: ControlledOperator, spec: SymmetrySpec, strength: float,
                  seed: int) -> ControlledOperator:
-    """H plus seeded on-site `disorder_blocks` that keep `spec` and every label
-    H conserves exactly (`conserved_sectors`), on H's module and propagation."""
-    conserve = [H.module.labels[name] for name, _ in conserved_sectors(H.matrix, H.module)]
+    """H plus seeded on-site `disorder_blocks` that keep `spec`, on H's module
+    and propagation.  Each label H conserves (`conserved_sectors`) is kept
+    exactly: the blocks are zeroed between orbitals of different values of
+    it, which holds for any label values."""
+    keep = np.ones((H.m, H.m), dtype=bool)
+    for name, _ in conserved_sectors(H.matrix, H.module):
+        lab = np.asarray(H.module.labels[name])
+        keep &= lab[:, None] == lab[None, :]
     M = H.matrix.copy()
-    M[site_blocks(len(M), H.m)] += disorder_blocks(spec, H.m, H.module.n_sites, strength,
-                                                   seed, conserve=conserve)
+    M[site_blocks(len(M), H.m)] += np.where(
+        keep, disorder_blocks(spec, H.m, H.module.n_sites, strength, seed), 0.0)
     return ControlledOperator(H.module, M, H.declared_propagation, hermitian=H.hermitian)
 
 

@@ -54,8 +54,8 @@ class OperatorError(ValueError):
 class SiteModule:
     """Uniform orbital space over a point set.
 
-    labels are optional per-orbital tags, one number per orbital at every
-    site, e.g. labels["spin_z"] = (m,) array of +-1 for spinful models.
+    labels are optional per-orbital tags, one finite number per orbital at
+    every site, e.g. labels["spin_z"] = (m,) array of +-1 for spinful models.
     """
 
     pointset: PointSet
@@ -64,9 +64,11 @@ class SiteModule:
 
     def __post_init__(self):
         for name, v in self.labels.items():
-            if np.shape(v) != (self.orbitals_per_site,) or np.asarray(v).dtype.kind not in "iuf":
-                raise OperatorError(f"label {name!r} is not {self.orbitals_per_site} numbers: "
-                                    f"{np.asarray(v).tolist()!r}")
+            v = np.asarray(v)
+            if v.shape != (self.orbitals_per_site,) or v.dtype.kind not in "iuf" \
+                    or not np.isfinite(v).all():
+                raise OperatorError(f"label {name!r} is not {self.orbitals_per_site} finite "
+                                    f"numbers: {v.tolist()!r}")
 
     @property
     def n_sites(self) -> int:
@@ -250,7 +252,11 @@ class ControlledOperator:
             if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
                        and 0 <= i < n for i in (x, y)):
                 raise OperatorError(f"block ({x},{y}) lies outside the {n} sites")
-            B = np.asarray(B, dtype=complex)
+            try:
+                B = np.asarray(B, dtype=complex)
+            except (TypeError, ValueError):
+                raise OperatorError(f"block ({x},{y}) {reprlib.repr(B)} is not an array of "
+                                    "numbers") from None
             if B.shape != (m, m):
                 raise OperatorError(f"block ({x},{y}) has shape {B.shape}, expected ({m},{m})")
             M[x * m:(x + 1) * m, y * m:(y + 1) * m] = B
@@ -535,10 +541,7 @@ def certify_gap(H: ControlledOperator, fermi: float = 0.0) -> GapCertificate:
     # wide enough to catch boundary modes with a several-site tail, but
     # never eating into the bulk of a small sample
     boundary_margin = min(max(2 * hop, 0.05 * extent), 0.25 * extent)
-    bulk = np.ones(len(w), dtype=bool)
-    if boundary_margin > 0:
-        bulk = _boundary_weights(H, boundary_margin) <= 0.5
-    wb = w[bulk]
+    wb = w[_boundary_weights(H, boundary_margin) <= 0.5]
     if len(wb) == 0:
         raise OperatorError("no bulk states left after boundary filtering")
     below = wb[wb < fermi]

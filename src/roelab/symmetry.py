@@ -292,8 +292,8 @@ class Relation:
     """
 
     name: str
-    present: str | None
-    unitary: str | None
+    present: str
+    unitary: str
     antiunitary: bool
     sign: int
     square: str | None
@@ -312,8 +312,6 @@ RELATIONS = {
     "C": Relation("C", "has_C", "C_unitary", antiunitary=True, sign=-1, square="C_sq"),
     "P": Relation("P", "has_P", "P_unitary", antiunitary=False, sign=-1, square=None),
 }
-# a conserved diagonal label L: [L, H] = 0
-CONSERVED = Relation("conserved", None, None, antiunitary=False, sign=1, square=None)
 
 
 def _block(U, m: int) -> np.ndarray:

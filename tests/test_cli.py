@@ -59,6 +59,19 @@ class TestClassifyKgroup:
         code, out, err = run(["kgroup", "--d", "1", *flags], capsys)
         assert (code, out, err) == (2 if line.startswith("usage") else 1, "", line + "\n")
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["classify", "--T", "-1"], {"label": "AII"}),
+        (["kgroup", "--label", "AII", "--d", "2"],
+         {"label": "AII", "d": 2, "group": "Z2", "provenance": "point table (AII, d=2)"}),
+    ])
+    def test_out_writes_the_json_document(self, tmp_path, capsys, argv, doc):
+        """--out writes the JSON document without --json, as every other
+        subcommand's --out does."""
+        out = tmp_path / "out.json"
+        assert run([*argv, "--out", str(out)], capsys) == (0, "", "")
+        got = json.loads(out.read_text())
+        assert got.pop("generated_at") and got == doc
+
     def test_bad_sign(self, capsys):
         code, _, err = run(["classify", "--T", "2"], capsys)
         assert code == 2
@@ -390,8 +403,9 @@ def _break_model(kind, path):
         blocks[0][0] = -1
     elif kind == "index_past_end":
         blocks[0][1] = len(doc["operator"]["module"]["pointset"]["points"])
-    elif kind == "short_label":
-        doc["operator"]["module"]["labels"] = {"spin_z": [1]}
+    elif kind in ("short_label", "nan_label"):
+        doc["operator"]["module"]["labels"] = {"spin_z": [1]} if kind == "short_label" \
+            else {"x": [float("nan"), 1]}
     elif kind == "one_by_one_block":
         blocks[0][2] = [[[1.0, 0.0]]]
     elif kind == "not_hermitian":
@@ -434,7 +448,7 @@ def _break_model(kind, path):
 class TestMalformedModelFile:
     @pytest.mark.parametrize("kind", ["missing_file", "not_json", "no_operator",
                                       "no_module", "negative_index", "index_past_end",
-                                      "short_label", "one_by_one_block",
+                                      "short_label", "nan_label", "one_by_one_block",
                                       "not_hermitian", "nan_entry", "inf_entry",
                                       "nan_propagation", "inf_propagation",
                                       "negative_propagation",

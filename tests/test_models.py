@@ -135,6 +135,26 @@ class TestDisorder:
         assert not H.matrix[np.ix_(up, dn)].any() and not H.matrix[np.ix_(dn, up)].any()
         assert np.abs(H.matrix - H0.matrix).max() > 0.1
 
+    def test_disorder_keeps_a_label_of_any_values(self):
+        """A conserved label with values (2, 0, 1, 0) is kept exactly and the
+        diagonal draw is not rescaled, as averaging B with L B L (right only
+        for a +-1 label) would rescale it by (L^2 + 1) / 2."""
+        from conftest import random_controlled
+        kept = np.array([2, 0, 1, 0])
+        mod = rl.SiteModule(rl.generate({"kind": "chain", "window": [[0, 20]]}), 4,
+                            labels={"mixed": np.array([1, -1, 1, 1]), "kept": kept})
+        A = random_controlled(mod, np.random.default_rng(11), hop_range=2.5)
+        sector = np.tile(kept, 20)
+        same = sector[:, None] == sector[None, :]
+        H = rl.ControlledOperator(mod, np.where(same, A.matrix, 0.0), A.declared_propagation)
+        for seed in range(5):
+            D = add_disorder(H, SymmetrySpec(), 0.3, seed)
+            assert not D.matrix[~same].any()
+            assert [name for name, _ in conserved_sectors(D.matrix, mod)] == ["kept"]
+            draw = np.random.default_rng(seed).uniform(-1, 1, size=(20, 4 + 2 * 4 * 4))
+            assert np.array_equal(np.diag(D.matrix),
+                                  np.diag(H.matrix) + 0.3 * draw[:, :4].ravel())
+
     def test_disorder_is_seeded(self, chain200):
         _, H1, _ = rl.build_model("ssh", {}, chain200, disorder=0.3, seed=4)
         _, H2, _ = rl.build_model("ssh", {}, chain200, disorder=0.3, seed=4)

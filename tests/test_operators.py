@@ -379,7 +379,9 @@ class TestFromBlocks:
         ({(True, 0): np.eye(2)}, r"block \(True,0\) lies outside the 4 sites"),
         ({(1.0, 0): np.eye(2)}, r"block \(1.0,0\) lies outside the 4 sites"),
         ({(0, 0): np.full((2, 2), np.nan)}, "non-finite block entry"),
-    ], ids=["negative", "past_end", "bool", "float", "nan"])
+        ({(0, 0): [[1, 2], [3]]}, r"block \(0,0\) \[\[1, 2\], \[3\]\] is not an array of numbers"),
+        ({(0, 0): "ab"}, r"block \(0,0\) 'ab' is not an array of numbers"),
+    ], ids=["negative", "past_end", "bool", "float", "nan", "ragged", "string"])
     def test_refused_blocks(self, blocks, message):
         mod = SiteModule(rl.generate({"kind": "chain", "window": [[0, 4]]}), 2)
         with pytest.raises(OperatorError, match=message):
@@ -521,6 +523,16 @@ class TestOrbitalIndex:
         want = (np.arange(7)[:, None] * 4 + np.asarray(idx, dtype=int)[None, :]).ravel()
         got = mod.orbital_index(np.asarray(idx, dtype=int))
         assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+class TestLabels:
+    @pytest.mark.parametrize("value", [[np.nan, 1], [1, np.inf], ["a", "b"], [1]])
+    def test_refused_by_name(self, value):
+        """A label is m finite numbers: a NaN orbital would fall out of every
+        sector, and the sector solve would drop its rows."""
+        with pytest.raises(OperatorError, match="label 'x' is not 2 finite numbers"):
+            SiteModule(rl.generate({"kind": "chain", "window": [[0, 4]]}), 2,
+                       labels={"x": np.array(value)})
 
 
 class TestSectors:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import roelab as rl
-from roelab.models import disorder_blocks, symmetrize_block
-from roelab.operators import conserved_sectors, onsite
+from roelab.models import add_disorder, disorder_blocks, symmetrize_block
+from roelab.operators import onsite
 from roelab.symmetry import (CARTAN_LABELS, LABELS, CharacterTable, KGroupDescriptor,
                              SymmetryError, SymmetrySpec, kgroup_finite_group,
                              spec_from_label)
@@ -314,8 +314,7 @@ class TestVerifySymmetryMatchesDense:
 
 class TestRelationTable:
     """The relation table reproduces the explicit formulas bit for bit:
-    T H-bar T^* = H, C H-bar C^* = -H, P H P^* = -H and L B L^* = B for a
-    conserved label L."""
+    T H-bar T^* = H, C H-bar C^* = -H and P H P^* = -H."""
 
     @staticmethod
     def _spec(rng):
@@ -324,7 +323,7 @@ class TestRelationTable:
                             has_C=True, C_sq=1, C_unitary=W @ W.T)
 
     @staticmethod
-    def _explicit(B, spec, labels=()):
+    def _explicit(B, spec):
         if spec.has_T and spec.T_unitary is not None:
             T = spec.T_unitary
             B = (B + T @ B.conj() @ T.conj().T) / 2
@@ -334,31 +333,37 @@ class TestRelationTable:
         if spec.has_P and spec.P_unitary is not None:
             P = spec.P_unitary
             B = (B - P @ B @ P.conj().T) / 2
-        for lab in labels:
-            L = np.diag(np.asarray(lab, dtype=complex))
-            B = (B + L @ B @ L.conj().T) / 2
         return B
 
     def test_symmetrize_block(self):
         rng = np.random.default_rng(21)
         spec = self._spec(rng)
-        labels = (np.array([1, 1, -1, -1]),)
         for _ in range(200):
             B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             B = B + B.conj().T
-            want = self._explicit(B, spec, labels)
-            assert symmetrize_block(B, spec, labels).tobytes() == want.tobytes()
+            want = self._explicit(B, spec)
+            assert symmetrize_block(B, spec).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["ssh", "kitaev", "kane_mele", "layered3d"])
     def test_disorder_blocks(self, name):
         st = rl.stencil(name)
-        _, H, _ = rl.build_model(name, {}, rl.default_pointset(name, 3.0))
-        labels = [st.labels[k] for k, _ in conserved_sectors(H.matrix, H.module)]
         rng = np.random.default_rng(5)
-        want = [0.3 * self._explicit(_random_hermitian(rng, len(st.onsite)), st.spec, labels)
+        want = [0.3 * self._explicit(_random_hermitian(rng, len(st.onsite)), st.spec)
                 for _ in range(40)]
-        got = disorder_blocks(st.spec, len(st.onsite), 40, 0.3, 5, conserve=labels)
+        got = disorder_blocks(st.spec, len(st.onsite), 40, 0.3, 5)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_add_disorder_keeps_spin_by_its_sectors(self):
+        """kane_mele conserves spin_z = (1, 1, -1, -1): each site's disorder is
+        its draw projected onto T's commutant, zeroed between the spin sectors."""
+        _, H, spec = rl.build_model("kane_mele", {}, rl.default_pointset("kane_mele", 3.0))
+        sectors = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], dtype=bool)
+        rng = np.random.default_rng(5)
+        want = H.matrix.copy()
+        for x in range(H.module.n_sites):
+            B = 0.3 * self._explicit(_random_hermitian(rng, 4), spec)
+            want[4 * x:4 * x + 4, 4 * x:4 * x + 4] += np.where(sectors, B, 0.0)
+        assert add_disorder(H, spec, 0.3, 5).matrix.tobytes() == want.tobytes()
 
     def test_verify_symmetry_violations(self, chain200):
         from conftest import random_controlled
